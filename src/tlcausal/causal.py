@@ -72,15 +72,11 @@ class EpsilonTerm:
 
 @dataclass
 class SignificanceRecord:
-    """Scored hypothesis; ``z``, ``fdr`` and ``label`` are filled by the
-    false-discovery stage."""
+    """Scored hypothesis: its rival terms and their average impact."""
 
     hypothesis: Hypothesis
     eps_terms: List[EpsilonTerm]
     eps_avg: Optional[float]
-    z: Optional[float] = None
-    fdr: Optional[float] = None
-    label: Optional[str] = None
 
 
 def enumerate_pairwise(atoms: Sequence[str], tmin: int, tmax: int,
@@ -202,11 +198,11 @@ def _reduce_terms(terms, divisor, n_rivals):
 
 @dataclass
 class FamilyScores:
-    """Everything the pipeline needs, in enumeration order."""
+    """Everything the pipeline needs: prima facie results in enumeration
+    order, and one impact record per passer in the same order."""
 
-    hypotheses: List[Hypothesis]
     prima_facie: List[PrimaFacieResult]
-    records: List[SignificanceRecord]  # one per prima facie passer
+    records: List[SignificanceRecord]
 
 
 def _cause_rows(trace, causes):
@@ -227,7 +223,7 @@ def score_hypotheses(data: TraceSet, hypotheses: Sequence[Hypothesis],
     """
     hypotheses = list(hypotheses)
     if not hypotheses:
-        return FamilyScores([], [], [])
+        return FamilyScores([], [])
     tmin = hypotheses[0].tmin
     tmax = hypotheses[0].tmax
     if any(h.tmin != tmin or h.tmax != tmax for h in hypotheses):
@@ -317,7 +313,7 @@ def score_hypotheses(data: TraceSet, hypotheses: Sequence[Hypothesis],
                 min_support=min_support))
         records.append(SignificanceRecord(
             h, terms, _reduce_terms(terms, divisor, len(rivals))))
-    return FamilyScores(hypotheses, prima, records)
+    return FamilyScores(prima, records)
 
 
 def _batched_term(rival, both, x_total, num_both, num_x, min_support):

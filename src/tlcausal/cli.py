@@ -15,14 +15,13 @@ import sys
 from pathlib import Path
 
 from . import dtmc as dtmcmod
-from . import fdr as fdrmod
 from . import pipeline as pl
 from .checker import eval_on_trace, leads_to_prob, sat_set, trace_leads_to
 from .errors import (ConvergenceError, DataError, FitError, TlcausalError,
                      UsageError)
 from .pctl import INFINITY, LeadsTo, ProbBound, parse, validate
 from .synthgen import GenConfig, generate, preset
-from .traces import TraceSet, load_traces, write_events
+from .traces import write_events
 
 __all__ = ["main"]
 
@@ -94,17 +93,21 @@ def _build_parser():
     return parser
 
 
-def _merge(args, key, cfg, parse_fn, default):
-    cli_value = getattr(args, key, None)
-    if cli_value is not None:
-        return cli_value
-    if key in cfg:
-        raw = cfg[key]
-        try:
-            return parse_fn(raw)
-        except ValueError as exc:
-            raise UsageError(f"bad config value for {key}: {raw!r}") from exc
-    return default
+def _given(args, cfg, parsers):
+    """The settings the user gave, as flags or config keys (flags win).
+    Settings left out fall to the library's own defaults."""
+    out = {}
+    for key, parse_fn in parsers.items():
+        value = getattr(args, key, None)
+        if value is None and key in cfg:
+            try:
+                value = parse_fn(cfg[key])
+            except ValueError as exc:
+                raise UsageError(
+                    f"bad config value for {key}: {cfg[key]!r}") from exc
+        if value is not None:
+            out[key] = value
+    return out
 
 
 def _parse_bool(raw):
@@ -121,26 +124,35 @@ def _load_cfg(args):
     return {}
 
 
+_PRESET_KEYS = {"size": int, "trigger_prob": float}
+
+_GENERATE_KEYS = {
+    "spontaneous_rate": float, "refractory": int, "delay_min": int,
+    "delay_max": int, "target_firings": int, "seed": int,
+}
+
+_CONTROL_KEYS = {"bins": int, "degree": int, "threshold": float,
+                 "p0": _parse_bool}
+
+_INFER_KEYS = {
+    "format": str, "horizon": int, "tmin": int, "tmax": int,
+    "negations": _parse_bool, "divisor": str, "min_support": int,
+    "outdir": str, **_CONTROL_KEYS,
+}
+
+
 def _cmd_generate(args):
     cfg = _load_cfg(args)
-    name = _merge(args, "preset", cfg, str, "tree")
-    size = _merge(args, "size", cfg, int, None)
-    trigger = _merge(args, "trigger_prob", cfg, float, 1.0)
-    structure = preset(name, size, trigger)
-    config = GenConfig(
-        structure=structure,
-        spontaneous_rate=_merge(args, "spontaneous_rate", cfg, float, 0.02),
-        refractory=_merge(args, "refractory", cfg, int, 20),
-        delay_min=_merge(args, "delay_min", cfg, int, 20),
-        delay_max=_merge(args, "delay_max", cfg, int, 40),
-        target_firings=_merge(args, "target_firings", cfg, int, 100_000),
-        seed=_merge(args, "seed", cfg, int, 0),
-    )
-    events, truth = generate(config)
-    outdir = _merge(args, "outdir", cfg, str, None)
-    if outdir is None:
+    given = _given(args, cfg, {"preset": str, "outdir": str})
+    if "outdir" not in given:
         raise UsageError("generate needs --outdir")
-    out = Path(outdir)
+    structure = preset(given.get("preset", "tree"),
+                       **_given(args, cfg, _PRESET_KEYS))
+    # GenConfig declares no default rate
+    config = GenConfig(structure, **{"spontaneous_rate": 0.02,
+                                     **_given(args, cfg, _GENERATE_KEYS)})
+    events, truth = generate(config)
+    out = Path(given["outdir"])
     out.mkdir(parents=True, exist_ok=True)
     write_events(events, out / "events.csv")
     with open(out / "truth.csv", "w", encoding="utf-8", newline="\n") as fh:
@@ -156,22 +168,8 @@ def _cmd_infer(args):
     cfg = _load_cfg(args)
     paths = args.path if args.path else (
         cfg["path"].split(",") if "path" in cfg else [])
-    config = pl.PipelineConfig(
-        paths=tuple(p.strip() for p in paths),
-        format=_merge(args, "format", cfg, str, "event-csv"),
-        horizon=_merge(args, "horizon", cfg, int, None),
-        tmin=_merge(args, "tmin", cfg, int, 1),
-        tmax=_merge(args, "tmax", cfg, int, 1),
-        negations=_merge(args, "negations", cfg, _parse_bool, False),
-        divisor=_merge(args, "divisor", cfg, str, "defined"),
-        min_support=_merge(args, "min_support", cfg, int, 1),
-        bins=_merge(args, "bins", cfg, int, fdrmod.DEFAULT_BINS),
-        degree=_merge(args, "degree", cfg, int, fdrmod.DEFAULT_DEGREE),
-        threshold=_merge(args, "threshold", cfg, float,
-                         fdrmod.DEFAULT_THRESHOLD),
-        p0=_merge(args, "p0", cfg, _parse_bool, False),
-        outdir=_merge(args, "outdir", cfg, str, None),
-    )
+    config = pl.PipelineConfig(paths=tuple(p.strip() for p in paths),
+                               **_given(args, cfg, _INFER_KEYS))
     report = pl.run_pipeline(config)
     for key in ("enumerated", "prima_facie", "scored", "significant"):
         print(f"{key}: {report.counts[key]}")
@@ -214,10 +212,7 @@ def _cmd_check(args):
         return 0
     if not args.path:
         raise UsageError("check needs --path or --model")
-    traces = []
-    for p in args.path:
-        traces.extend(load_traces(p, args.format, horizon=args.horizon).traces)
-    data = TraceSet(tuple(traces))
+    data = pl.load_data(args.path, args.format, args.horizon)
     if lead is not None:
         if lead.tmax == INFINITY:
             raise UsageError("trace checking needs a finite window")
@@ -240,15 +235,8 @@ def _cmd_check(args):
 
 def _cmd_fdr(args):
     rows = pl.read_hypotheses_tsv(args.hypotheses)
-    report = pl.rerun_fdr(
-        rows,
-        bins=args.bins if args.bins is not None else fdrmod.DEFAULT_BINS,
-        degree=(args.degree if args.degree is not None
-                else fdrmod.DEFAULT_DEGREE),
-        threshold=(args.threshold if args.threshold is not None
-                   else fdrmod.DEFAULT_THRESHOLD),
-        p0=bool(args.p0))
-    pl.write_report(report, args.outdir)
+    report = pl.rerun_fdr(rows, **_given(args, {}, _CONTROL_KEYS))
+    pl.render_outputs(report, args.outdir)
     for key in ("scored", "significant"):
         print(f"{key}: {report.counts[key]}")
     print(f"outputs -> {args.outdir}")
@@ -258,17 +246,9 @@ def _cmd_fdr(args):
 def _cmd_report(args):
     rows = pl.read_hypotheses_tsv(args.hypotheses)
     significant = [(r.cause, r.effect) for r in rows if r.label == "significant"]
-    counts = {
-        "enumerated": len(rows),
-        "prima_facie": sum(1 for r in rows if r.prima_facie),
-        "scored": sum(1 for r in rows if r.eps_avg is not None),
-        "significant": len(significant),
-        "unscored_undefined": sum(
-            1 for r in rows if r.prima_facie and r.eps_avg is None),
-    }
-    report = pl.Report(rows, significant, None, [], counts,
+    report = pl.Report(rows, significant, None, [], pl.counts(rows),
                        {"inputs": "(saved hypothesis table)"})
-    pl.write_report(report, args.outdir)
+    pl.render_outputs(report, args.outdir)
     print(f"re-rendered {len(rows)} rows -> {args.outdir}")
     return 0
 

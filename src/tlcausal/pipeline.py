@@ -9,6 +9,7 @@ a run died.
 
 from __future__ import annotations
 
+import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,8 +24,8 @@ from .pctl import print_formula
 from .traces import TraceSet, load_events, load_traces
 
 __all__ = ["PipelineConfig", "HypothesisRow", "Report", "run_pipeline",
-           "load_config_file", "write_report", "read_hypotheses_tsv",
-           "render_outputs"]
+           "load_data", "counts", "load_config_file", "read_hypotheses_tsv",
+           "render_outputs", "rerun_fdr"]
 
 HYPOTHESES_FILE = "hypotheses.tsv"
 EDGES_FILE = "edges.tsv"
@@ -57,7 +58,6 @@ class PipelineConfig:
     degree: int = fdrmod.DEFAULT_DEGREE
     threshold: float = fdrmod.DEFAULT_THRESHOLD
     p0: bool = False
-    seed: int = 0
     outdir: Optional[str] = None
 
     def check(self):
@@ -109,23 +109,63 @@ def _stage(name, fn, *args, **kwargs):
         raise
 
 
-def _load_all(config: PipelineConfig) -> TraceSet:
-    if config.format == "event-csv":
-        # replicates share one variable universe, in first-appearance order
-        event_lists = [load_events(path, config.horizon)
-                       for path in config.paths]
-        variables: List[str] = []
-        for events in event_lists:
-            for v in events.variables():
-                if v not in variables:
-                    variables.append(v)
-        return TraceSet(tuple(ev.to_trace(tuple(variables))
-                              for ev in event_lists))
-    traces = []
-    for path in config.paths:
-        ts = load_traces(path, config.format, horizon=config.horizon)
-        traces.extend(ts.traces)
-    return TraceSet(tuple(traces))
+def load_data(paths, format: str, horizon: Optional[int]) -> TraceSet:
+    """Load replicate files into one trace set.  Event-csv replicates share
+    one variable universe, in first-appearance order across the files."""
+    if format != "event-csv":
+        return TraceSet(tuple(tr for path in paths
+                              for tr in load_traces(path, format,
+                                                    horizon=horizon)))
+    event_lists = [load_events(path, horizon) for path in paths]
+    variables = tuple(dict.fromkeys(v for events in event_lists
+                                    for v in events.variables()))
+    return TraceSet(tuple(ev.to_trace(variables) for ev in event_lists))
+
+
+def counts(rows: List[HypothesisRow]) -> dict:
+    """Stage counts of a hypothesis table."""
+    return {
+        "enumerated": len(rows),
+        "prima_facie": sum(1 for r in rows if r.prima_facie),
+        "scored": sum(1 for r in rows if r.eps_avg is not None),
+        "significant": sum(1 for r in rows if r.label == "significant"),
+        "unscored_undefined": sum(
+            1 for r in rows if r.prima_facie and r.eps_avg is None),
+    }
+
+
+def _control(rows: List[HypothesisRow], bins: int, degree: int,
+             threshold: float, p0: bool):
+    """Stages 4-5 over the rows with an impact average: standardize, fit
+    the mixture and the empirical null, and label by local fdr.  Every
+    row's z/fdr/label is reset first.  Returns (null model, plot rows,
+    significant pairs)."""
+    for row in rows:
+        row.z = None
+        row.fdr = None
+        row.label = "insignificant"
+    scored = [r for r in rows if r.eps_avg is not None]
+    if not scored:
+        return None, [], []
+    zs = _stage("fdr", fdrmod.z_scores, [r.eps_avg for r in scored])
+    density = _stage("fdr", fdrmod.fit_mixture, zs, bins=bins, degree=degree)
+    null_model = _stage("fdr", fdrmod.fit_null, density, estimate_p0=p0)
+    fdrs = _stage("fdr", fdrmod.local_fdr, density, null_model,
+                  np.asarray(zs.values))
+    chosen = _stage("classify", fdrmod.classify, list(fdrs), threshold)
+    for i, row in enumerate(scored):
+        row.z = float(zs.values[i])
+        row.fdr = float(fdrs[i])
+        if i in chosen:
+            row.label = "significant"
+    significant = [(r.cause, r.effect) for r in scored
+                   if r.label == "significant"]
+    return null_model, fdrmod.plot_rows(density, null_model), significant
+
+
+def _control_settings(bins, degree, threshold, p0) -> dict:
+    return {"bins": str(bins), "degree": str(degree),
+            "threshold": _fmt_float(threshold), "p0": "on" if p0 else "off"}
 
 
 def run_pipeline(config: PipelineConfig) -> Report:
@@ -134,62 +174,30 @@ def run_pipeline(config: PipelineConfig) -> Report:
     config.check()
     started = time.perf_counter()
 
-    data = _stage("load", _load_all, config)
+    data = _stage("load", load_data, config.paths, config.format,
+                  config.horizon)
     hypotheses = _stage("enumerate", enumerate_pairwise,
                         data.variables, config.tmin, config.tmax,
                         config.negations)
     scores = _stage("score", score_hypotheses, data, hypotheses,
                     divisor=config.divisor, min_support=config.min_support)
 
+    records = iter(scores.records)  # one per passer, in passer order
     rows = []
     for result in scores.prima_facie:
         h = result.hypothesis
         rows.append(HypothesisRow(
             cause=print_formula(h.cause), effect=print_formula(h.effect),
             tmin=h.tmin, tmax=h.tmax,
-            p_cond=result.p_cond.probability if result.p_cond.denominator else None,
+            p_cond=(result.p_cond.probability
+                    if result.p_cond.denominator else None),
             p_marginal=(result.p_marginal.probability
                         if result.p_marginal.denominator else None),
             prima_facie=result.passed,
-            eps_avg=None))
-    index = {(r.cause, r.effect): r for r in rows}
-    scored = []
-    for record in scores.records:
-        key = (print_formula(record.hypothesis.cause),
-               print_formula(record.hypothesis.effect))
-        index[key].eps_avg = record.eps_avg
-        if record.eps_avg is not None:
-            scored.append(index[key])
+            eps_avg=next(records).eps_avg if result.passed else None))
 
-    null_model = None
-    plot = []
-    significant: List[Tuple[str, str]] = []
-    if scored:
-        zs = _stage("fdr", fdrmod.z_scores, [r.eps_avg for r in scored])
-        density = _stage("fdr", fdrmod.fit_mixture, zs,
-                         bins=config.bins, degree=config.degree)
-        null_model = _stage("fdr", fdrmod.fit_null, density,
-                            estimate_p0=config.p0)
-        fdrs = _stage("fdr", fdrmod.local_fdr, density, null_model,
-                      np.asarray(zs.values))
-        chosen = _stage("classify", fdrmod.classify, list(fdrs),
-                        config.threshold)
-        for i, row in enumerate(scored):
-            row.z = float(zs.values[i])
-            row.fdr = float(fdrs[i])
-            row.label = "significant" if i in chosen else "insignificant"
-        significant = [(r.cause, r.effect) for r in rows
-                       if r.label == "significant"]
-        plot = fdrmod.plot_rows(density, null_model)
-
-    counts = {
-        "enumerated": len(rows),
-        "prima_facie": sum(1 for r in rows if r.prima_facie),
-        "scored": len(scored),
-        "significant": len(significant),
-        "unscored_undefined": sum(
-            1 for r in rows if r.prima_facie and r.eps_avg is None),
-    }
+    null_model, plot, significant = _control(
+        rows, config.bins, config.degree, config.threshold, config.p0)
     settings = {
         "inputs": ",".join(config.paths),
         "format": config.format,
@@ -197,19 +205,17 @@ def run_pipeline(config: PipelineConfig) -> Report:
         "negations": "on" if config.negations else "off",
         "divisor": config.divisor,
         "min_support": str(config.min_support),
-        "bins": str(config.bins),
-        "degree": str(config.degree),
-        "threshold": _fmt_float(config.threshold),
-        "p0": "on" if config.p0 else "off",
+        **_control_settings(config.bins, config.degree, config.threshold,
+                            config.p0),
         "traces": str(len(data)),
         "variables": str(len(data.variables)),
         "ticks": str(data.total_ticks),
         "aggregation": "frequency-weighted over antecedent ticks",
     }
-    report = Report(rows, significant, null_model, plot, counts, settings,
-                    wall_time=time.perf_counter() - started)
+    report = Report(rows, significant, null_model, plot, counts(rows),
+                    settings, wall_time=time.perf_counter() - started)
     if config.outdir is not None:
-        write_report(report, config.outdir)
+        render_outputs(report, config.outdir)
     return report
 
 
@@ -230,13 +236,9 @@ def _row_cells(row: HypothesisRow):
             row.label)
 
 
-def write_report(report: Report, outdir) -> None:
+def render_outputs(report: Report, outdir) -> None:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    render_outputs(report, out)
-
-
-def render_outputs(report: Report, out: Path) -> None:
     with open(out / HYPOTHESES_FILE, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\t".join(TSV_COLUMNS) + "\n")
         for row in report.rows:
@@ -290,49 +292,18 @@ def read_hypotheses_tsv(path) -> List[HypothesisRow]:
     return rows
 
 
-def rerun_fdr(rows: List[HypothesisRow], bins: int, degree: int,
-              threshold: float, p0: bool) -> Report:
+def rerun_fdr(rows: List[HypothesisRow], bins: int = fdrmod.DEFAULT_BINS,
+              degree: int = fdrmod.DEFAULT_DEGREE,
+              threshold: float = fdrmod.DEFAULT_THRESHOLD,
+              p0: bool = False) -> Report:
     """Stages 4-5 over a saved table: re-standardize the stored impact
     averages, refit, and relabel."""
-    scored = [r for r in rows if r.eps_avg is not None]
-    for row in rows:
-        row.z = None
-        row.fdr = None
-        row.label = "insignificant"
-    null_model = None
-    plot = []
-    significant: List[Tuple[str, str]] = []
-    if scored:
-        zs = _stage("fdr", fdrmod.z_scores, [r.eps_avg for r in scored])
-        density = _stage("fdr", fdrmod.fit_mixture, zs, bins=bins,
-                         degree=degree)
-        null_model = _stage("fdr", fdrmod.fit_null, density, estimate_p0=p0)
-        fdrs = _stage("fdr", fdrmod.local_fdr, density, null_model,
-                      np.asarray(zs.values))
-        chosen = _stage("classify", fdrmod.classify, list(fdrs), threshold)
-        for i, row in enumerate(scored):
-            row.z = float(zs.values[i])
-            row.fdr = float(fdrs[i])
-            row.label = "significant" if i in chosen else "insignificant"
-        significant = [(r.cause, r.effect) for r in rows
-                       if r.label == "significant"]
-        plot = fdrmod.plot_rows(density, null_model)
-    counts = {
-        "enumerated": len(rows),
-        "prima_facie": sum(1 for r in rows if r.prima_facie),
-        "scored": len(scored),
-        "significant": len(significant),
-        "unscored_undefined": sum(
-            1 for r in rows if r.prima_facie and r.eps_avg is None),
-    }
-    settings = {
-        "inputs": "(saved hypothesis table)",
-        "bins": str(bins),
-        "degree": str(degree),
-        "threshold": _fmt_float(threshold),
-        "p0": "on" if p0 else "off",
-    }
-    return Report(rows, significant, null_model, plot, counts, settings)
+    null_model, plot, significant = _control(rows, bins, degree, threshold,
+                                             p0)
+    settings = {"inputs": "(saved hypothesis table)",
+                **_control_settings(bins, degree, threshold, p0)}
+    return Report(rows, significant, null_model, plot, counts(rows),
+                  settings)
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +320,14 @@ CONFIG_KEYS = {
 }
 
 
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def load_config_file(path) -> dict:
     """Parse ``key = value`` lines; bracketed section headers group keys for
-    readability but key names are global and must be unique."""
+    readability but key names are global and must be unique.  A ``#`` at
+    the start of a line or after whitespace starts a comment; elsewhere it
+    is part of the value."""
     out: dict = {}
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -359,7 +335,7 @@ def load_config_file(path) -> dict:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     with fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = _COMMENT.split(raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             if line.startswith("[") and line.endswith("]"):

@@ -99,10 +99,6 @@ class Trace:
         except KeyError:
             raise DataError(f"unknown atom: {variable!r}") from None
 
-    def labels_at(self, t: int) -> frozenset:
-        on = self.values[:, t]
-        return frozenset(v for v, bit in zip(self.variables, on) if bit)
-
 
 @dataclass(frozen=True)
 class TraceSet:

@@ -130,6 +130,22 @@ outdir = out
         with pytest.raises(Exception, match="duplicate"):
             load_config_file(cfg)
 
+    def test_hash_starts_comment_only_after_whitespace(self, tmp_path):
+        data = tmp_path / "d#1"
+        data.mkdir()
+        (data / "r1.csv").write_text("0,a\n1,b\n3,a\n4,b\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# a comment line\n"
+                       f"path = {data / 'r1.csv'}\n"
+                       f"tmin = 1  # note\n"
+                       f"tmax = 1\t# tab before the hash\n"
+                       f"outdir = {tmp_path / 'out'}\n")
+        got = load_config_file(cfg)
+        assert got["path"] == str(data / "r1.csv")
+        assert got["tmin"] == "1" and got["tmax"] == "1"
+        assert cli.main(["infer", "--config", str(cfg)]) == 0
+        assert (tmp_path / "out" / "hypotheses.tsv").exists()
+
 
 class TestCli:
     def test_generate_then_infer(self, tmp_path, capsys):
@@ -162,6 +178,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert "probability:" in out and "holds" in out
 
+    def test_check_accepts_replicates_infer_accepts(self, tmp_path, capsys):
+        # variables first appear in different orders across the replicates
+        r1 = tmp_path / "r1.csv"
+        r1.write_text("0,a\n1,b\n3,a\n4,b\n")
+        r2 = tmp_path / "r2.csv"
+        r2.write_text("0,b\n1,a\n2,b\n5,a\n6,b\n")
+        paths = ["--path", str(r1), "--path", str(r2)]
+        rc = cli.main(["infer", *paths, "--tmin", "1", "--tmax", "1",
+                       "--outdir", str(tmp_path / "out")])
+        assert rc == 0
+        rows = read_hypotheses_tsv(tmp_path / "out" / "hypotheses.tsv")
+        (p_cond,) = [r.p_cond for r in rows
+                     if (r.cause, r.effect) == ("a", "b")]
+        capsys.readouterr()
+        rc = cli.main(["check", "--formula", "a ~>{>=1,<=1}{>=0.5} b",
+                       *paths])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert p_cond == 1.0
+        assert "probability: 1 (4/4)" in out and "holds" in out
+
     def test_check_state_formula(self, tmp_path, capsys):
         path = tmp_path / "ev.csv"
         path.write_text("0,a\n1,a\n3,b\n")
@@ -193,6 +230,14 @@ class TestCli:
         assert rc == 0
         assert (redo / "hypotheses.tsv").exists()
         assert (redo / "plot.tsv").exists()
+        # default settings reproduce the run's own decisions (z and fdr
+        # move in the last digits: the table stores eps_avg to 10 digits)
+        same = tmp_path / "same"
+        rc = cli.main(["fdr", "--hypotheses", str(out / "hypotheses.tsv"),
+                       "--outdir", str(same)])
+        assert rc == 0
+        assert (same / "edges.tsv").read_bytes() == \
+            (out / "edges.tsv").read_bytes()
 
     def test_report_rerender(self, tmp_path, capsys):
         path, _, horizon = _generate_inputs(tmp_path)
@@ -204,6 +249,8 @@ class TestCli:
         assert rc == 0
         assert (rr / "edges.tsv").read_bytes() == \
             (out / "edges.tsv").read_bytes()
+        assert (rr / "hypotheses.tsv").read_bytes() == \
+            (out / "hypotheses.tsv").read_bytes()
 
     def test_exit_codes(self, tmp_path, capsys):
         assert cli.main(["infer"]) == 1  # no inputs: usage
