@@ -23,16 +23,14 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .checker import (FrequencyEstimate, eval_on_trace, marginal_window_prob,
-                      trace_leads_to, window_hits)
-from .errors import CheckError, EmptyWindowError
-from .pctl import And, Atom, Formula, Not, print_formula
+from .checker import FrequencyEstimate, eval_on_trace, window_hits
+from .errors import CheckError
+from .pctl import Atom, Formula, Not, print_formula
 from .traces import TraceSet
 
 __all__ = [
-    "Hypothesis", "PrimaFacieResult", "EpsilonTerm", "SignificanceRecord",
-    "enumerate_pairwise", "prima_facie_test", "epsilon_x", "epsilon_avg",
-    "score_hypotheses",
+    "Hypothesis", "PrimaFacieResult", "SignificanceRecord",
+    "enumerate_pairwise", "score_hypotheses",
 ]
 
 
@@ -61,21 +59,11 @@ class PrimaFacieResult:
     passed: bool
 
 
-@dataclass(frozen=True)
-class EpsilonTerm:
-    """One rival comparison; ``value`` is None when undefined."""
-
-    rival: Formula
-    value: Optional[float]
-    defined: bool
-
-
 @dataclass
 class SignificanceRecord:
-    """Scored hypothesis: its rival terms and their average impact."""
+    """Scored hypothesis and its average impact over the rival causes."""
 
     hypothesis: Hypothesis
-    eps_terms: List[EpsilonTerm]
     eps_avg: Optional[float]
 
 
@@ -111,90 +99,14 @@ def _raises_strictly(cond: FrequencyEstimate, marg: FrequencyEstimate) -> bool:
 _ZERO = FrequencyEstimate(0.0, 0, 0)
 
 
-def prima_facie_test(data: TraceSet, h: Hypothesis) -> PrimaFacieResult:
-    """Occurrence, probability raising, and the strictness check for one
-    hypothesis.  Empty denominators make the test fail, not raise."""
-    occurred = any(eval_on_trace(tr, h.cause).any() for tr in data)
-    try:
-        p_cond = trace_leads_to(data, h.cause, h.effect, h.tmin, h.tmax)
-    except EmptyWindowError:
-        p_cond = _ZERO
-    try:
-        p_marginal = marginal_window_prob(
-            data, h.effect, h.tmax - h.tmin + 1, h.tmin)
-    except EmptyWindowError:
-        p_marginal = _ZERO
-    passed = (occurred and p_cond.denominator > 0
-              and p_marginal.denominator > 0
-              and _raises_strictly(p_cond, p_marginal))
-    return PrimaFacieResult(h, occurred, p_cond, p_marginal, passed)
-
-
-def epsilon_x(data: TraceSet, c: Formula, x: Formula, e: Formula,
-              tmin: int, tmax: int,
-              min_support: int = 1) -> Tuple[Optional[float], bool]:
-    """Impact of ``c`` on ``e`` holding rival ``x`` fixed.
-
-    Returns ``(value, defined)``; undefined when either conditioning
-    denominator falls below ``min_support``.
-    """
-    if c == x:
-        raise CheckError("rival must differ from the cause")
-    try:
-        with_c = trace_leads_to(data, And(c, x), e, tmin, tmax)
-        without_c = trace_leads_to(data, And(Not(c), x), e, tmin, tmax)
-    except EmptyWindowError:
-        return None, False
-    if (with_c.denominator < min_support
-            or without_c.denominator < min_support):
-        return None, False
-    return with_c.probability - without_c.probability, True
-
-
-def epsilon_avg(data: TraceSet, c: Formula, e: Formula,
-                rivals: Sequence[Formula], tmin: int, tmax: int,
-                divisor: str = "defined",
-                min_support: int = 1) -> SignificanceRecord:
-    """Average impact of ``c`` on ``e`` over the other prima facie causes.
-
-    ``rivals`` is the full prima facie cause set of ``e`` (including ``c``).
-    ``divisor="defined"`` averages the defined terms; ``divisor="strict"``
-    divides the defined-term sum by ``len(rivals)``.  With no rivals besides
-    ``c`` the average is undefined and the record is excluded downstream.
-    """
-    if divisor not in ("defined", "strict"):
-        raise CheckError(f"unknown divisor mode {divisor!r}")
-    if not any(r == c for r in rivals):
-        raise CheckError("cause must be a member of the rival set")
-    terms = []
-    for x in rivals:
-        if x == c:
-            continue
-        value, defined = epsilon_x(data, c, x, e, tmin, tmax, min_support)
-        terms.append(EpsilonTerm(x, value, defined))
-    return SignificanceRecord(
-        Hypothesis(c, e, tmin, tmax), terms,
-        _reduce_terms(terms, divisor, len(rivals)))
-
-
-def _reduce_terms(terms, divisor, n_rivals):
-    if not terms:
-        return None
-    defined = [t.value for t in terms if t.defined]
-    if divisor == "strict":
-        return sum(defined) / n_rivals
-    if not defined:
-        return None
-    return sum(defined) / len(defined)
-
-
 # ---------------------------------------------------------------------------
 # Batched scoring over a whole hypothesis family
 #
-# The pipeline evaluates every ordered pair at once.  Counts come from
-# integer-valued matrix products over the qualifying ticks of each trace,
-# which reproduce the per-pair functions above exactly (0/1 dot products in
-# float64 are exact well past any realistic trace length).
+# The pipeline evaluates every ordered pair at once.  Counts come from 0/1
+# matrix products over the qualifying ticks of each trace.  Every partial sum
+# of such a product is an integer no larger than the number of ticks summed
+# over, so it is exact in float64 up to 2**53 ticks; the counts match the
+# per-pair definitions exactly.
 
 @dataclass
 class FamilyScores:
@@ -212,6 +124,27 @@ def _cause_rows(trace, causes):
     return rows
 
 
+def _products(left, right):
+    """Exact counts ``left @ right.T`` of two boolean matrices whose rows
+    run over the same ticks."""
+    lf = left.astype(np.float64)
+    rf = lf if right is left else right.astype(np.float64)
+    return (lf @ rf.T).astype(np.int64)
+
+
+def _index(formulas):
+    """Integer id of each formula (formulas printing alike share one) and
+    the distinct formulas in first-seen order."""
+    ids: dict = {}
+    distinct, out = [], []
+    for f in formulas:
+        i = ids.setdefault(print_formula(f), len(ids))
+        if i == len(distinct):
+            distinct.append(f)
+        out.append(i)
+    return out, distinct
+
+
 def score_hypotheses(data: TraceSet, hypotheses: Sequence[Hypothesis],
                      divisor: str = "defined",
                      min_support: int = 1) -> FamilyScores:
@@ -221,6 +154,8 @@ def score_hypotheses(data: TraceSet, hypotheses: Sequence[Hypothesis],
     All hypotheses must share one window, and causes/effects are evaluated
     per tick (atoms, negations, or any propositional formula).
     """
+    if divisor not in ("defined", "strict"):
+        raise CheckError(f"unknown divisor mode {divisor!r}")
     hypotheses = list(hypotheses)
     if not hypotheses:
         return FamilyScores([], [])
@@ -229,10 +164,8 @@ def score_hypotheses(data: TraceSet, hypotheses: Sequence[Hypothesis],
     if any(h.tmin != tmin or h.tmax != tmax for h in hypotheses):
         raise CheckError("batched scoring requires a single shared window")
 
-    causes = _unique_formulas(h.cause for h in hypotheses)
-    effects = _unique_formulas(h.effect for h in hypotheses)
-    cause_id = {print_formula(c): i for i, c in enumerate(causes)}
-    effect_id = {print_formula(e): i for i, e in enumerate(effects)}
+    cause_ix, causes = _index(h.cause for h in hypotheses)
+    effect_ix, effects = _index(h.effect for h in hypotheses)
     nc, ne = len(causes), len(effects)
 
     cooc = np.zeros((nc, nc), dtype=np.int64)      # qualifying co-occurrence
@@ -241,6 +174,7 @@ def score_hypotheses(data: TraceSet, hypotheses: Sequence[Hypothesis],
     cause_qual = np.zeros(nc, dtype=np.int64)
     marg_num = np.zeros(ne, dtype=np.int64)
     qual_total = 0
+    kept = []  # per trace: cause rows and effect window hits, qualifying ticks
 
     for trace in data:
         rows = _cause_rows(trace, causes)
@@ -248,84 +182,89 @@ def score_hypotheses(data: TraceSet, hypotheses: Sequence[Hypothesis],
         nq = trace.length - tmax
         if nq <= 0:
             continue
-        qual_total += nq
-        rq = rows[:, :nq].astype(np.float64)
-        cooc += np.rint(rq @ rq.T).astype(np.int64)
-        cause_qual += np.rint(rq.sum(axis=1)).astype(np.int64)
+        rq = rows[:, :nq]
+        hits = np.empty((ne, nq), dtype=bool)
         for j, e in enumerate(effects):
-            hits = window_hits(eval_on_trace(trace, e), tmin, tmax)
-            marg_num[j] += int(hits.sum())
-            cond_num[:, j] += np.rint(rq @ hits.astype(np.float64)).astype(np.int64)
+            hits[j] = window_hits(eval_on_trace(trace, e), tmin, tmax)
+        qual_total += nq
+        cause_qual += rq.sum(axis=1)
+        marg_num += hits.sum(axis=1)
+        cooc += _products(rq, rq)
+        cond_num += _products(rq, hits)
+        kept.append((rq, hits))
 
+    occ, qual = cause_occ.tolist(), cause_qual.tolist()
+    cond, marg = cond_num.tolist(), marg_num.tolist()
     prima: List[PrimaFacieResult] = []
-    passers_by_effect: dict = {}
-    for h in hypotheses:
-        ci = cause_id[print_formula(h.cause)]
-        ej = effect_id[print_formula(h.effect)]
-        occurred = cause_occ[ci] > 0
-        den = int(cause_qual[ci])
-        num = int(cond_num[ci, ej])
-        p_cond = (FrequencyEstimate(num / den, num, den) if den else _ZERO)
-        p_marg = (FrequencyEstimate(marg_num[ej] / qual_total,
-                                    int(marg_num[ej]), qual_total)
-                  if qual_total else _ZERO)
-        passed = (bool(occurred) and den > 0 and qual_total > 0
-                  and _raises_strictly(p_cond, p_marg))
-        prima.append(PrimaFacieResult(h, bool(occurred), p_cond, p_marg, passed))
+    passers: dict = {}  # effect id -> cause ids of its passers, in order
+    slots = []          # (effect id, rank among its passers) of each passer
+    for h, ci, ej in zip(hypotheses, cause_ix, effect_ix):
+        den, num = qual[ci], cond[ci][ej]
+        p_cond = FrequencyEstimate(num / den, num, den) if den else _ZERO
+        p_marg = (FrequencyEstimate(marg[ej] / qual_total, marg[ej],
+                                    qual_total) if qual_total else _ZERO)
+        # a qualifying cause tick (den > 0) implies the cause occurred
+        passed = den > 0 and _raises_strictly(p_cond, p_marg)
+        prima.append(PrimaFacieResult(h, occ[ci] > 0, p_cond, p_marg, passed))
         if passed:
-            passers_by_effect.setdefault(ej, []).append(ci)
+            rivals = passers.setdefault(ej, [])
+            slots.append((ej, len(rivals)))
+            rivals.append(ci)
 
-    # second pass: per-effect rival-pair counts, restricted to the passers
-    pair_num = {ej: np.zeros((len(xs), len(xs)), dtype=np.int64)
-                for ej, xs in passers_by_effect.items() if len(xs) > 1}
-    if pair_num:
-        for trace in data:
-            nq = trace.length - tmax
-            if nq <= 0:
-                continue
-            rows = _cause_rows(trace, causes)
-            rq = rows[:, :nq].astype(np.float64)
-            for ej, matrix in pair_num.items():
-                hits = window_hits(eval_on_trace(trace, effects[ej]),
-                                   tmin, tmax).astype(np.float64)
-                sub = rq[passers_by_effect[ej]]
-                matrix += np.rint((sub * hits) @ sub.T).astype(np.int64)
-
-    records: List[SignificanceRecord] = []
-    for result in prima:
-        if not result.passed:
+    eps = {}
+    for ej, rivals in passers.items():
+        if len(rivals) == 1:
+            eps[ej] = [None]  # no rival to compare against
             continue
-        h = result.hypothesis
-        ci = cause_id[print_formula(h.cause)]
-        ej = effect_id[print_formula(h.effect)]
-        rivals = passers_by_effect[ej]
-        pos = rivals.index(ci)
-        terms = []
-        for k, xi in enumerate(rivals):
-            if xi == ci:
-                continue
-            terms.append(_batched_term(
-                causes[xi],
-                both=int(cooc[ci, xi]),
-                x_total=int(cause_qual[xi]),
-                num_both=int(pair_num[ej][pos, k]),
-                num_x=int(cond_num[xi, ej]),
-                min_support=min_support))
-        records.append(SignificanceRecord(
-            h, terms, _reduce_terms(terms, divisor, len(rivals))))
+        values, defined = _impact_terms(
+            both=cooc[np.ix_(rivals, rivals)],
+            x_total=cause_qual[rivals],
+            num_both=_pair_counts(kept, rivals, ej),
+            num_x=cond_num[rivals, ej],
+            min_support=min_support)
+        eps[ej] = _average(values, defined, divisor)
+
+    passing = (r.hypothesis for r in prima if r.passed)
+    records = [SignificanceRecord(h, eps[ej][rank])
+               for h, (ej, rank) in zip(passing, slots)]
     return FamilyScores(prima, records)
 
 
-def _batched_term(rival, both, x_total, num_both, num_x, min_support):
+def _pair_counts(kept, rivals, ej):
+    """Ticks where two rivals both hold and effect ``ej`` hits its window,
+    summed over the traces; only the hit ticks can contribute."""
+    total = np.zeros((len(rivals), len(rivals)), dtype=np.int64)
+    for rq, hits in kept:
+        sub = rq[rivals][:, np.flatnonzero(hits[ej])]  # faster than np.ix_
+        total += _products(sub, sub)
+    return total
+
+
+def _impact_terms(both, x_total, num_both, num_x, min_support):
+    """Impact of each passer (row) against each rival passer (column) of one
+    effect: ``P(e | c and x) - P(e | not-c and x)`` from the counts of ticks
+    where both hold (``both``, ``num_both`` of them with the effect in
+    window) and where the rival holds (``x_total``, ``num_x``).
+
+    Returns ``(values, defined)``; a term is defined when both conditioning
+    denominators reach ``min_support`` (and at least 1), so the diagonal,
+    whose not-c side is empty, never is.  Undefined values are 0.0.
+    """
     x_only = x_total - both
-    if both < min_support or x_only < min_support:
-        return EpsilonTerm(rival, None, False)
-    value = num_both / both - (num_x - num_both) / x_only
-    return EpsilonTerm(rival, value, True)
+    floor = max(min_support, 1)
+    defined = (both >= floor) & (x_only >= floor)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = num_both / both - (num_x - num_both) / x_only
+    return np.where(defined, values, 0.0), defined
 
 
-def _unique_formulas(formulas):
-    seen = {}
-    for f in formulas:
-        seen.setdefault(print_formula(f), f)
-    return list(seen.values())
+def _average(values, defined, divisor):
+    """Each row's defined terms summed left to right, as a plain loop over
+    the rivals would (``np.sum`` sums pairwise and may change the last
+    bits), divided by the defined-term count or, for ``strict``, by the
+    rival-set size (the column count)."""
+    total = np.cumsum(values, axis=1)[:, -1].tolist()
+    if divisor == "strict":
+        return [t / values.shape[1] for t in total]
+    return [t / k if k else None
+            for t, k in zip(total, defined.sum(axis=1).tolist())]

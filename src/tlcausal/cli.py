@@ -235,8 +235,8 @@ def _cmd_check(args):
 
 def _cmd_fdr(args):
     rows = pl.read_hypotheses_tsv(args.hypotheses)
-    report = pl.rerun_fdr(rows, **_given(args, {}, _CONTROL_KEYS))
-    pl.render_outputs(report, args.outdir)
+    report = pl.rerun_fdr(rows, args.outdir,
+                          **_given(args, {}, _CONTROL_KEYS))
     for key in ("scored", "significant"):
         print(f"{key}: {report.counts[key]}")
     print(f"outputs -> {args.outdir}")

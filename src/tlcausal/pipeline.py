@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fdr as fdrmod
 from .causal import enumerate_pairwise, score_hypotheses
-from .errors import DataError, TlcausalError, UsageError
+from .errors import DataError, FitError, TlcausalError, UsageError
 from .pctl import print_formula
 from .traces import TraceSet, load_events, load_traces
 
@@ -90,7 +90,10 @@ class HypothesisRow:
 
 @dataclass
 class Report:
-    """Run outcome: the hypothesis table plus stage bookkeeping."""
+    """Run outcome: the hypothesis table plus stage bookkeeping.
+    ``fit_skipped`` holds the reason when the density or null fit could not
+    run, for the ``fit: skipped`` summary line; the table then has no z/fdr
+    values and nothing is significant."""
 
     rows: List[HypothesisRow]
     significant: List[Tuple[str, str]]
@@ -99,6 +102,7 @@ class Report:
     counts: dict
     settings: dict
     wall_time: float = 0.0
+    fit_skipped: Optional[str] = None
 
 
 def _stage(name, fn, *args, **kwargs):
@@ -139,19 +143,24 @@ def _control(rows: List[HypothesisRow], bins: int, degree: int,
     """Stages 4-5 over the rows with an impact average: standardize, fit
     the mixture and the empirical null, and label by local fdr.  Every
     row's z/fdr/label is reset first.  Returns (null model, plot rows,
-    significant pairs)."""
+    significant pairs, why the fit was skipped or None); a fit that cannot
+    run leaves every row unscored by fdr and insignificant."""
     for row in rows:
         row.z = None
         row.fdr = None
         row.label = "insignificant"
     scored = [r for r in rows if r.eps_avg is not None]
     if not scored:
-        return None, [], []
-    zs = _stage("fdr", fdrmod.z_scores, [r.eps_avg for r in scored])
-    density = _stage("fdr", fdrmod.fit_mixture, zs, bins=bins, degree=degree)
-    null_model = _stage("fdr", fdrmod.fit_null, density, estimate_p0=p0)
-    fdrs = _stage("fdr", fdrmod.local_fdr, density, null_model,
-                  np.asarray(zs.values))
+        return None, [], [], None
+    try:
+        zs = _stage("fdr", fdrmod.z_scores, [r.eps_avg for r in scored])
+        density = _stage("fdr", fdrmod.fit_mixture, zs, bins=bins,
+                         degree=degree)
+        null_model = _stage("fdr", fdrmod.fit_null, density, estimate_p0=p0)
+        fdrs = _stage("fdr", fdrmod.local_fdr, density, null_model,
+                      np.asarray(zs.values))
+    except FitError as exc:
+        return None, [], [], str(exc)
     chosen = _stage("classify", fdrmod.classify, list(fdrs), threshold)
     for i, row in enumerate(scored):
         row.z = float(zs.values[i])
@@ -160,7 +169,8 @@ def _control(rows: List[HypothesisRow], bins: int, degree: int,
             row.label = "significant"
     significant = [(r.cause, r.effect) for r in scored
                    if r.label == "significant"]
-    return null_model, fdrmod.plot_rows(density, null_model), significant
+    return (null_model, fdrmod.plot_rows(density, null_model), significant,
+            None)
 
 
 def _control_settings(bins, degree, threshold, p0) -> dict:
@@ -170,7 +180,9 @@ def _control_settings(bins, degree, threshold, p0) -> dict:
 
 def run_pipeline(config: PipelineConfig) -> Report:
     """Execute the full inference pipeline; write outputs when ``outdir``
-    is set.  A run with zero prima facie causes is a valid empty report."""
+    is set.  A run with zero prima facie causes is a valid empty report.
+    A fit that cannot run raises ``FitError`` after the outputs are
+    written."""
     config.check()
     started = time.perf_counter()
 
@@ -196,7 +208,7 @@ def run_pipeline(config: PipelineConfig) -> Report:
             prima_facie=result.passed,
             eps_avg=next(records).eps_avg if result.passed else None))
 
-    null_model, plot, significant = _control(
+    null_model, plot, significant, fit_skipped = _control(
         rows, config.bins, config.degree, config.threshold, config.p0)
     settings = {
         "inputs": ",".join(config.paths),
@@ -213,9 +225,18 @@ def run_pipeline(config: PipelineConfig) -> Report:
         "aggregation": "frequency-weighted over antecedent ticks",
     }
     report = Report(rows, significant, null_model, plot, counts(rows),
-                    settings, wall_time=time.perf_counter() - started)
-    if config.outdir is not None:
-        render_outputs(report, config.outdir)
+                    settings, wall_time=time.perf_counter() - started,
+                    fit_skipped=fit_skipped)
+    return _finish(report, config.outdir)
+
+
+def _finish(report: Report, outdir) -> Report:
+    """Write the outputs when ``outdir`` is set, then raise the fit error
+    if the fit was skipped, so the finished tables are kept either way."""
+    if outdir is not None:
+        render_outputs(report, outdir)
+    if report.fit_skipped is not None:
+        raise FitError(report.fit_skipped)
     return report
 
 
@@ -263,6 +284,8 @@ def render_outputs(report: Report, outdir) -> None:
                      f"sigma0={_fmt_float(nm.sigma0)}"
                      + (f" p0={_fmt_float(nm.p0)}" if nm.p0 is not None else "")
                      + "\n")
+        elif report.fit_skipped is not None:
+            fh.write(f"fit: skipped ({report.fit_skipped})\n")
 
 
 def read_hypotheses_tsv(path) -> List[HypothesisRow]:
@@ -292,18 +315,20 @@ def read_hypotheses_tsv(path) -> List[HypothesisRow]:
     return rows
 
 
-def rerun_fdr(rows: List[HypothesisRow], bins: int = fdrmod.DEFAULT_BINS,
+def rerun_fdr(rows: List[HypothesisRow], outdir,
+              bins: int = fdrmod.DEFAULT_BINS,
               degree: int = fdrmod.DEFAULT_DEGREE,
               threshold: float = fdrmod.DEFAULT_THRESHOLD,
               p0: bool = False) -> Report:
     """Stages 4-5 over a saved table: re-standardize the stored impact
-    averages, refit, and relabel."""
-    null_model, plot, significant = _control(rows, bins, degree, threshold,
-                                             p0)
+    averages, refit, relabel, and write the outputs to ``outdir``.  A fit
+    that cannot run raises ``FitError`` after writing them."""
+    null_model, plot, significant, fit_skipped = _control(
+        rows, bins, degree, threshold, p0)
     settings = {"inputs": "(saved hypothesis table)",
                 **_control_settings(bins, degree, threshold, p0)}
-    return Report(rows, significant, null_model, plot, counts(rows),
-                  settings)
+    return _finish(Report(rows, significant, null_model, plot, counts(rows),
+                          settings, fit_skipped=fit_skipped), outdir)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,25 @@
 """Independent reference implementations used to check the package.
 
-Everything here recomputes results from first principles: exhaustive path
+Most of this recomputes results from first principles: exhaustive path
 enumeration over small chains, pure-Python window counting in exact rational
 arithmetic, and an event-by-event replay validator for generated spike
-trains.  None of it calls into the package's own evaluation paths.
+trains; none of that calls into the package's own evaluation paths.  The
+per-pair scoring functions at the end evaluate one hypothesis or one rival
+at a time through the package's trace counting (itself checked against the
+rational counter); they are the reference for the batched scorer.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import List, Optional
 
 import numpy as np
+
+from tlcausal.causal import Hypothesis, PrimaFacieResult
+from tlcausal.checker import (FrequencyEstimate, eval_on_trace,
+                              marginal_window_prob, trace_leads_to)
+from tlcausal.errors import CheckError, EmptyWindowError
+from tlcausal.pctl import And, Formula, Not
 
 
 # ---------------------------------------------------------------------------
@@ -170,3 +181,103 @@ def check_triggering(events, parent, child, delay_min, delay_max, refractory):
         if not any(t + delay_min <= u <= t + delay_max for t in parents):
             problems.append(f"child firing at {u} outside every parent window")
     return problems
+
+
+# ---------------------------------------------------------------------------
+# Per-pair scoring: one hypothesis, one rival at a time
+
+_ZERO = FrequencyEstimate(0.0, 0, 0)
+
+
+def prima_facie_test(data, h):
+    """Occurrence, probability raising, and the strictness check for one
+    hypothesis.  Empty denominators make the test fail, not raise."""
+    occurred = any(eval_on_trace(tr, h.cause).any() for tr in data)
+    try:
+        p_cond = trace_leads_to(data, h.cause, h.effect, h.tmin, h.tmax)
+    except EmptyWindowError:
+        p_cond = _ZERO
+    try:
+        p_marginal = marginal_window_prob(
+            data, h.effect, h.tmax - h.tmin + 1, h.tmin)
+    except EmptyWindowError:
+        p_marginal = _ZERO
+    passed = (occurred and p_cond.denominator > 0
+              and p_marginal.denominator > 0
+              and Fraction(p_cond.numerator, p_cond.denominator)
+              > Fraction(p_marginal.numerator, p_marginal.denominator))
+    return PrimaFacieResult(h, occurred, p_cond, p_marginal, passed)
+
+
+@dataclass(frozen=True)
+class EpsilonTerm:
+    """One rival comparison; ``value`` is None when undefined."""
+
+    rival: Formula
+    value: Optional[float]
+    defined: bool
+
+
+@dataclass
+class EpsilonRecord:
+    """A hypothesis, its rival terms in rival order, and their average."""
+
+    hypothesis: Hypothesis
+    eps_terms: List[EpsilonTerm]
+    eps_avg: Optional[float]
+
+
+def epsilon_x(data, c, x, e, tmin, tmax, min_support=1):
+    """Impact of ``c`` on ``e`` holding rival ``x`` fixed.
+
+    Returns ``(value, defined)``; undefined when either conditioning
+    denominator falls below ``min_support``.
+    """
+    if c == x:
+        raise CheckError("rival must differ from the cause")
+    try:
+        with_c = trace_leads_to(data, And(c, x), e, tmin, tmax)
+        without_c = trace_leads_to(data, And(Not(c), x), e, tmin, tmax)
+    except EmptyWindowError:
+        return None, False
+    if (with_c.denominator < min_support
+            or without_c.denominator < min_support):
+        return None, False
+    return with_c.probability - without_c.probability, True
+
+
+def epsilon_avg(data, c, e, rivals, tmin, tmax, divisor="defined",
+                min_support=1):
+    """Average impact of ``c`` on ``e`` over the other prima facie causes.
+
+    ``rivals`` is the full prima facie cause set of ``e`` (including ``c``).
+    ``divisor="defined"`` averages the defined terms; ``divisor="strict"``
+    divides the defined-term sum by ``len(rivals)``.  With no rivals besides
+    ``c`` the average is undefined.
+    """
+    if divisor not in ("defined", "strict"):
+        raise CheckError(f"unknown divisor mode {divisor!r}")
+    if not any(r == c for r in rivals):
+        raise CheckError("cause must be a member of the rival set")
+    terms = []
+    for x in rivals:
+        if x == c:
+            continue
+        value, defined = epsilon_x(data, c, x, e, tmin, tmax, min_support)
+        terms.append(EpsilonTerm(x, value, defined))
+    return EpsilonRecord(Hypothesis(c, e, tmin, tmax), terms,
+                         _reduce_terms(terms, divisor, len(rivals)))
+
+
+def _reduce_terms(terms, divisor, n_rivals):
+    if not terms:
+        return None
+    defined = [t.value for t in terms if t.defined]
+    total = 0.0
+    for value in defined:  # left to right; sum() compensates from Python 3.12
+        total += value
+    if divisor == "strict":
+        return total / n_rivals
+    if not defined:
+        return None
+    return total / len(defined)

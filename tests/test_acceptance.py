@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import epsilon_avg, epsilon_x
 from conftest import random_dtmc, random_traceset
 from formula_gen import random_formula
 from tlcausal import cli
-from tlcausal.causal import epsilon_avg, epsilon_x
 from tlcausal.checker import (marginal_window_prob, trace_leads_to,
                               unless_prob, until_prob)
 from tlcausal.dtmc import build_dtmc

@@ -2,13 +2,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import random_traceset, traceset_from_marks
-from tlcausal.causal import (Hypothesis, enumerate_pairwise, epsilon_avg,
-                             epsilon_x, prima_facie_test, score_hypotheses)
+from oracles import epsilon_avg, epsilon_x, prima_facie_test
+from tlcausal import causal
+from tlcausal.causal import Hypothesis, enumerate_pairwise, score_hypotheses
 from tlcausal.errors import CheckError
 from tlcausal.pctl import And, Atom, Not
+from tlcausal.traces import Trace, TraceSet
 
 
 class TestEnumerate:
@@ -176,13 +180,55 @@ class TestEpsilonAvg:
 
 def _three_rival_data():
     rng = np.random.default_rng(11)
-    from tlcausal.traces import Trace, TraceSet
     values = rng.random((4, 120)) < 0.35
     return TraceSet((Trace(("c", "x1", "x2", "e"), values),))
 
 
+def _score_with_terms(monkeypatch, data, hyps):
+    """Score, keeping each effect's (values, defined) term arrays in the
+    order the scorer computes them."""
+    captured = []
+    impact_terms = causal._impact_terms
+
+    def recording(*args, **kwargs):
+        out = impact_terms(*args, **kwargs)
+        captured.append(out)
+        return out
+
+    monkeypatch.setattr(causal, "_impact_terms", recording)
+    return score_hypotheses(data, hyps), captured
+
+
+def _row_terms(terms, by_effect, h):
+    """The scorer's (value, defined) terms of ``h`` in rival order, value
+    None where undefined, as the per-pair functions report them."""
+    rivals = by_effect[h.effect]
+    if len(rivals) == 1:
+        return []
+    values, defined = terms[h.effect]
+    i = rivals.index(h.cause)
+    return [(float(values[i, k]) if defined[i, k] else None,
+             bool(defined[i, k]))
+            for k in range(len(rivals)) if k != i]
+
+
+@st.composite
+def _replicate_sets(draw):
+    """1-3 replicate traces over 2-4 atoms, 1-24 ticks each, so that with
+    windows up to [3,6] some replicates are shorter than tmax."""
+    atoms = tuple("abcd"[:draw(st.integers(2, 4))])
+    traces = []
+    for length in draw(st.lists(st.integers(1, 24), min_size=1,
+                                max_size=3)):
+        cells = draw(st.lists(st.booleans(), min_size=len(atoms) * length,
+                              max_size=len(atoms) * length))
+        traces.append(Trace(atoms, np.array(cells).reshape(len(atoms),
+                                                           length)))
+    return TraceSet(tuple(traces))
+
+
 class TestBatchedScoring:
-    def test_matches_per_pair_functions(self):
+    def test_matches_per_pair_functions(self, monkeypatch):
         rng = np.random.default_rng(100)
         for _ in range(10):
             data = random_traceset(rng, 4, max_len=60,
@@ -190,7 +236,7 @@ class TestBatchedScoring:
             tmin = int(rng.integers(1, 3))
             tmax = tmin + int(rng.integers(0, 3))
             hyps = enumerate_pairwise(data.variables, tmin, tmax)
-            scores = score_hypotheses(data, hyps)
+            scores, terms = _score_with_terms(monkeypatch, data, hyps)
             by_effect = {}
             for res in scores.prima_facie:
                 single = prima_facie_test(data, res.hypothesis)
@@ -200,13 +246,59 @@ class TestBatchedScoring:
                 if res.passed:
                     by_effect.setdefault(res.hypothesis.effect,
                                          []).append(res.hypothesis.cause)
+            # the scorer visits the effects with rivals in first-passer order
+            with_rivals = [e for e, cs in by_effect.items() if len(cs) > 1]
+            assert len(terms) == len(with_rivals)
+            terms = dict(zip(with_rivals, terms))
             for record in scores.records:
                 h = record.hypothesis
                 want = epsilon_avg(data, h.cause, h.effect,
                                    by_effect[h.effect], tmin, tmax)
                 assert record.eps_avg == want.eps_avg
-                assert [(t.value, t.defined) for t in record.eps_terms] == \
+                assert _row_terms(terms, by_effect, h) == \
                        [(t.value, t.defined) for t in want.eps_terms]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=_replicate_sets(), tmin=st.integers(1, 3),
+           width=st.integers(0, 3), negations=st.booleans(),
+           min_support=st.sampled_from([1, 2, 3]),
+           divisor=st.sampled_from(["defined", "strict"]))
+    def test_matches_oracles_on_random_replicates(self, data, tmin, width,
+                                                  negations, min_support,
+                                                  divisor):
+        tmax = tmin + width
+        hyps = enumerate_pairwise(data.variables, tmin, tmax,
+                                  include_negations=negations)
+        scores = score_hypotheses(data, hyps, divisor=divisor,
+                                  min_support=min_support)
+        by_effect = {}
+        for res in scores.prima_facie:
+            single = prima_facie_test(data, res.hypothesis)
+            assert res.p_cond == single.p_cond
+            assert res.p_marginal == single.p_marginal
+            assert res.passed == single.passed
+            if res.passed:
+                by_effect.setdefault(res.hypothesis.effect,
+                                     []).append(res.hypothesis.cause)
+        assert len(scores.records) == sum(map(len, by_effect.values()))
+        for record in scores.records:
+            h = record.hypothesis
+            want = epsilon_avg(data, h.cause, h.effect, by_effect[h.effect],
+                               tmin, tmax, divisor=divisor,
+                               min_support=min_support)
+            assert record.eps_avg == want.eps_avg
+
+    def test_min_support_below_one_acts_as_one(self):
+        # a and b never co-occur: their mutual terms have no ticks at all
+        data = traceset_from_marks(("a", "b", "e"), 40,
+                                   {"a": [0, 10, 20], "b": [5, 15, 25],
+                                    "e": [1, 6, 11, 16, 21, 26]})
+        hyps = enumerate_pairwise(data.variables, 1, 1)
+        zero = score_hypotheses(data, hyps, min_support=0)
+        one = score_hypotheses(data, hyps, min_support=1)
+        assert len(zero.records) == 2
+        assert [r.eps_avg for r in zero.records] == \
+               [r.eps_avg for r in one.records]
 
     def test_negated_causes(self):
         rng = np.random.default_rng(55)
@@ -239,7 +331,7 @@ class TestBatchedScoring:
 
 class TestDivisorArithmetic:
     def test_reduce_rule(self):
-        from tlcausal.causal import EpsilonTerm, _reduce_terms
+        from oracles import EpsilonTerm, _reduce_terms
         terms = [EpsilonTerm(Atom("x1"), 0.4, True),
                  EpsilonTerm(Atom("x2"), 0.2, True)]
         assert _reduce_terms(terms, "defined", 3) == pytest.approx(0.3)
@@ -250,3 +342,19 @@ class TestDivisorArithmetic:
         assert _reduce_terms(undefined, "defined", 2) is None
         assert _reduce_terms(undefined, "strict", 2) == 0.0
         assert _reduce_terms([], "defined", 1) is None
+
+    def test_package_average_rule(self):
+        # the same cases through the scorer's own rule; each row's first
+        # column is the passer itself, whose term is never defined
+        def average(values, defined, divisor):
+            return causal._average(np.array([values]), np.array([defined]),
+                                   divisor)[0]
+        two = ([0.0, 0.4, 0.2], [False, True, True])
+        assert average(*two, "defined") == pytest.approx(0.3)
+        assert average(*two, "strict") == pytest.approx(0.2)
+        assert average([0.0, 0.7], [False, True], "defined") == \
+            pytest.approx(0.7)
+        undefined = ([0.0, 0.0], [False, False])
+        assert average(*undefined, "defined") is None
+        assert average(*undefined, "strict") == 0.0
+        assert average([0.0], [False], "defined") is None

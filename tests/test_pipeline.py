@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from tlcausal import cli
+from tlcausal.errors import FitError
 from tlcausal.pipeline import (PipelineConfig, load_config_file,
-                               read_hypotheses_tsv, run_pipeline)
+                               read_hypotheses_tsv, rerun_fdr, run_pipeline)
 from tlcausal.synthgen import GenConfig, generate, preset
 from tlcausal.traces import discretize, events_of, write_events
 
@@ -28,7 +29,45 @@ def _config(path, outdir, **kw):
     return PipelineConfig(**defaults)
 
 
+def _tiny_events(tmp_path):
+    """An event file (horizon 242, window [1,1]) on which a few hypotheses
+    score, far too few for a density fit."""
+    tiny = tmp_path / "tiny.csv"
+    lines = []
+    for t in range(0, 240, 4):
+        lines.append(f"{t},a")
+    for t in range(0, 240, 6):
+        lines.append(f"{t},b")
+    for t in range(0, 240, 4):
+        lines.append(f"{t + 1},e")
+    for t in range(0, 240, 6):
+        if (t + 1) % 4 != 1:
+            lines.append(f"{t + 1},e")
+    tiny.write_text("\n".join(lines) + "\n")
+    return tiny
+
+
+def _tiny_infer_args(tmp_path, outdir):
+    return ["infer", "--path", str(_tiny_events(tmp_path)),
+            "--format", "event-csv",
+            "--horizon", "242", "--tmin", "1", "--tmax", "1",
+            "--outdir", str(outdir)]
+
+
 class TestRunPipeline:
+    def test_skipped_fit_raises_after_writing(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(FitError, match=r"^\[stage fdr\] "):
+            run_pipeline(_config(_tiny_events(tmp_path), out, horizon=242,
+                                 tmin=1, tmax=1))
+        rows = read_hypotheses_tsv(out / "hypotheses.tsv")
+        assert any(r.eps_avg is not None for r in rows)
+        assert all(r.label == "insignificant" for r in rows)
+        redo = tmp_path / "redo"
+        with pytest.raises(FitError, match=r"^\[stage fdr\] "):
+            rerun_fdr(rows, redo)
+        assert (redo / "edges.tsv").read_text() == ""
+
     def test_recovers_small_tree(self, tmp_path):
         path, truth, horizon = _generate_inputs(tmp_path)
         report = run_pipeline(_config(path, tmp_path / "out",
@@ -263,23 +302,36 @@ class TestCli:
                          "--tmax", "1"]) == 2
         assert cli.main(["check", "--formula", "a &"]) == 2  # parse error
         # a few hypotheses score, far too few for a density fit: fit error
-        tiny = tmp_path / "tiny.csv"
-        lines = []
-        for t in range(0, 240, 4):
-            lines.append(f"{t},a")
-        for t in range(0, 240, 6):
-            lines.append(f"{t},b")
-        for t in range(0, 240, 4):
-            lines.append(f"{t + 1},e")
-        for t in range(0, 240, 6):
-            if (t + 1) % 4 != 1:
-                lines.append(f"{t + 1},e")
-        tiny.write_text("\n".join(lines) + "\n")
-        rc = cli.main(["infer", "--path", str(tiny), "--format", "event-csv",
-                       "--horizon", "242", "--tmin", "1", "--tmax", "1",
-                       "--outdir", str(tmp_path / "t")])
+        rc = cli.main(_tiny_infer_args(tmp_path, tmp_path / "t"))
         assert rc == 3
         assert "stage fdr" in capsys.readouterr().err
+
+    def test_skipped_fit_keeps_tables(self, tmp_path, capsys):
+        out = tmp_path / "t"
+        assert cli.main(_tiny_infer_args(tmp_path, out)) == 3
+        assert "stage fdr" in capsys.readouterr().err
+        rows = read_hypotheses_tsv(out / "hypotheses.tsv")
+        assert len(rows) == 6
+        assert any(r.eps_avg is not None for r in rows)
+        assert all(r.z is None and r.fdr is None for r in rows)
+        assert all(r.label == "insignificant" for r in rows)
+        assert (out / "edges.tsv").read_text() == ""
+        assert (out / "plot.tsv").read_text() == "center\tcount\tf\tf0\n"
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert summary[-1].startswith("fit: skipped ([stage fdr] ")
+        assert "significant: 0" in summary
+        assert not any(line.startswith("null:") for line in summary)
+        # fdr on that table keeps its outputs the same way
+        redo = tmp_path / "redo"
+        assert cli.main(["fdr", "--hypotheses", str(out / "hypotheses.tsv"),
+                         "--outdir", str(redo)]) == 3
+        assert "stage fdr" in capsys.readouterr().err
+        assert (redo / "hypotheses.tsv").read_bytes() == \
+            (out / "hypotheses.tsv").read_bytes()
+        assert (redo / "edges.tsv").read_text() == ""
+        assert (redo / "plot.tsv").read_text() == "center\tcount\tf\tf0\n"
+        summary = (redo / "summary.txt").read_text().splitlines()
+        assert summary[-1].startswith("fit: skipped ([stage fdr] ")
 
 
 class TestPipelineVariants:
