@@ -29,8 +29,7 @@ from .pctl import Atom, Formula, Not, print_formula
 from .traces import TraceSet
 
 __all__ = [
-    "Hypothesis", "PrimaFacieResult", "SignificanceRecord",
-    "enumerate_pairwise", "score_hypotheses",
+    "Hypothesis", "PrimaFacieResult", "enumerate_pairwise", "score_hypotheses",
 ]
 
 
@@ -52,19 +51,16 @@ class Hypothesis:
 
 @dataclass(frozen=True)
 class PrimaFacieResult:
+    """One hypothesis's prima facie test and, for a passer, its average
+    impact ``eps_avg``: ``None`` when there is nothing to average (no rival
+    passer, or no defined term under the ``defined`` divisor)."""
+
     hypothesis: Hypothesis
     occurred: bool
     p_cond: FrequencyEstimate
     p_marginal: FrequencyEstimate
     passed: bool
-
-
-@dataclass
-class SignificanceRecord:
-    """Scored hypothesis and its average impact over the rival causes."""
-
-    hypothesis: Hypothesis
-    eps_avg: Optional[float]
+    eps_avg: Optional[float] = None
 
 
 def enumerate_pairwise(atoms: Sequence[str], tmin: int, tmax: int,
@@ -90,12 +86,6 @@ def enumerate_pairwise(atoms: Sequence[str], tmin: int, tmax: int,
     return out
 
 
-def _raises_strictly(cond: FrequencyEstimate, marg: FrequencyEstimate) -> bool:
-    # exact rational comparison: num_c/den_c > num_m/den_m
-    return (cond.numerator * marg.denominator
-            > marg.numerator * cond.denominator)
-
-
 _ZERO = FrequencyEstimate(0.0, 0, 0)
 
 
@@ -107,22 +97,6 @@ _ZERO = FrequencyEstimate(0.0, 0, 0)
 # of such a product is an integer no larger than the number of ticks summed
 # over, so it is exact in float64 up to 2**53 ticks; the counts match the
 # per-pair definitions exactly.
-
-@dataclass
-class FamilyScores:
-    """Everything the pipeline needs: prima facie results in enumeration
-    order, and one impact record per passer in the same order."""
-
-    prima_facie: List[PrimaFacieResult]
-    records: List[SignificanceRecord]
-
-
-def _cause_rows(trace, causes):
-    rows = np.empty((len(causes), trace.length), dtype=bool)
-    for i, c in enumerate(causes):
-        rows[i] = eval_on_trace(trace, c)
-    return rows
-
 
 def _products(left, right):
     """Exact counts ``left @ right.T`` of two boolean matrices whose rows
@@ -147,9 +121,10 @@ def _index(formulas):
 
 def score_hypotheses(data: TraceSet, hypotheses: Sequence[Hypothesis],
                      divisor: str = "defined",
-                     min_support: int = 1) -> FamilyScores:
-    """Prima facie results for every hypothesis plus impact records for the
-    passers, grouping rivals by effect at the shared window.
+                     min_support: int = 1) -> List[PrimaFacieResult]:
+    """One result per hypothesis, in input order: the prima facie test and,
+    for passers, the impact average over the rival passers of the same
+    effect at the shared window.
 
     All hypotheses must share one window, and causes/effects are evaluated
     per tick (atoms, negations, or any propositional formula).
@@ -158,7 +133,7 @@ def score_hypotheses(data: TraceSet, hypotheses: Sequence[Hypothesis],
         raise CheckError(f"unknown divisor mode {divisor!r}")
     hypotheses = list(hypotheses)
     if not hypotheses:
-        return FamilyScores([], [])
+        return []
     tmin = hypotheses[0].tmin
     tmax = hypotheses[0].tmax
     if any(h.tmin != tmin or h.tmax != tmax for h in hypotheses):
@@ -177,7 +152,8 @@ def score_hypotheses(data: TraceSet, hypotheses: Sequence[Hypothesis],
     kept = []  # per trace: cause rows and effect window hits, qualifying ticks
 
     for trace in data:
-        rows = _cause_rows(trace, causes)
+        rows = np.array([eval_on_trace(trace, c) for c in causes],
+                        dtype=bool)
         cause_occ += rows.sum(axis=1)
         nq = trace.length - tmax
         if nq <= 0:
@@ -195,39 +171,34 @@ def score_hypotheses(data: TraceSet, hypotheses: Sequence[Hypothesis],
 
     occ, qual = cause_occ.tolist(), cause_qual.tolist()
     cond, marg = cond_num.tolist(), marg_num.tolist()
-    prima: List[PrimaFacieResult] = []
-    passers: dict = {}  # effect id -> cause ids of its passers, in order
-    slots = []          # (effect id, rank among its passers) of each passer
-    for h, ci, ej in zip(hypotheses, cause_ix, effect_ix):
+    tests = []     # per hypothesis: the fields of its result but eps_avg
+    passers = {}   # effect id -> indices of its passing hypotheses
+    for i, (h, ci, ej) in enumerate(zip(hypotheses, cause_ix, effect_ix)):
         den, num = qual[ci], cond[ci][ej]
         p_cond = FrequencyEstimate(num / den, num, den) if den else _ZERO
         p_marg = (FrequencyEstimate(marg[ej] / qual_total, marg[ej],
                                     qual_total) if qual_total else _ZERO)
-        # a qualifying cause tick (den > 0) implies the cause occurred
-        passed = den > 0 and _raises_strictly(p_cond, p_marg)
-        prima.append(PrimaFacieResult(h, occ[ci] > 0, p_cond, p_marg, passed))
+        # exact rational num/den > marg/qual_total; a qualifying cause
+        # tick (den > 0) implies the cause occurred
+        passed = den > 0 and num * qual_total > marg[ej] * den
+        tests.append((h, occ[ci] > 0, p_cond, p_marg, passed))
         if passed:
-            rivals = passers.setdefault(ej, [])
-            slots.append((ej, len(rivals)))
-            rivals.append(ci)
+            passers.setdefault(ej, []).append(i)
 
-    eps = {}
-    for ej, rivals in passers.items():
-        if len(rivals) == 1:
-            eps[ej] = [None]  # no rival to compare against
-            continue
+    eps = {}  # hypothesis index -> impact average; a lone passer has none
+    for ej, members in passers.items():
+        if len(members) == 1:
+            continue  # no rival to compare against
+        rivals = [cause_ix[i] for i in members]
         values, defined = _impact_terms(
             both=cooc[np.ix_(rivals, rivals)],
             x_total=cause_qual[rivals],
             num_both=_pair_counts(kept, rivals, ej),
             num_x=cond_num[rivals, ej],
             min_support=min_support)
-        eps[ej] = _average(values, defined, divisor)
-
-    passing = (r.hypothesis for r in prima if r.passed)
-    records = [SignificanceRecord(h, eps[ej][rank])
-               for h, (ej, rank) in zip(passing, slots)]
-    return FamilyScores(prima, records)
+        eps.update(zip(members, _average(values, defined, divisor)))
+    return [PrimaFacieResult(*test, eps.get(i))
+            for i, test in enumerate(tests)]
 
 
 def _pair_counts(kept, rivals, ej):

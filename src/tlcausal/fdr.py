@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 MIN_SCORES_FOR_FIT = 50
+MIN_BINS = 10
+MIN_DEGREE = 2
 DEFAULT_BINS = 90
 DEFAULT_DEGREE = 7
 DEFAULT_THRESHOLD = 0.01
@@ -137,10 +139,10 @@ def fit_mixture(z: ZScores, bins: int = DEFAULT_BINS,
     if values.size < MIN_SCORES_FOR_FIT:
         raise FitError(f"insufficient data for density fit "
                        f"({values.size} < {MIN_SCORES_FOR_FIT} scores)")
-    if bins < 10:
-        raise FitError("need at least 10 histogram bins")
-    if degree < 2:
-        raise FitError("polynomial degree must be >= 2")
+    if bins < MIN_BINS:
+        raise FitError(f"need at least {MIN_BINS} histogram bins")
+    if degree < MIN_DEGREE:
+        raise FitError(f"polynomial degree must be >= {MIN_DEGREE}")
     lo, hi = float(values.min()), float(values.max())
     pad = PAD_FRACTION * (hi - lo)
     if pad <= 0:

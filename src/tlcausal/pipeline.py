@@ -69,8 +69,19 @@ class PipelineConfig:
             raise UsageError("window requires 1 <= tmin <= tmax")
         if self.divisor not in ("defined", "strict"):
             raise UsageError("divisor must be 'defined' or 'strict'")
-        if not 0.0 < self.threshold <= 1.0:
-            raise UsageError("threshold must lie in (0, 1]")
+        if self.min_support < 1:
+            raise UsageError("min_support must be >= 1")
+        _check_control(self.bins, self.degree, self.threshold)
+
+
+def _check_control(bins, degree, threshold):
+    """Reject, before any work, settings the fit or classify refuses."""
+    if bins < fdrmod.MIN_BINS:
+        raise UsageError(f"bins must be >= {fdrmod.MIN_BINS}")
+    if degree < fdrmod.MIN_DEGREE:
+        raise UsageError(f"degree must be >= {fdrmod.MIN_DEGREE}")
+    if not 0.0 < threshold <= 1.0:
+        raise UsageError("threshold must lie in (0, 1]")
 
 
 @dataclass
@@ -194,9 +205,8 @@ def run_pipeline(config: PipelineConfig) -> Report:
     scores = _stage("score", score_hypotheses, data, hypotheses,
                     divisor=config.divisor, min_support=config.min_support)
 
-    records = iter(scores.records)  # one per passer, in passer order
     rows = []
-    for result in scores.prima_facie:
+    for result in scores:
         h = result.hypothesis
         rows.append(HypothesisRow(
             cause=print_formula(h.cause), effect=print_formula(h.effect),
@@ -206,7 +216,7 @@ def run_pipeline(config: PipelineConfig) -> Report:
             p_marginal=(result.p_marginal.probability
                         if result.p_marginal.denominator else None),
             prima_facie=result.passed,
-            eps_avg=next(records).eps_avg if result.passed else None))
+            eps_avg=result.eps_avg))
 
     null_model, plot, significant, fit_skipped = _control(
         rows, config.bins, config.degree, config.threshold, config.p0)
@@ -303,16 +313,27 @@ def read_hypotheses_tsv(path) -> List[HypothesisRow]:
         if len(cells) != len(TSV_COLUMNS):
             raise DataError(f"{path}:{lineno}: expected "
                             f"{len(TSV_COLUMNS)} columns")
-        def opt(s):
-            return None if s == "" else float(s)
-        rows.append(HypothesisRow(
-            cause=cells[0], effect=cells[1],
-            tmin=int(cells[2]), tmax=int(cells[3]),
-            p_cond=opt(cells[4]), p_marginal=opt(cells[5]),
-            prima_facie=cells[6] == "1",
-            eps_avg=opt(cells[7]), z=opt(cells[8]), fdr=opt(cells[9]),
-            label=cells[10]))
+        values = []
+        for column, cell, read in zip(TSV_COLUMNS, cells, _CELL_READERS):
+            try:
+                values.append(read(cell))
+            except (KeyError, ValueError):
+                raise DataError(f"{path}:{lineno}: bad {column} "
+                                f"{cell!r}") from None
+        rows.append(HypothesisRow(*values))
     return rows
+
+
+def _opt_float(cell):
+    return None if cell == "" else float(cell)
+
+
+# per column, in HypothesisRow order: refuses what render_outputs never writes
+_CELL_READERS = (str, str, int, int, _opt_float, _opt_float,
+                 {"1": True, "0": False}.__getitem__,
+                 _opt_float, _opt_float, _opt_float,
+                 {"significant": "significant",
+                  "insignificant": "insignificant"}.__getitem__)
 
 
 def rerun_fdr(rows: List[HypothesisRow], outdir,
@@ -323,6 +344,7 @@ def rerun_fdr(rows: List[HypothesisRow], outdir,
     """Stages 4-5 over a saved table: re-standardize the stored impact
     averages, refit, relabel, and write the outputs to ``outdir``.  A fit
     that cannot run raises ``FitError`` after writing them."""
+    _check_control(bins, degree, threshold)
     null_model, plot, significant, fit_skipped = _control(
         rows, bins, degree, threshold, p0)
     settings = {"inputs": "(saved hypothesis table)",

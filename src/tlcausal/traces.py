@@ -36,7 +36,7 @@ class EventList:
     @staticmethod
     def from_records(records: Iterable[tuple], horizon: int) -> "EventList":
         recs = sorted((int(t), str(v)) for t, v in records)
-        for (t, v) in recs:
+        for t, v in recs[:1] + recs[-1:]:  # the earliest and the latest
             if not 0 <= t < horizon:
                 raise DataError(f"event time out of range: ({t}, {v}) "
                                 f"with horizon {horizon}")
@@ -159,19 +159,31 @@ def load_traces(source: Source, format: str,
     ``horizon`` (defaulting to the last event time + 1).  ``variables`` may
     declare the universe when some variables never occur.
     """
-    lines = _open_lines(source)
     if format == "wide-csv":
-        return TraceSet((_load_wide(lines),))
+        return TraceSet((_load_wide(_open_lines(source)),))
     if format == "event-csv":
-        events = _parse_events(lines, horizon)
-        return TraceSet((events.to_trace(variables),))
+        return TraceSet((load_events(source, horizon).to_trace(variables),))
     raise DataError(f"unknown trace format: {format!r}")
 
 
 def load_events(source: Source, horizon: Optional[int] = None) -> EventList:
     """Parse an event-csv stream without densifying (replicate loaders can
-    then share one variable universe across files)."""
-    return _parse_events(_open_lines(source), horizon)
+    then share one variable universe across files).  Syntax errors name
+    their line; :meth:`EventList.from_records` checks range and duplicates.
+    """
+    records = []
+    for lineno, line in enumerate(_open_lines(source), start=1):
+        if line.strip() == "":
+            continue
+        parts = [c.strip() for c in line.split(",")]
+        if len(parts) != 2 or not parts[0].isdecimal():
+            raise DataError(f"malformed row at line {lineno}: {line!r}")
+        records.append((int(parts[0]), parts[1]))
+    if not records:
+        raise DataError("empty event-csv input")
+    if horizon is None:
+        horizon = max(records)[0] + 1
+    return EventList.from_records(records, horizon)
 
 
 def _load_wide(lines):
@@ -202,35 +214,6 @@ def _load_wide(lines):
                 raise DataError(f"malformed row at line {lineno}: "
                                 f"cell must be 0 or 1, found {cell!r}")
     return Trace(names, values)
-
-
-def _parse_events(lines, horizon):
-    records = []
-    max_time = -1
-    seen = set()
-    for lineno, line in enumerate(lines, start=1):
-        if line.strip() == "":
-            continue
-        parts = [c.strip() for c in line.split(",")]
-        if len(parts) != 2 or not parts[0].lstrip("-").isdigit():
-            raise DataError(f"malformed row at line {lineno}: {line!r}")
-        t, v = int(parts[0]), parts[1]
-        if t < 0:
-            raise DataError(f"malformed row at line {lineno}: negative time")
-        if horizon is not None and t >= horizon:
-            raise DataError(f"event time out of range at line {lineno}: "
-                            f"{t} >= horizon {horizon}")
-        if (t, v) in seen:
-            raise DataError(f"duplicate (time, variable) at line {lineno}: "
-                            f"({t}, {v})")
-        seen.add((t, v))
-        records.append((t, v))
-        max_time = max(max_time, t)
-    if not records:
-        raise DataError("empty event-csv input")
-    if horizon is None:
-        horizon = max_time + 1
-    return EventList.from_records(records, horizon)
 
 
 def events_of(trace: Trace) -> EventList:

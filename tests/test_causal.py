@@ -238,7 +238,7 @@ class TestBatchedScoring:
             hyps = enumerate_pairwise(data.variables, tmin, tmax)
             scores, terms = _score_with_terms(monkeypatch, data, hyps)
             by_effect = {}
-            for res in scores.prima_facie:
+            for res in scores:
                 single = prima_facie_test(data, res.hypothesis)
                 assert single.passed == res.passed
                 assert single.p_cond == res.p_cond
@@ -250,7 +250,7 @@ class TestBatchedScoring:
             with_rivals = [e for e, cs in by_effect.items() if len(cs) > 1]
             assert len(terms) == len(with_rivals)
             terms = dict(zip(with_rivals, terms))
-            for record in scores.records:
+            for record in [r for r in scores if r.passed]:
                 h = record.hypothesis
                 want = epsilon_avg(data, h.cause, h.effect,
                                    by_effect[h.effect], tmin, tmax)
@@ -272,7 +272,7 @@ class TestBatchedScoring:
         scores = score_hypotheses(data, hyps, divisor=divisor,
                                   min_support=min_support)
         by_effect = {}
-        for res in scores.prima_facie:
+        for res in scores:
             single = prima_facie_test(data, res.hypothesis)
             assert res.p_cond == single.p_cond
             assert res.p_marginal == single.p_marginal
@@ -280,8 +280,9 @@ class TestBatchedScoring:
             if res.passed:
                 by_effect.setdefault(res.hypothesis.effect,
                                      []).append(res.hypothesis.cause)
-        assert len(scores.records) == sum(map(len, by_effect.values()))
-        for record in scores.records:
+        assert len([r for r in scores if r.passed]) == \
+               sum(map(len, by_effect.values()))
+        for record in [r for r in scores if r.passed]:
             h = record.hypothesis
             want = epsilon_avg(data, h.cause, h.effect, by_effect[h.effect],
                                tmin, tmax, divisor=divisor,
@@ -296,9 +297,9 @@ class TestBatchedScoring:
         hyps = enumerate_pairwise(data.variables, 1, 1)
         zero = score_hypotheses(data, hyps, min_support=0)
         one = score_hypotheses(data, hyps, min_support=1)
-        assert len(zero.records) == 2
-        assert [r.eps_avg for r in zero.records] == \
-               [r.eps_avg for r in one.records]
+        assert len([r for r in zero if r.passed]) == 2
+        assert [r.eps_avg for r in zero if r.passed] == \
+               [r.eps_avg for r in one if r.passed]
 
     def test_negated_causes(self):
         rng = np.random.default_rng(55)
@@ -306,7 +307,7 @@ class TestBatchedScoring:
         hyps = enumerate_pairwise(data.variables, 1, 2,
                                   include_negations=True)
         scores = score_hypotheses(data, hyps)
-        for res in scores.prima_facie:
+        for res in scores:
             single = prima_facie_test(data, res.hypothesis)
             assert single.passed == res.passed
 
@@ -315,8 +316,8 @@ class TestBatchedScoring:
         data = random_traceset(rng, 4, max_len=80)
         hyps = enumerate_pairwise(data.variables, 1, 1)
         scores = score_hypotheses(data, hyps)
-        passer_order = [r.hypothesis for r in scores.prima_facie if r.passed]
-        assert [r.hypothesis for r in scores.records] == passer_order
+        assert [r.hypothesis for r in scores] == hyps
+        assert all(r.eps_avg is None for r in scores if not r.passed)
 
     def test_compound_cause_formulas(self):
         data = traceset_from_marks(
@@ -325,8 +326,8 @@ class TestBatchedScoring:
         h = Hypothesis(And(Atom("a"), Atom("b")), Atom("e"), 1, 1)
         scores = score_hypotheses(data, [h])
         single = prima_facie_test(data, h)
-        assert scores.prima_facie[0].p_cond == single.p_cond
-        assert scores.prima_facie[0].passed == single.passed
+        assert scores[0].p_cond == single.p_cond
+        assert scores[0].passed == single.passed
 
 
 class TestDivisorArithmetic:

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import random_dtmc, random_traceset, traceset_from_marks
 from tlcausal.checker import (eval_on_trace, leads_to_prob,
                               marginal_window_prob, sat_set, trace_leads_to,
-                              unless_prob, until_prob)
+                              unless_prob, until_prob, window_hits)
 from tlcausal.errors import CheckError, EmptyWindowError
 from tlcausal.pctl import INFINITY, Atom, Not, parse
 
@@ -262,3 +264,14 @@ class TestLeadsToSatSet:
         assert got == {1, 2}
         # the weak bound keeps s0
         assert sat_set(dtmc_a, parse("a ~>{>=1,<=2}{>=0.5} b")) == {0, 1, 2}
+
+
+@settings(max_examples=200, deadline=None)
+@given(marks=st.lists(st.booleans(), max_size=30), lo=st.integers(1, 5),
+       width=st.integers(0, 5))
+def test_window_hits_matches_naive_loop(marks, lo, width):
+    hi = lo + width
+    naive = [any(marks[t + lo: t + hi + 1]) for t in range(len(marks) - hi)]
+    got = window_hits(np.array(marks, dtype=bool), lo, hi)
+    assert got.dtype == bool
+    assert got.tolist() == naive

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from tlcausal import cli
-from tlcausal.errors import FitError
-from tlcausal.pipeline import (PipelineConfig, load_config_file,
+from tlcausal.errors import FitError, UsageError
+from tlcausal.pipeline import (TSV_COLUMNS, PipelineConfig, load_config_file,
                                read_hypotheses_tsv, rerun_fdr, run_pipeline)
 from tlcausal.synthgen import GenConfig, generate, preset
 from tlcausal.traces import discretize, events_of, write_events
@@ -332,6 +332,54 @@ class TestCli:
         assert (redo / "plot.tsv").read_text() == "center\tcount\tf\tf0\n"
         summary = (redo / "summary.txt").read_text().splitlines()
         assert summary[-1].startswith("fit: skipped ([stage fdr] ")
+
+    def test_undecimal_event_time_is_a_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("²,a\n", encoding="utf-8")
+        assert cli.main(["infer", "--path", str(bad), "--tmin", "1",
+                         "--tmax", "1"]) == 2
+        assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column, cell", [
+        ("p_cond", "abc"), ("tmin", "2.5"), ("prima_facie", "x"),
+        ("label", "maybe")])
+    def test_bad_table_cell_is_a_data_error(self, tmp_path, capsys, column,
+                                            cell):
+        row = dict(zip(TSV_COLUMNS, ("a", "b", "1", "1", "0.5", "0.25", "1",
+                                     "0.1", "", "", "insignificant")))
+        row[column] = cell
+        table = tmp_path / "h.tsv"
+        table.write_text("\t".join(TSV_COLUMNS) + "\n"
+                         + "\t".join(row.values()) + "\n")
+        for command in ("fdr", "report"):
+            out = tmp_path / command
+            assert cli.main([command, "--hypotheses", str(table),
+                             "--outdir", str(out)]) == 2
+            assert f"h.tsv:2: bad {column} {cell!r}" in \
+                capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--bins", "5"), ("--degree", "1"), ("--min-support", "0")])
+    def test_bad_infer_setting_stops_before_work(self, tmp_path, capsys,
+                                                 flag, value):
+        out = tmp_path / "out"
+        assert cli.main(_tiny_infer_args(tmp_path, out) + [flag, value]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_fdr_setting_stops_before_work(self, tmp_path, capsys):
+        out = tmp_path / "t"
+        assert cli.main(_tiny_infer_args(tmp_path, out)) == 3
+        table = str(out / "hypotheses.tsv")
+        redo = tmp_path / "redo"
+        assert cli.main(["fdr", "--hypotheses", table, "--degree", "1",
+                         "--outdir", str(redo)]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not redo.exists()
+        with pytest.raises(UsageError):
+            rerun_fdr(read_hypotheses_tsv(table), redo, bins=5)
+        assert not redo.exists()
 
 
 class TestPipelineVariants:

@@ -2,10 +2,13 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tlcausal.errors import DataError
 from tlcausal.traces import (EventList, Trace, TraceSet, discretize,
-                             events_of, load_traces, write_events)
+                             events_of, load_events, load_traces,
+                             write_events)
 
 
 class TestWideCsv:
@@ -50,6 +53,11 @@ class TestEventCsv:
         with pytest.raises(DataError, match="line 2"):
             load_traces(io.StringIO("1,a\nnope\n"), "event-csv", horizon=10)
 
+    def test_time_must_be_decimal(self):
+        # "²" passes str.isdigit(), but int() rejects it
+        with pytest.raises(DataError, match="line 1"):
+            load_traces(io.StringIO("²,a\n"), "event-csv")
+
     def test_default_horizon(self):
         data = load_traces(io.StringIO("7,a\n"), "event-csv")
         assert data.traces[0].length == 8
@@ -67,6 +75,44 @@ class TestEventCsv:
         sink = io.StringIO()
         write_events(EventList(events.records, events.horizon), sink)
         assert sink.getvalue() == text
+
+
+@st.composite
+def _traces(draw):
+    """A trace of 1-4 variables over 1-30 ticks."""
+    names = tuple(f"v{i}" for i in range(draw(st.integers(1, 4))))
+    length = draw(st.integers(1, 30))
+    cells = draw(st.lists(st.booleans(), min_size=len(names) * length,
+                          max_size=len(names) * length))
+    return Trace(names, np.array(cells).reshape(len(names), length))
+
+
+class TestEventProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(trace=_traces())
+    def test_roundtrip_through_event_csv(self, trace):
+        assume(trace.values.any())
+        sink = io.StringIO()
+        write_events(events_of(trace), sink)
+        events = load_events(io.StringIO(sink.getvalue()), trace.length)
+        back = events.to_trace(trace.variables)
+        assert np.array_equal(back.values, trace.values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=st.lists(st.tuples(st.integers(-2, 12),
+                                      st.sampled_from("abc")), max_size=8),
+           horizon=st.integers(1, 10))
+    def test_from_records_accepts_exactly_valid_lists(self, records,
+                                                      horizon):
+        valid = (all(0 <= t < horizon for t, _ in records)
+                 and len(set(records)) == len(records))
+        if not valid:
+            with pytest.raises(DataError):
+                EventList.from_records(records, horizon)
+            return
+        events = EventList.from_records(records, horizon)
+        assert events.records == tuple(sorted(records))
+        assert events.horizon == horizon
 
 
 class TestTraceSet:
