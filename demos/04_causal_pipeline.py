@@ -15,23 +15,26 @@ from pathlib import Path
 from tlcausal import (GenConfig, PipelineConfig, generate, preset,
                       run_pipeline, write_events)
 
-workdir = Path(tempfile.mkdtemp(prefix="tlcausal_demo_"))
-
 structure = preset("tree", 4, trigger_prob=0.9)
 events, truth = generate(GenConfig(structure, spontaneous_rate=1 / 30,
                                    target_firings=100_000, seed=7))
-events_path = workdir / "events.csv"
-write_events(events, events_path)
-print(f"simulated data -> {events_path}")
 
-report = run_pipeline(PipelineConfig(
-    paths=(str(events_path),),
-    format="event-csv",
-    horizon=events.horizon,
-    tmin=20, tmax=40,          # the known trigger window
-    threshold=0.01,
-    outdir=str(workdir / "out"),
-))
+# Files go to a scratch directory that is removed when the block ends.
+with tempfile.TemporaryDirectory(prefix="tlcausal_demo_") as tmp:
+    workdir = Path(tmp)
+    events_path = workdir / "events.csv"
+    write_events(events, events_path)
+    print(f"simulated data -> {events_path}")
+
+    report = run_pipeline(PipelineConfig(
+        paths=(str(events_path),),
+        format="event-csv",
+        horizon=events.horizon,
+        tmin=20, tmax=40,          # the known trigger window
+        threshold=0.01,
+        outdir=str(workdir / "out"),
+    ))
+    written = sorted(p.name for p in (workdir / "out").iterdir())
 
 print(f"\nstage counts: {report.counts}")
 nm = report.null_model
@@ -56,5 +59,5 @@ for r in scored[:10]:
     mark = "*" if (r.cause, r.effect) in true_edges else " "
     print(f" {mark} {r.cause}->{r.effect}: eps_avg={r.eps_avg:.3f} "
           f"z={r.z:.2f} fdr={r.fdr:.3g}")
-print(f"\noutputs (hypotheses.tsv, edges.tsv, plot.tsv, summary.txt) "
-      f"in {workdir / 'out'}")
+print(f"\noutputs written (then removed with the scratch directory): "
+      f"{', '.join(written)}")

@@ -40,18 +40,21 @@ trace = discretize(np.vstack(series), theta_up=0.5, theta_down=-0.5,
 print(f"discretized {len(names)} profiles x {ticks} ticks "
       f"into {len(trace.variables)} atoms")
 
-workdir = Path(tempfile.mkdtemp(prefix="tlcausal_expr_"))
-path = workdir / "expr.csv"
-write_events(events_of(trace), path)
+# Files go to a scratch directory that is removed when the block ends.
+with tempfile.TemporaryDirectory(prefix="tlcausal_expr_") as tmp:
+    workdir = Path(tmp)
+    path = workdir / "expr.csv"
+    write_events(events_of(trace), path)
 
-report = run_pipeline(PipelineConfig(
-    paths=(str(path),),
-    format="event-csv",
-    horizon=ticks,
-    tmin=1, tmax=1,            # influence at exactly the next tick
-    threshold=0.01,
-    outdir=str(workdir / "out"),
-))
+    report = run_pipeline(PipelineConfig(
+        paths=(str(path),),
+        format="event-csv",
+        horizon=ticks,
+        tmin=1, tmax=1,            # influence at exactly the next tick
+        threshold=0.01,
+        outdir=str(workdir / "out"),
+    ))
+    written = sorted(p.name for p in (workdir / "out").iterdir())
 
 print(f"stage counts: {report.counts}")
 nm = report.null_model
@@ -69,4 +72,5 @@ print(f"  everything else:         {len(other)} "
       f"(short series leave some chance structure)")
 for cause, effect in own[:8]:
     print(f"    {cause} -> {effect}")
-print(f"\nfull tables in {workdir / 'out'}")
+print(f"\nfull tables written (then removed with the scratch directory): "
+      f"{', '.join(written)}")

@@ -30,8 +30,7 @@ from .traces import Trace, TraceSet
 
 __all__ = [
     "FrequencyEstimate", "sat_set", "until_prob", "unless_prob",
-    "leads_to_prob", "trace_leads_to", "marginal_window_prob",
-    "eval_on_trace", "window_hits",
+    "leads_to_prob", "trace_leads_to", "eval_on_trace", "window_hits",
 ]
 
 FIXPOINT_TOL = 1e-12
@@ -314,29 +313,4 @@ def trace_leads_to(data: TraceSet, c: Formula, e: Formula,
     if den == 0:
         raise EmptyWindowError(
             "antecedent never occurs with a full window in range")
-    return FrequencyEstimate(num / den, num, den)
-
-
-def marginal_window_prob(data: TraceSet, e: Formula,
-                         width: int, offset: int) -> FrequencyEstimate:
-    """Baseline frequency of ``e`` in a sliding window of ``width`` ticks
-    starting ``offset`` ticks ahead, over all ticks with the window in range.
-    For a hypothesis window ``[tmin, tmax]`` use ``offset=tmin`` and
-    ``width=tmax-tmin+1``."""
-    if width < 1:
-        raise CheckError("window width must be >= 1")
-    if offset < 0:
-        raise CheckError("window offset must be >= 0")
-    hi = offset + width - 1
-    num = den = 0
-    for trace in data:
-        e_arr = eval_on_trace(trace, e)
-        nq = trace.length - hi
-        if nq <= 0:
-            continue
-        hits = window_hits(e_arr, offset, hi)
-        den += nq
-        num += int(hits.sum())
-    if den == 0:
-        raise EmptyWindowError("no tick has a full window in range")
     return FrequencyEstimate(num / den, num, den)

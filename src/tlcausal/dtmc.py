@@ -1,15 +1,17 @@
 """Labeled discrete-time Markov chains inferred from trace frequencies.
 
-States are the distinct observed label vectors; transition probabilities are
-consecutive-pair frequencies within each trace (pairs never span a trace
-boundary).  States observed only without a successor get a self-loop, so
-every row stays stochastic.  The observation count of each state is kept so
+States are the distinct observed label vectors, numbered in order of first
+appearance across the traces; transition probabilities are consecutive-pair
+frequencies within each trace (pairs never span a trace boundary).  States
+observed only without a successor get a self-loop, so every row stays
+stochastic.  The observation count of each state is kept so
 that checkers can average over states by empirical frequency.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import Optional
 
@@ -41,11 +43,11 @@ class Dtmc:
 
     def __post_init__(self):
         n = len(self.labels)
-        trans = sparse.csr_matrix(self.transitions)
-        if trans.shape != (n, n):
+        object.__setattr__(self, "transitions",
+                           sparse.csr_matrix(self.transitions))
+        if self.transitions.shape != (n, n):
             raise DataError("transition matrix shape does not match states")
-        rows = np.asarray(trans.sum(axis=1)).ravel()
-        worst = float(np.abs(rows - 1.0).max()) if n else 0.0
+        worst = self.row_sum_deviation() if n else 0.0
         if worst > ROW_SUM_TOL:
             raise DataError(f"transition rows must sum to 1 "
                             f"(worst deviation {worst:.3e})")
@@ -57,7 +59,9 @@ class Dtmc:
         object.__setattr__(self, "atoms", tuple(self.atoms))
         object.__setattr__(self, "labels",
                            tuple(frozenset(s) for s in self.labels))
-        object.__setattr__(self, "transitions", trans)
+        undeclared = sorted(frozenset().union(*self.labels) - set(self.atoms))
+        if undeclared:
+            raise DataError(f"state labels name undeclared atoms {undeclared}")
         object.__setattr__(self, "frequency", freq)
 
     @property
@@ -77,48 +81,29 @@ def build_dtmc(data: TraceSet) -> Dtmc:
     """Infer the chain from observed label vectors and their transitions."""
     if not isinstance(data, TraceSet):
         data = TraceSet(tuple(data))
-    atoms = data.variables
-    key_to_id: dict = {}
-    labels: list = []
-    freq: list = []
-    counts: dict = {}
-    initial = None
-
-    for trace in data:
-        cols = np.ascontiguousarray(trace.values.T)
-        ids = np.empty(trace.length, dtype=np.int64)
-        for t in range(trace.length):
-            key = cols[t].tobytes()
-            sid = key_to_id.get(key)
-            if sid is None:
-                sid = len(labels)
-                key_to_id[key] = sid
-                labels.append(frozenset(
-                    v for v, bit in zip(atoms, cols[t]) if bit))
-                freq.append(0)
-            freq[sid] += 1
-            ids[t] = sid
-        if initial is None:
-            initial = int(ids[0])
-        for a, b in zip(ids[:-1], ids[1:]):
-            counts[(int(a), int(b))] = counts.get((int(a), int(b)), 0) + 1
-
-    n = len(labels)
-    out_total = np.zeros(n, dtype=np.int64)
-    for (a, _b), c in counts.items():
-        out_total[a] += c
-    rows, cols_, vals = [], [], []
-    for (a, b), c in sorted(counts.items()):
-        rows.append(a)
-        cols_.append(b)
-        vals.append(c / out_total[a])
-    for s in np.flatnonzero(out_total == 0):  # terminal: keep stochastic
-        rows.append(int(s))
-        cols_.append(int(s))
-        vals.append(1.0)
-    trans = sparse.csr_matrix((vals, (rows, cols_)), shape=(n, n))
-    return Dtmc(atoms, tuple(labels), trans, initial,
-                np.array(freq, dtype=float))
+    ticks = np.concatenate([trace.values.T for trace in data])  # tick x atom
+    # A constant column keeps every key non-empty when there are no atoms;
+    # the void view below needs C-contiguous rows.
+    packed = np.ascontiguousarray(np.packbits(
+        np.column_stack([ticks, np.ones(len(ticks), bool)]), axis=1))
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # state ids by first appearance
+    ids, n = np.argsort(order)[inverse], len(first)
+    lengths = [trace.length for trace in data]
+    ends = np.cumsum(lengths)
+    a, b = np.delete(ids, ends - 1), np.delete(ids, ends - lengths)
+    pairs, counts = np.unique(a * n + b, return_counts=True)  # (a, b) order
+    src, dst = np.divmod(pairs, n)
+    out_total = np.bincount(a, minlength=n)
+    terminal = np.flatnonzero(out_total == 0)  # keep every row stochastic
+    trans = sparse.csr_matrix(
+        (np.concatenate([counts / out_total[src], np.ones(len(terminal))]),
+         (np.concatenate([src, terminal]), np.concatenate([dst, terminal]))),
+        shape=(n, n))
+    labels = [frozenset(compress(data.variables, row))
+              for row in ticks[first[order]]]
+    return Dtmc(data.variables, labels, trans, 0, np.bincount(ids))
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +162,8 @@ def load_text(source) -> Dtmc:
             elif head == "state":
                 sid, _, labpart = rest.partition(":")
                 inner = labpart.strip()[1:-1]
+                if int(sid) < 0:
+                    raise ValueError("negative state id")
                 labels[int(sid)] = frozenset(
                     x for x in inner.split(",") if x)
             elif head == "freq":
@@ -184,7 +171,7 @@ def load_text(source) -> Dtmc:
                 freqs[int(sid)] = float(value)
             elif head == "trans":
                 a, b, p = rest.split()
-                triples.append((int(a), int(b), float(p)))
+                triples.append((lineno, int(a), int(b), float(p)))
             else:
                 raise ValueError(f"unknown record {head!r}")
         except (ValueError, IndexError) as exc:
@@ -192,10 +179,12 @@ def load_text(source) -> Dtmc:
     if atoms is None or not labels:
         raise DataError("model listing missing atoms or states")
     n = max(labels) + 1
+    for lineno, a, b, _ in triples:
+        if not (0 <= a < n and 0 <= b < n):
+            raise DataError(f"model line {lineno} names a state outside "
+                            f"[0, {n}): {lines[lineno - 1].strip()!r}")
     label_list = [labels.get(i, frozenset()) for i in range(n)]
     freq = np.array([freqs.get(i, 1.0) for i in range(n)])
-    rows = [t[0] for t in triples]
-    cols = [t[1] for t in triples]
-    vals = [t[2] for t in triples]
+    rows, cols, vals = ([t[k] for t in triples] for k in (1, 2, 3))
     trans = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
     return Dtmc(atoms, tuple(label_list), trans, initial, freq)

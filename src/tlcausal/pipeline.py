@@ -325,7 +325,12 @@ def read_hypotheses_tsv(path) -> List[HypothesisRow]:
 
 
 def _opt_float(cell):
-    return None if cell == "" else float(cell)
+    if cell == "":
+        return None
+    value = float(cell)
+    if not np.isfinite(value):
+        raise ValueError(f"non-finite number {cell!r}")
+    return value
 
 
 # per column, in HypothesisRow order: refuses what render_outputs never writes

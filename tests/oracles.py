@@ -4,9 +4,11 @@ Most of this recomputes results from first principles: exhaustive path
 enumeration over small chains, pure-Python window counting in exact rational
 arithmetic, and an event-by-event replay validator for generated spike
 trains; none of that calls into the package's own evaluation paths.  The
-per-pair scoring functions at the end evaluate one hypothesis or one rival
-at a time through the package's trace counting (itself checked against the
-rational counter); they are the reference for the batched scorer.
+tick-by-tick chain builder is the reference for the array build in
+``tlcausal.dtmc``.  The per-pair scoring functions at the end evaluate one
+hypothesis or one rival at a time through the package's trace counting
+(itself checked against the rational counter); they are the reference for
+the batched scorer.
 """
 
 from dataclasses import dataclass
@@ -14,12 +16,15 @@ from fractions import Fraction
 from typing import List, Optional
 
 import numpy as np
+from scipy import sparse
 
 from tlcausal.causal import Hypothesis, PrimaFacieResult
 from tlcausal.checker import (FrequencyEstimate, eval_on_trace,
-                              marginal_window_prob, trace_leads_to)
+                              trace_leads_to, window_hits)
+from tlcausal.dtmc import Dtmc
 from tlcausal.errors import CheckError, EmptyWindowError
 from tlcausal.pctl import And, Formula, Not
+from tlcausal.traces import TraceSet
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +189,86 @@ def check_triggering(events, parent, child, delay_min, delay_max, refractory):
 
 
 # ---------------------------------------------------------------------------
+# Chain build: one tick at a time
+
+def build_dtmc(data: TraceSet) -> Dtmc:
+    """Infer the chain from observed label vectors and their transitions."""
+    if not isinstance(data, TraceSet):
+        data = TraceSet(tuple(data))
+    atoms = data.variables
+    key_to_id: dict = {}
+    labels: list = []
+    freq: list = []
+    counts: dict = {}
+    initial = None
+
+    for trace in data:
+        cols = np.ascontiguousarray(trace.values.T)
+        ids = np.empty(trace.length, dtype=np.int64)
+        for t in range(trace.length):
+            key = cols[t].tobytes()
+            sid = key_to_id.get(key)
+            if sid is None:
+                sid = len(labels)
+                key_to_id[key] = sid
+                labels.append(frozenset(
+                    v for v, bit in zip(atoms, cols[t]) if bit))
+                freq.append(0)
+            freq[sid] += 1
+            ids[t] = sid
+        if initial is None:
+            initial = int(ids[0])
+        for a, b in zip(ids[:-1], ids[1:]):
+            counts[(int(a), int(b))] = counts.get((int(a), int(b)), 0) + 1
+
+    n = len(labels)
+    out_total = np.zeros(n, dtype=np.int64)
+    for (a, _b), c in counts.items():
+        out_total[a] += c
+    rows, cols_, vals = [], [], []
+    for (a, b), c in sorted(counts.items()):
+        rows.append(a)
+        cols_.append(b)
+        vals.append(c / out_total[a])
+    for s in np.flatnonzero(out_total == 0):  # terminal: keep stochastic
+        rows.append(int(s))
+        cols_.append(int(s))
+        vals.append(1.0)
+    trans = sparse.csr_matrix((vals, (rows, cols_)), shape=(n, n))
+    return Dtmc(atoms, tuple(labels), trans, initial,
+                np.array(freq, dtype=float))
+
+
+# ---------------------------------------------------------------------------
 # Per-pair scoring: one hypothesis, one rival at a time
 
 _ZERO = FrequencyEstimate(0.0, 0, 0)
+
+
+def marginal_window_prob(data: TraceSet, e: Formula,
+                         width: int, offset: int) -> FrequencyEstimate:
+    """Baseline frequency of ``e`` in a sliding window of ``width`` ticks
+    starting ``offset`` ticks ahead, over all ticks with the window in range.
+    For a hypothesis window ``[tmin, tmax]`` use ``offset=tmin`` and
+    ``width=tmax-tmin+1``."""
+    if width < 1:
+        raise CheckError("window width must be >= 1")
+    if offset < 0:
+        raise CheckError("window offset must be >= 0")
+    hi = offset + width - 1
+    num = den = 0
+    for trace in data:
+        e_arr = eval_on_trace(trace, e)
+        nq = trace.length - hi
+        if nq <= 0:
+            continue
+        hits = window_hits(e_arr, offset, hi)
+        den += nq
+        num += int(hits.sum())
+    if den == 0:
+        raise EmptyWindowError("no tick has a full window in range")
+    return FrequencyEstimate(num / den, num, den)
+
 
 
 def prima_facie_test(data, h):

@@ -14,12 +14,11 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import epsilon_avg, epsilon_x
+from oracles import epsilon_avg, epsilon_x, marginal_window_prob
 from conftest import random_dtmc, random_traceset
 from formula_gen import random_formula
 from tlcausal import cli
-from tlcausal.checker import (marginal_window_prob, trace_leads_to,
-                              unless_prob, until_prob)
+from tlcausal.checker import trace_leads_to, unless_prob, until_prob
 from tlcausal.dtmc import build_dtmc
 from tlcausal.errors import EmptyWindowError
 from tlcausal.fdr import classify, fit_mixture, fit_null, local_fdr, z_scores

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import random_dtmc, random_traceset, traceset_from_marks
-from tlcausal.checker import (eval_on_trace, leads_to_prob,
-                              marginal_window_prob, sat_set, trace_leads_to,
-                              unless_prob, until_prob, window_hits)
+from oracles import marginal_window_prob
+from tlcausal.checker import (eval_on_trace, leads_to_prob, sat_set,
+                              trace_leads_to, unless_prob, until_prob,
+                              window_hits)
 from tlcausal.errors import CheckError, EmptyWindowError
 from tlcausal.pctl import INFINITY, Atom, Not, parse
 

@@ -2,11 +2,14 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import random_traceset, traceset_from_marks
 from tlcausal.dtmc import build_dtmc, export_text, load_text
 from tlcausal.errors import DataError
-from tlcausal.traces import TraceSet
+from tlcausal.traces import Trace, TraceSet
 
 
 def state_by_label(model, atoms):
@@ -17,7 +20,39 @@ def state_by_label(model, atoms):
     raise AssertionError(f"no state labeled {target}")
 
 
+def listing(model):
+    sink = io.StringIO()
+    export_text(model, sink)
+    return sink.getvalue()
+
+
+@st.composite
+def _tracesets(draw):
+    """1-3 traces of 1-30 ticks each over one list of 0-6 atoms."""
+    atoms = tuple(f"v{i}" for i in range(draw(st.integers(0, 6))))
+    traces = []
+    for _ in range(draw(st.integers(1, 3))):
+        length = draw(st.integers(1, 30))
+        cells = draw(st.lists(st.booleans(), min_size=len(atoms) * length,
+                              max_size=len(atoms) * length))
+        traces.append(Trace(atoms, np.array(cells, dtype=bool)
+                            .reshape(len(atoms), length)))
+    return TraceSet(tuple(traces))
+
+
 class TestBuild:
+    @settings(max_examples=300, deadline=None)
+    @given(data=_tracesets())
+    def test_matches_tick_by_tick_oracle(self, data):
+        got, want = build_dtmc(data), oracles.build_dtmc(data)
+        assert listing(got) == listing(want)
+        assert got.labels == want.labels
+        assert np.array_equal(got.frequency, want.frequency)
+        assert got.initial == want.initial
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got.transitions, part),
+                                  getattr(want.transitions, part))
+
     def test_three_tick_worked_example(self):
         data = traceset_from_marks(("a", "b"), 3,
                                    {"a": [0, 1], "b": [0, 1, 2]})
@@ -94,3 +129,13 @@ class TestExport:
     def test_malformed(self):
         with pytest.raises(DataError):
             load_text(io.StringIO("state zero: {}\n"))
+
+    @pytest.mark.parametrize("text", [
+        "atoms a\nstate 0: {a}\ntrans 0 5 1.0\n",
+        "atoms a\nstate 0: {zz}\ntrans 0 0 1.0\n",
+        "atoms a\nstate -1: {a}\nstate 0: {}\ntrans 0 0 1.0\n"],
+        ids=["undeclared-trans-endpoint", "undeclared-atom",
+             "negative-state-id"])
+    def test_malformed_listing(self, text):
+        with pytest.raises(DataError):
+            load_text(io.StringIO(text))

@@ -259,6 +259,14 @@ class TestCli:
         assert rc == 0
         assert "satisfying states" in capsys.readouterr().out
 
+    def test_check_model_naming_undeclared_state(self, tmp_path, capsys):
+        listing = tmp_path / "model.txt"
+        listing.write_text("atoms a\ninitial 0\nstate 0: {a}\n"
+                           "trans 0 5 1.0\n")
+        assert cli.main(["check", "--formula", "a",
+                         "--model", str(listing)]) == 2
+        assert "names a state outside" in capsys.readouterr().err
+
     def test_fdr_rerun_from_table(self, tmp_path, capsys):
         path, _, horizon = _generate_inputs(tmp_path)
         out = tmp_path / "out"
@@ -342,7 +350,7 @@ class TestCli:
 
     @pytest.mark.parametrize("column, cell", [
         ("p_cond", "abc"), ("tmin", "2.5"), ("prima_facie", "x"),
-        ("label", "maybe")])
+        ("label", "maybe"), ("eps_avg", "nan"), ("p_cond", "inf")])
     def test_bad_table_cell_is_a_data_error(self, tmp_path, capsys, column,
                                             cell):
         row = dict(zip(TSV_COLUMNS, ("a", "b", "1", "1", "0.5", "0.25", "1",
