@@ -11,7 +11,7 @@ from .causal import (Hypothesis, PrimaFacieResult, enumerate_pairwise,
                      score_hypotheses)
 from .checker import (FrequencyEstimate, eval_on_trace, leads_to_prob,
                       sat_set, trace_leads_to, unless_prob, until_prob)
-from .dtmc import Dtmc, build_dtmc
+from .dtmc import Dtmc, build_dtmc, encode_labels
 from .errors import (CheckError, ConvergenceError, DataError,
                      EmptyWindowError, FitError, FormulaParseError,
                      TlcausalError, UsageError)

@@ -10,10 +10,11 @@ that checkers can average over states by empirical frequency.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 from scipy import sparse
@@ -21,7 +22,7 @@ from scipy import sparse
 from .errors import DataError
 from .traces import TraceSet
 
-__all__ = ["Dtmc", "build_dtmc", "export_text", "load_text"]
+__all__ = ["Dtmc", "build_dtmc", "encode_labels", "export_text", "load_text"]
 
 ROW_SUM_TOL = 1e-9
 
@@ -30,25 +31,30 @@ ROW_SUM_TOL = 1e-9
 class Dtmc:
     """A labeled stochastic transition system.
 
-    ``transitions`` is a row-stochastic sparse matrix; ``labels[i]`` is the
-    atom set of state ``i``; ``frequency[i]`` counts how often the state was
-    observed (all ticks, not just those with successors).
+    ``transitions`` is a row-stochastic sparse matrix; ``label_matrix`` is a
+    read-only state x atom boolean matrix; ``frequency[i]`` counts how often
+    state ``i`` was observed (all ticks, not just those with successors).
     """
 
     atoms: tuple
-    labels: tuple
+    label_matrix: np.ndarray
     transitions: sparse.csr_matrix
     initial: int
     frequency: np.ndarray
 
     def __post_init__(self):
-        n = len(self.labels)
+        object.__setattr__(self, "atoms", tuple(self.atoms))
+        marks = np.asarray(self.label_matrix, dtype=bool).view()
+        if marks.ndim != 2 or marks.shape[1] != len(self.atoms):
+            raise DataError("label matrix shape does not match atoms")
+        marks.flags.writeable = False
+        object.__setattr__(self, "label_matrix", marks)
+        n = len(marks)
         object.__setattr__(self, "transitions",
                            sparse.csr_matrix(self.transitions))
         if self.transitions.shape != (n, n):
             raise DataError("transition matrix shape does not match states")
-        worst = self.row_sum_deviation() if n else 0.0
-        if worst > ROW_SUM_TOL:
+        if n and (worst := self.row_sum_deviation()) > ROW_SUM_TOL:
             raise DataError(f"transition rows must sum to 1 "
                             f"(worst deviation {worst:.3e})")
         freq = np.asarray(self.frequency, dtype=float)
@@ -56,25 +62,35 @@ class Dtmc:
             raise DataError("frequency vector shape does not match states")
         if not 0 <= self.initial < n:
             raise DataError("initial state index out of range")
-        object.__setattr__(self, "atoms", tuple(self.atoms))
-        object.__setattr__(self, "labels",
-                           tuple(frozenset(s) for s in self.labels))
-        undeclared = sorted(frozenset().union(*self.labels) - set(self.atoms))
-        if undeclared:
-            raise DataError(f"state labels name undeclared atoms {undeclared}")
         object.__setattr__(self, "frequency", freq)
 
     @property
     def n_states(self) -> int:
-        return len(self.labels)
+        return len(self.label_matrix)
+
+    @cached_property
+    def labels(self) -> tuple:
+        """Atom set of each state, derived once from ``label_matrix``."""
+        return tuple(frozenset(compress(self.atoms, row))
+                     for row in self.label_matrix)
 
     def states_with(self, atom: str) -> np.ndarray:
-        """Boolean mask of states labeled with ``atom``."""
-        return np.array([atom in lab for lab in self.labels], dtype=bool)
+        """Read-only boolean mask of states labeled with ``atom``."""
+        return (self.label_matrix[:, self.atoms.index(atom)]
+                if atom in self.atoms else np.zeros(self.n_states, bool))
 
     def row_sum_deviation(self) -> float:
         rows = np.asarray(self.transitions.sum(axis=1)).ravel()
         return float(np.abs(rows - 1.0).max())
+
+
+def encode_labels(atoms, labels) -> np.ndarray:
+    """State x atom boolean matrix of a sequence of per-state atom sets."""
+    undeclared = sorted(frozenset().union(*labels) - set(atoms))
+    if undeclared:
+        raise DataError(f"state labels name undeclared atoms {undeclared}")
+    return np.array([[a in lab for a in atoms] for lab in labels],
+                    dtype=bool).reshape(len(labels), len(atoms))
 
 
 def build_dtmc(data: TraceSet) -> Dtmc:
@@ -101,9 +117,8 @@ def build_dtmc(data: TraceSet) -> Dtmc:
         (np.concatenate([counts / out_total[src], np.ones(len(terminal))]),
          (np.concatenate([src, terminal]), np.concatenate([dst, terminal]))),
         shape=(n, n))
-    labels = [frozenset(compress(data.variables, row))
-              for row in ticks[first[order]]]
-    return Dtmc(data.variables, labels, trans, 0, np.bincount(ids))
+    return Dtmc(data.variables, ticks[first[order]], trans, 0,
+                np.bincount(ids))
 
 
 # ---------------------------------------------------------------------------
@@ -115,42 +130,28 @@ def export_text(model: Dtmc, sink) -> None:
     Lines: ``atoms <a> <b> ...``, ``initial <id>``, ``state <id>: {a,b}``,
     ``freq <id> <count>``, ``trans <from> <to> <prob>``.
     """
-    own = isinstance(sink, (str, Path))
-    fh = open(sink, "w", encoding="utf-8", newline="\n") if own else sink
-    try:
-        fh.write("atoms " + " ".join(model.atoms) + "\n")
-        fh.write(f"initial {model.initial}\n")
+    with (open(sink, "w", encoding="utf-8", newline="\n")
+          if isinstance(sink, (str, Path)) else nullcontext(sink)) as fh:
+        fh.write(f"atoms {' '.join(model.atoms)}\ninitial {model.initial}\n")
         for i, lab in enumerate(model.labels):
-            inner = ",".join(sorted(lab))
-            fh.write(f"state {i}: {{{inner}}}\n")
+            fh.write(f"state {i}: {{{','.join(sorted(lab))}}}\n")
         for i, f in enumerate(model.frequency):
             fh.write(f"freq {i} {f:g}\n")
         coo = model.transitions.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        for k in order:
+        for k in np.lexsort((coo.col, coo.row)):
             fh.write(f"trans {coo.row[k]} {coo.col[k]} {float(coo.data[k])!r}\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def load_text(source) -> Dtmc:
     """Parse a listing produced by :func:`export_text`."""
-    if isinstance(source, (str, Path)):
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        except OSError as exc:
-            raise DataError(f"cannot read {source}: {exc}") from exc
-    else:
-        lines = source.read().splitlines()
-    atoms: Optional[tuple] = None
-    initial = 0
-    labels: dict = {}
-    freqs: dict = {}
-    triples: list = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
+    try:
+        with (open(source, encoding="utf-8") if isinstance(source, (str, Path))
+              else nullcontext(source)) as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise DataError(f"cannot read {source}: {exc}") from exc
+    atoms, initial, states, freqs, triples = None, 0, [], [], []
+    for lineno, line in enumerate(map(str.strip, lines), start=1):
         if not line:
             continue
         head, _, rest = line.partition(" ")
@@ -161,14 +162,11 @@ def load_text(source) -> Dtmc:
                 initial = int(rest)
             elif head == "state":
                 sid, _, labpart = rest.partition(":")
-                inner = labpart.strip()[1:-1]
-                if int(sid) < 0:
-                    raise ValueError("negative state id")
-                labels[int(sid)] = frozenset(
-                    x for x in inner.split(",") if x)
+                inner = set(labpart.strip()[1:-1].split(",")) - {""}
+                states.append((lineno, int(sid), inner))
             elif head == "freq":
                 sid, value = rest.split()
-                freqs[int(sid)] = float(value)
+                freqs.append((lineno, int(sid), float(value)))
             elif head == "trans":
                 a, b, p = rest.split()
                 triples.append((lineno, int(a), int(b), float(p)))
@@ -176,15 +174,17 @@ def load_text(source) -> Dtmc:
                 raise ValueError(f"unknown record {head!r}")
         except (ValueError, IndexError) as exc:
             raise DataError(f"malformed model line {lineno}: {line!r}") from exc
-    if atoms is None or not labels:
+    if atoms is None or not states:
         raise DataError("model listing missing atoms or states")
-    n = max(labels) + 1
-    for lineno, a, b, _ in triples:
-        if not (0 <= a < n and 0 <= b < n):
+    n = max(sid for _, sid, _ in states) + 1
+    for lineno, *ids, _ in states + freqs + triples:
+        if not all(0 <= i < n for i in ids):
             raise DataError(f"model line {lineno} names a state outside "
                             f"[0, {n}): {lines[lineno - 1].strip()!r}")
-    label_list = [labels.get(i, frozenset()) for i in range(n)]
-    freq = np.array([freqs.get(i, 1.0) for i in range(n)])
+    labels = {sid: lab for _, sid, lab in states}
+    given = {sid: value for _, sid, value in freqs}
+    freq = np.array([given.get(i, 1.0) for i in range(n)])
+    marks = encode_labels(atoms, [labels.get(i, ()) for i in range(n)])
     rows, cols, vals = ([t[k] for t in triples] for k in (1, 2, 3))
     trans = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return Dtmc(atoms, tuple(label_list), trans, initial, freq)
+    return Dtmc(atoms, marks, trans, initial, freq)

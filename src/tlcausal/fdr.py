@@ -13,12 +13,10 @@ bound, and the optional ``p0`` estimate tightens it to a posterior.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import FitError, UsageError
 
@@ -36,6 +34,7 @@ DEFAULT_DEGREE = 7
 DEFAULT_THRESHOLD = 0.01
 PAD_FRACTION = 0.1
 CENTRAL_MASS = 1.0 / 3.0
+SQRT_2PI = np.sqrt(2 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -172,9 +171,21 @@ class NullModel:
     p0: Optional[float] = None
     window: tuple = ()
 
+    def _x(self, z):
+        # scipy.stats.norm.pdf's steps, in its order and on arrays: numpy's
+        # scalar power and exp can round differently from its array loops
+        z = np.atleast_1d(np.asarray(z, dtype=float))
+        return (z - self.delta0) / self.sigma0
+
     def pdf(self, z):
-        base = norm.pdf(z, loc=self.delta0, scale=self.sigma0)
+        base = np.exp(-self._x(z)**2 / 2.0) / SQRT_2PI / self.sigma0
+        base = base.reshape(np.shape(z))[()]
         return base if self.p0 is None else self.p0 * base
+
+    def log_pdf(self, z):
+        base = -self._x(z)**2 / 2.0 - np.log(SQRT_2PI) - np.log(self.sigma0)
+        base = base.reshape(np.shape(z))[()]
+        return base if self.p0 is None else np.log(self.p0) + base
 
 
 def fit_null(density: MixtureDensity, estimate_p0: bool = False) -> NullModel:
@@ -213,7 +224,7 @@ def fit_null(density: MixtureDensity, estimate_p0: bool = False) -> NullModel:
     delta0 = float(-c1 / (2.0 * c2))
     p0 = None
     if estimate_p0:
-        p0 = float(min(1.0, density.pdf(delta0) * np.sqrt(2 * np.pi) * sigma0))
+        p0 = float(min(1.0, density.pdf(delta0) * SQRT_2PI * sigma0))
     return NullModel(delta0, sigma0, p0, (float(zwin[0]), float(zwin[-1])))
 
 
@@ -221,21 +232,17 @@ def local_fdr(density: MixtureDensity, null: NullModel, z):
     """``min(1, f0(z) / f(z))``: the chance a score at ``z`` is null.
 
     Scalar in, scalar out (arrays broadcast).  Where the fitted marginal
-    underflows to zero the rate is reported as 0 with a warning.
+    underflows to zero the ratio is taken in logs, ``exp(log f0 - log f)``;
+    where both logs are infinite it is undefined and reads as 1.
     """
-    fz = density.pdf(z)
-    f0 = null.pdf(z)
     scalar = np.isscalar(z)
-    fz_arr = np.atleast_1d(np.asarray(fz, dtype=float))
-    f0_arr = np.atleast_1d(np.asarray(f0, dtype=float))
-    out = np.empty_like(fz_arr)
-    zero = fz_arr == 0.0
-    if zero.any():
-        warnings.warn("fitted marginal density underflowed at extreme "
-                      "z-values; reporting fdr 0 there", RuntimeWarning,
-                      stacklevel=2)
-    out[zero] = 0.0
-    out[~zero] = np.minimum(1.0, f0_arr[~zero] / fz_arr[~zero])
+    fz = np.atleast_1d(np.asarray(density.pdf(z), dtype=float))
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    out = np.empty_like(fz)
+    zero = fz == 0.0
+    out[~zero] = np.minimum(1.0, null.pdf(z[~zero]) / fz[~zero])
+    log_f = density.log_intensity(z[zero]) - density.log_norm
+    out[zero] = np.exp(np.fmin(0.0, null.log_pdf(z[zero]) - log_f))
     return float(out[0]) if scalar else out
 
 

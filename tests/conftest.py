@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from tlcausal.dtmc import Dtmc
+from tlcausal.dtmc import Dtmc, encode_labels
 from tlcausal.traces import Trace, TraceSet
 
 
@@ -17,8 +17,7 @@ def dtmc_a():
     T = sparse.csr_matrix(np.array([[0.0, 0.5, 0.5],
                                     [0.0, 1.0, 0.0],
                                     [0.0, 0.0, 1.0]]))
-    return Dtmc(("a", "b"),
-                (frozenset({"a"}), frozenset({"b"}), frozenset()),
+    return Dtmc(("a", "b"), encode_labels(("a", "b"), [{"a"}, {"b"}, set()]),
                 T, 0, np.array([1.0, 1.0, 1.0]))
 
 
@@ -26,7 +25,7 @@ def dtmc_a():
 def dtmc_b():
     """s0 {a} looping to itself or to absorbing s1 {b} at 0.5 each."""
     T = sparse.csr_matrix(np.array([[0.5, 0.5], [0.0, 1.0]]))
-    return Dtmc(("a", "b"), (frozenset({"a"}), frozenset({"b"})),
+    return Dtmc(("a", "b"), encode_labels(("a", "b"), [{"a"}, {"b"}]),
                 T, 0, np.array([1.0, 1.0]))
 
 
@@ -52,8 +51,8 @@ def random_dtmc(rng, n_states, atoms=("a", "b")):
     for _ in range(n_states):
         labels.append(frozenset(a for a in atoms if rng.random() < 0.5))
     freq = rng.integers(1, 50, size=n_states).astype(float)
-    return Dtmc(tuple(atoms), tuple(labels), sparse.csr_matrix(T),
-                int(rng.integers(n_states)), freq)
+    return Dtmc(tuple(atoms), encode_labels(atoms, labels),
+                sparse.csr_matrix(T), int(rng.integers(n_states)), freq)
 
 
 def random_traceset(rng, n_atoms, max_len=50, n_traces=1, density=0.3):

@@ -8,7 +8,8 @@ tick-by-tick chain builder is the reference for the array build in
 ``tlcausal.dtmc``.  The per-pair scoring functions at the end evaluate one
 hypothesis or one rival at a time through the package's trace counting
 (itself checked against the rational counter); they are the reference for
-the batched scorer.
+the batched scorer.  ``scipy.stats.norm.pdf`` is the reference for the null
+density ``tlcausal.fdr.NullModel.pdf``.
 """
 
 from dataclasses import dataclass
@@ -17,11 +18,12 @@ from typing import List, Optional
 
 import numpy as np
 from scipy import sparse
+from scipy.stats import norm
 
 from tlcausal.causal import Hypothesis, PrimaFacieResult
 from tlcausal.checker import (FrequencyEstimate, eval_on_trace,
                               trace_leads_to, window_hits)
-from tlcausal.dtmc import Dtmc
+from tlcausal.dtmc import Dtmc, encode_labels
 from tlcausal.errors import CheckError, EmptyWindowError
 from tlcausal.pctl import And, Formula, Not
 from tlcausal.traces import TraceSet
@@ -235,7 +237,7 @@ def build_dtmc(data: TraceSet) -> Dtmc:
         cols_.append(int(s))
         vals.append(1.0)
     trans = sparse.csr_matrix((vals, (rows, cols_)), shape=(n, n))
-    return Dtmc(atoms, tuple(labels), trans, initial,
+    return Dtmc(atoms, encode_labels(atoms, labels), trans, initial,
                 np.array(freq, dtype=float))
 
 
@@ -363,3 +365,12 @@ def _reduce_terms(terms, divisor, n_rivals):
     if not defined:
         return None
     return total / len(defined)
+
+
+# ---------------------------------------------------------------------------
+# Null density by scipy.stats
+
+def null_pdf(null, z):
+    """``NullModel.pdf`` as ``scipy.stats.norm.pdf`` computes it."""
+    base = norm.pdf(z, loc=null.delta0, scale=null.sigma0)
+    return base if null.p0 is None else null.p0 * base

@@ -246,10 +246,10 @@ class TestConvergenceCap:
     def test_cap_is_reported(self, monkeypatch):
         import tlcausal.checker as checker
         from scipy import sparse
-        from tlcausal.dtmc import Dtmc
+        from tlcausal.dtmc import Dtmc, encode_labels
         from tlcausal.errors import ConvergenceError
         T = sparse.csr_matrix(np.array([[1.0 - 1e-7, 1e-7], [0.0, 1.0]]))
-        slow = Dtmc(("a", "b"), (frozenset({"a"}), frozenset({"b"})),
+        slow = Dtmc(("a", "b"), encode_labels(("a", "b"), [{"a"}, {"b"}]),
                     T, 0, np.array([1.0, 1.0]))
         monkeypatch.setattr(checker, "FIXPOINT_CAP", 3)
         with pytest.raises(ConvergenceError, match="3 iterations"):

@@ -47,6 +47,10 @@ class TestBuild:
         got, want = build_dtmc(data), oracles.build_dtmc(data)
         assert listing(got) == listing(want)
         assert got.labels == want.labels
+        for atom in data.variables:
+            assert np.array_equal(got.states_with(atom),
+                                  [atom in lab for lab in want.labels])
+        assert not got.label_matrix.flags.writeable
         assert np.array_equal(got.frequency, want.frequency)
         assert got.initial == want.initial
         for part in ("indptr", "indices", "data"):
@@ -133,9 +137,12 @@ class TestExport:
     @pytest.mark.parametrize("text", [
         "atoms a\nstate 0: {a}\ntrans 0 5 1.0\n",
         "atoms a\nstate 0: {zz}\ntrans 0 0 1.0\n",
-        "atoms a\nstate -1: {a}\nstate 0: {}\ntrans 0 0 1.0\n"],
+        "atoms a\nstate -1: {a}\nstate 0: {}\ntrans 0 0 1.0\n",
+        "atoms a\nstate 0: {a}\nfreq 7 9\ntrans 0 0 1.0\n",
+        "atoms a\nstate 0: {a}\nfreq -2 4\ntrans 0 0 1.0\n"],
         ids=["undeclared-trans-endpoint", "undeclared-atom",
-             "negative-state-id"])
+             "negative-state-id", "undeclared-freq-state",
+             "negative-freq-state"])
     def test_malformed_listing(self, text):
         with pytest.raises(DataError):
             load_text(io.StringIO(text))

@@ -1,11 +1,17 @@
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from tlcausal.errors import FitError, UsageError
-from tlcausal.fdr import (NullModel, classify, fit_mixture, fit_null,
-                          local_fdr, plot_rows, z_scores)
+from tlcausal.fdr import (MixtureDensity, NullModel, classify, fit_mixture,
+                          fit_null, local_fdr, plot_rows, z_scores)
 
 
 class TestZScores:
@@ -93,6 +99,30 @@ class TestFitNull:
         assert null.sigma0 < 1.0
 
 
+_Z = st.floats(-1e3, 1e3) | st.sampled_from([np.inf, -np.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=_Z | st.lists(_Z, max_size=20).map(np.array),
+       delta0=st.floats(-3.0, 3.0),
+       sigma0=st.floats(0.05, 5.0, exclude_min=True),
+       p0=st.none() | st.floats(0.0, 1.0, exclude_min=True))
+def test_null_pdf_matches_scipy_bit_for_bit(z, delta0, sigma0, p0):
+    null = NullModel(delta0, sigma0, p0)
+    np.testing.assert_array_equal(null.pdf(z), oracles.null_pdf(null, z),
+                                  strict=True)
+
+
+def test_package_import_loads_no_scipy_stats():
+    src = Path(__import__("tlcausal").__file__).parents[1]
+    code = ("import sys, tlcausal; print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.stats')), 'scipy.sparse' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                         capture_output=True, text=True).stdout
+    # scipy.sparse stays: its csr matvec is ~3x faster than numpy's bincount
+    assert out.split() == ["[]", "True"]
+
+
 class TestLocalFdr:
     def test_null_equals_mixture_caps_at_one(self):
         rng = np.random.default_rng(21)
@@ -111,23 +141,47 @@ class TestLocalFdr:
         density = fit_mixture(zs)
         null = NullModel(delta0=-0.14, sigma0=0.39)
         z_at_8 = (8.0 - zs.source_mean) / zs.source_sd
-        with warnings.catch_warnings():
-            # raw 8.0 lies past the standardized range: underflow note is fine
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert local_fdr(density, null, 8.0) < 1e-6
+        # raw 8.0 lies past the binned z range, where the fitted marginal
+        # (log f = -1474) underflows and falls far below the null
+        # (log f0 = -218): the ratio in logs caps at 1
+        assert density.pdf(8.0) == 0.0
+        assert local_fdr(density, null, 8.0) == 1.0
         assert local_fdr(density, null, z_at_8) < 1e-6
 
-    def test_underflow_reports_zero(self):
+    def test_underflow_takes_log_ratio(self):
         rng = np.random.default_rng(3)
         zs = z_scores(rng.standard_normal(1000))
         density = fit_mixture(zs)
         null = fit_null(density)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            value = local_fdr(density, null, 1e6)
-        if value == 0.0 and density.pdf(1e6) == 0.0:
-            assert any("underflow" in str(w.message) for w in caught)
-        assert 0.0 <= value <= 1.0
+        assert density.pdf(-1e6) == 0.0  # the fitted tail underflows here
+        for z in (-1e6, 1e6):
+            fz = density.pdf(z)
+            if fz == 0.0:
+                log_f = density.log_intensity(z) - density.log_norm
+                log_ratio = null.log_pdf(z) - log_f
+                want = 1.0 if log_ratio >= 0 else np.exp(log_ratio)
+            else:
+                want = min(1.0, null.pdf(z) / fz)
+            assert local_fdr(density, null, z) == want
+        # log f0 is about -5.6e11 there and log f about -6.8e38
+        assert local_fdr(density, null, -1e6) == 1.0
+        # both logs are -inf at -1e300: the ratio is undefined and reads as 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert local_fdr(density, null, -1e300) == 1.0
+
+    @pytest.mark.parametrize("p0", [None, 0.25])
+    def test_underflow_matches_the_ratio_it_replaces(self, p0):
+        # f is exactly the standard normal; so is f0, scaled by p0.  Past
+        # z = 38.6 both underflow, yet their ratio is still p0 (or 1).
+        density = MixtureDensity(np.zeros(2), np.zeros(1), np.zeros(1),
+                                 np.array([0.0, 0.0, -0.5]), 0.0, 1.0,
+                                 float(np.log(np.sqrt(2 * np.pi))), 0)
+        null = NullModel(0.0, 1.0, p0)
+        z = np.array([0.0, 3.0, -40.0, 40.0, -50.0])
+        assert (density.pdf(z) == 0.0).tolist() == [False] * 2 + [True] * 3
+        assert local_fdr(density, null, z) == pytest.approx(p0 or 1.0)
+        assert local_fdr(density, null, 45.0) == pytest.approx(p0 or 1.0)
 
     def test_scalar_and_array_forms(self):
         rng = np.random.default_rng(12)
