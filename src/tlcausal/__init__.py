@@ -7,8 +7,8 @@ and significance is decided by empirical-null local false discovery rate
 control.
 """
 
-from .causal import (Hypothesis, PrimaFacieResult, enumerate_pairwise,
-                     score_hypotheses)
+from .causal import (Hypothesis, HypothesisFamily, PrimaFacieResult,
+                     ScoreTable, enumerate_pairwise, score_hypotheses)
 from .checker import (FrequencyEstimate, eval_on_trace, leads_to_prob,
                       sat_set, trace_leads_to, unless_prob, until_prob)
 from .dtmc import Dtmc, build_dtmc, encode_labels

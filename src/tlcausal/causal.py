@@ -18,8 +18,9 @@ including the cause itself.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -29,8 +30,16 @@ from .pctl import Atom, Formula, Not, print_formula
 from .traces import TraceSet
 
 __all__ = [
-    "Hypothesis", "PrimaFacieResult", "enumerate_pairwise", "score_hypotheses",
+    "Hypothesis", "HypothesisFamily", "PrimaFacieResult", "ScoreTable",
+    "enumerate_pairwise", "score_hypotheses",
 ]
+
+
+def _check_window(tmin, tmax):
+    if not (isinstance(tmin, int) and tmin >= 1):
+        raise CheckError("hypothesis window requires tmin >= 1")
+    if not (isinstance(tmax, int) and tmax >= tmin):
+        raise CheckError("hypothesis window requires tmax >= tmin")
 
 
 @dataclass(frozen=True)
@@ -43,10 +52,7 @@ class Hypothesis:
     tmax: int
 
     def __post_init__(self):
-        if not (isinstance(self.tmin, int) and self.tmin >= 1):
-            raise CheckError("hypothesis window requires tmin >= 1")
-        if not (isinstance(self.tmax, int) and self.tmax >= self.tmin):
-            raise CheckError("hypothesis window requires tmax >= tmin")
+        _check_window(self.tmin, self.tmax)
 
 
 @dataclass(frozen=True)
@@ -63,8 +69,60 @@ class PrimaFacieResult:
     eps_avg: Optional[float] = None
 
 
+@dataclass(frozen=True, eq=False)
+class HypothesisFamily(Sequence):
+    """Hypotheses at one window as indices: hypothesis ``i`` pairs
+    ``causes[cause_ix[i]]`` with ``effects[effect_ix[i]]``.  Items are
+    built on access."""
+
+    causes: tuple
+    effects: tuple
+    cause_ix: np.ndarray
+    effect_ix: np.ndarray
+    tmin: int
+    tmax: int
+
+    def __post_init__(self):
+        _check_window(self.tmin, self.tmax)
+
+    @classmethod
+    def of(cls, hypotheses: Sequence[Hypothesis]) -> "HypothesisFamily":
+        """The family of a hypothesis list at one window (a family is
+        returned as is); formulas printing alike share one index."""
+        if isinstance(hypotheses, HypothesisFamily):
+            return hypotheses
+        hypotheses = list(hypotheses)
+        windows = {(h.tmin, h.tmax) for h in hypotheses} or {(1, 1)}
+        if len(windows) > 1:
+            raise CheckError("batched scoring requires a single shared window")
+        cause_ix, causes = _index(h.cause for h in hypotheses)
+        effect_ix, effects = _index(h.effect for h in hypotheses)
+        return cls(causes, effects, cause_ix, effect_ix, *windows.pop())
+
+    def __len__(self):
+        return len(self.cause_ix)
+
+    def __getitem__(self, i):
+        return Hypothesis(self.causes[self.cause_ix[i]],
+                          self.effects[self.effect_ix[i]],
+                          self.tmin, self.tmax)
+
+
+def _index(formulas):
+    """Index array of the formulas (formulas printing alike share one id)
+    and the distinct formulas in first-seen order."""
+    ids: dict = {}
+    distinct, out = [], []
+    for f in formulas:
+        i = ids.setdefault(print_formula(f), len(ids))
+        if i == len(distinct):
+            distinct.append(f)
+        out.append(i)
+    return np.array(out, dtype=np.int64), tuple(distinct)
+
+
 def enumerate_pairwise(atoms: Sequence[str], tmin: int, tmax: int,
-                       include_negations: bool = False) -> List[Hypothesis]:
+                       include_negations: bool = False) -> HypothesisFamily:
     """All ordered atom pairs (cause != effect) at one window.
 
     With negations, causes additionally range over negated atoms (effects
@@ -74,19 +132,50 @@ def enumerate_pairwise(atoms: Sequence[str], tmin: int, tmax: int,
     atoms = list(atoms)
     if not atoms:
         raise CheckError("no atoms to enumerate")
-    causes: List[Tuple[Formula, str]] = [(Atom(a), a) for a in atoms]
-    if include_negations:
-        causes += [(Not(Atom(a)), a) for a in atoms]
-    out = []
-    for cause, base in causes:
-        for e in atoms:
-            if e == base:
-                continue
-            out.append(Hypothesis(cause, Atom(e), tmin, tmax))
-    return out
+    if len(set(atoms)) != len(atoms):
+        raise CheckError("duplicate atom names")
+    n = len(atoms)
+    effects = tuple(Atom(a) for a in atoms)
+    causes = effects + (tuple(Not(e) for e in effects)
+                        if include_negations else ())
+    # row b of the grid lists every effect but atom b, in atom order
+    others = np.broadcast_to(np.arange(n), (n, n))[~np.eye(n, dtype=bool)]
+    return HypothesisFamily(causes, effects,
+                            np.repeat(np.arange(len(causes)), n - 1),
+                            np.tile(others, len(causes) // n), tmin, tmax)
 
 
-_ZERO = FrequencyEstimate(0.0, 0, 0)
+@dataclass(frozen=True, eq=False)
+class ScoreTable(Sequence):
+    """A family's scores as arrays over its hypotheses: ``num`` of the
+    ``den`` qualifying cause ticks see the effect in window, as do ``marg``
+    of all ``qual_total`` qualifying ticks; ``eps`` is the impact average,
+    NaN for none.  :class:`PrimaFacieResult` items are built on access."""
+
+    family: HypothesisFamily
+    num: np.ndarray
+    den: np.ndarray
+    marg: np.ndarray
+    qual_total: int
+    occurred: np.ndarray
+    passed: np.ndarray
+    eps: np.ndarray
+
+    def __len__(self):
+        return len(self.family)
+
+    def __getitem__(self, i):
+        eps = float(self.eps[i])
+        return PrimaFacieResult(
+            self.family[i], bool(self.occurred[i]),
+            _estimate(int(self.num[i]), int(self.den[i])),
+            _estimate(int(self.marg[i]), self.qual_total),
+            bool(self.passed[i]), None if np.isnan(eps) else eps)
+
+
+def _estimate(num, den):
+    """``num`` of ``den`` ticks as a frequency; no ticks read as 0."""
+    return FrequencyEstimate(num / den if den else 0.0, num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -106,41 +195,22 @@ def _products(left, right):
     return (lf @ rf.T).astype(np.int64)
 
 
-def _index(formulas):
-    """Integer id of each formula (formulas printing alike share one) and
-    the distinct formulas in first-seen order."""
-    ids: dict = {}
-    distinct, out = [], []
-    for f in formulas:
-        i = ids.setdefault(print_formula(f), len(ids))
-        if i == len(distinct):
-            distinct.append(f)
-        out.append(i)
-    return out, distinct
-
-
 def score_hypotheses(data: TraceSet, hypotheses: Sequence[Hypothesis],
                      divisor: str = "defined",
-                     min_support: int = 1) -> List[PrimaFacieResult]:
-    """One result per hypothesis, in input order: the prima facie test and,
-    for passers, the impact average over the rival passers of the same
-    effect at the shared window.
+                     min_support: int = 1) -> ScoreTable:
+    """Scores in input order: the prima facie test of every hypothesis
+    and, for passers, the impact average over the rival passers of the
+    same effect at the shared window.
 
-    All hypotheses must share one window, and causes/effects are evaluated
-    per tick (atoms, negations, or any propositional formula).
+    ``hypotheses`` is a :class:`HypothesisFamily` or any hypothesis list
+    at one window; causes/effects are evaluated per tick (atoms,
+    negations, or any propositional formula).
     """
     if divisor not in ("defined", "strict"):
         raise CheckError(f"unknown divisor mode {divisor!r}")
-    hypotheses = list(hypotheses)
-    if not hypotheses:
-        return []
-    tmin = hypotheses[0].tmin
-    tmax = hypotheses[0].tmax
-    if any(h.tmin != tmin or h.tmax != tmax for h in hypotheses):
-        raise CheckError("batched scoring requires a single shared window")
-
-    cause_ix, causes = _index(h.cause for h in hypotheses)
-    effect_ix, effects = _index(h.effect for h in hypotheses)
+    family = HypothesisFamily.of(hypotheses)
+    tmin, tmax = family.tmin, family.tmax
+    causes, effects = family.causes, family.effects
     nc, ne = len(causes), len(effects)
 
     cooc = np.zeros((nc, nc), dtype=np.int64)      # qualifying co-occurrence
@@ -153,7 +223,7 @@ def score_hypotheses(data: TraceSet, hypotheses: Sequence[Hypothesis],
 
     for trace in data:
         rows = np.array([eval_on_trace(trace, c) for c in causes],
-                        dtype=bool)
+                        dtype=bool).reshape(nc, trace.length)
         cause_occ += rows.sum(axis=1)
         nq = trace.length - tmax
         if nq <= 0:
@@ -169,36 +239,34 @@ def score_hypotheses(data: TraceSet, hypotheses: Sequence[Hypothesis],
         cond_num += _products(rq, hits)
         kept.append((rq, hits))
 
-    occ, qual = cause_occ.tolist(), cause_qual.tolist()
-    cond, marg = cond_num.tolist(), marg_num.tolist()
-    tests = []     # per hypothesis: the fields of its result but eps_avg
-    passers = {}   # effect id -> indices of its passing hypotheses
-    for i, (h, ci, ej) in enumerate(zip(hypotheses, cause_ix, effect_ix)):
-        den, num = qual[ci], cond[ci][ej]
-        p_cond = FrequencyEstimate(num / den, num, den) if den else _ZERO
-        p_marg = (FrequencyEstimate(marg[ej] / qual_total, marg[ej],
-                                    qual_total) if qual_total else _ZERO)
-        # exact rational num/den > marg/qual_total; a qualifying cause
-        # tick (den > 0) implies the cause occurred
-        passed = den > 0 and num * qual_total > marg[ej] * den
-        tests.append((h, occ[ci] > 0, p_cond, p_marg, passed))
-        if passed:
-            passers.setdefault(ej, []).append(i)
+    cause_ix, effect_ix = family.cause_ix, family.effect_ix
+    num = cond_num[cause_ix, effect_ix]
+    den = cause_qual[cause_ix]
+    marg = marg_num[effect_ix]
+    # exact rational num/den > marg/qual_total (int64 is exact while the
+    # tick count stays below 3e9); a qualifying cause tick implies the
+    # cause occurred
+    passed = (den > 0) & (num * qual_total > marg * den)
 
-    eps = {}  # hypothesis index -> impact average; a lone passer has none
-    for ej, members in passers.items():
+    eps = np.full(len(family), np.nan)  # a lone passer has no average
+    passers = np.flatnonzero(passed)
+    passer_effects = effect_ix[passers]
+    _, first = np.unique(passer_effects, return_index=True)
+    for ej in passer_effects[np.sort(first)]:  # in first-passer order
+        members = passers[passer_effects == ej]
         if len(members) == 1:
             continue  # no rival to compare against
-        rivals = [cause_ix[i] for i in members]
+        rivals = cause_ix[members]
         values, defined = _impact_terms(
             both=cooc[np.ix_(rivals, rivals)],
             x_total=cause_qual[rivals],
             num_both=_pair_counts(kept, rivals, ej),
             num_x=cond_num[rivals, ej],
             min_support=min_support)
-        eps.update(zip(members, _average(values, defined, divisor)))
-    return [PrimaFacieResult(*test, eps.get(i))
-            for i, test in enumerate(tests)]
+        eps[members] = np.array(_average(values, defined, divisor),
+                                dtype=float)  # None reads as NaN
+    return ScoreTable(family, num, den, marg, qual_total,
+                      cause_occ[cause_ix] > 0, passed, eps)
 
 
 def _pair_counts(kept, rivals, ej):

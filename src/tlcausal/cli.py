@@ -234,8 +234,8 @@ def _cmd_check(args):
 
 
 def _cmd_fdr(args):
-    rows = pl.read_hypotheses_tsv(args.hypotheses)
-    report = pl.rerun_fdr(rows, args.outdir,
+    table = pl.read_hypotheses_tsv(args.hypotheses)
+    report = pl.rerun_fdr(table, args.outdir,
                           **_given(args, {}, _CONTROL_KEYS))
     for key in ("scored", "significant"):
         print(f"{key}: {report.counts[key]}")
@@ -244,12 +244,10 @@ def _cmd_fdr(args):
 
 
 def _cmd_report(args):
-    rows = pl.read_hypotheses_tsv(args.hypotheses)
-    significant = [(r.cause, r.effect) for r in rows if r.label == "significant"]
-    report = pl.Report(rows, significant, None, [], pl.counts(rows),
-                       {"inputs": "(saved hypothesis table)"})
+    table = pl.read_hypotheses_tsv(args.hypotheses)
+    report = pl.Report(table, None, [], {"inputs": "(saved hypothesis table)"})
     pl.render_outputs(report, args.outdir)
-    print(f"re-rendered {len(rows)} rows -> {args.outdir}")
+    print(f"re-rendered {len(table)} rows -> {args.outdir}")
     return 0
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -23,9 +24,9 @@ from .errors import DataError, FitError, TlcausalError, UsageError
 from .pctl import print_formula
 from .traces import TraceSet, load_events, load_traces
 
-__all__ = ["PipelineConfig", "HypothesisRow", "Report", "run_pipeline",
-           "load_data", "counts", "load_config_file", "read_hypotheses_tsv",
-           "render_outputs", "rerun_fdr"]
+__all__ = ["PipelineConfig", "HypothesisRow", "HypothesisTable", "Report",
+           "run_pipeline", "load_data", "counts", "load_config_file",
+           "read_hypotheses_tsv", "render_outputs", "rerun_fdr"]
 
 HYPOTHESES_FILE = "hypotheses.tsv"
 EDGES_FILE = "edges.tsv"
@@ -84,19 +85,37 @@ def _check_control(bins, degree, threshold):
         raise UsageError("threshold must lie in (0, 1]")
 
 
-@dataclass
-class HypothesisRow:
-    cause: str
-    effect: str
-    tmin: int
-    tmax: int
-    p_cond: Optional[float]
-    p_marginal: Optional[float]
-    prima_facie: bool
-    eps_avg: Optional[float]
-    z: Optional[float] = None
-    fdr: Optional[float] = None
-    label: str = "insignificant"
+# One row of a hypothesis table as ``hypotheses.tsv`` lists it; ``None``
+# stands for an empty cell.
+HypothesisRow = namedtuple("HypothesisRow", TSV_COLUMNS)
+
+
+@dataclass(eq=False)
+class HypothesisTable:
+    """The hypothesis table as one array per ``hypotheses.tsv`` column:
+    names as objects, NaN for an empty float cell.  The control stages
+    fill ``z``, ``fdr`` and ``label``.  Iterating yields
+    :class:`HypothesisRow` views."""
+
+    cause: np.ndarray
+    effect: np.ndarray
+    tmin: np.ndarray
+    tmax: np.ndarray
+    p_cond: np.ndarray
+    p_marginal: np.ndarray
+    prima_facie: np.ndarray
+    eps_avg: np.ndarray
+    z: Optional[np.ndarray] = None
+    fdr: Optional[np.ndarray] = None
+    label: Optional[np.ndarray] = None
+
+    def __len__(self):
+        return len(self.cause)
+
+    def __iter__(self):
+        columns = [getattr(self, name).tolist() for name in TSV_COLUMNS]
+        for values in zip(*columns):
+            yield HypothesisRow(*(None if v != v else v for v in values))
 
 
 @dataclass
@@ -106,14 +125,23 @@ class Report:
     run, for the ``fit: skipped`` summary line; the table then has no z/fdr
     values and nothing is significant."""
 
-    rows: List[HypothesisRow]
-    significant: List[Tuple[str, str]]
+    rows: HypothesisTable
     null_model: Optional[fdrmod.NullModel]
     plot: List[tuple]
-    counts: dict
     settings: dict
     wall_time: float = 0.0
     fit_skipped: Optional[str] = None
+
+    @property
+    def counts(self) -> dict:
+        return counts(self.rows)
+
+    @property
+    def significant(self) -> List[Tuple[str, str]]:
+        """The significant (cause, effect) pairs in table order."""
+        sig = self.rows.label == "significant"
+        return list(zip(self.rows.cause[sig].tolist(),
+                        self.rows.effect[sig].tolist()))
 
 
 def _stage(name, fn, *args, **kwargs):
@@ -137,51 +165,45 @@ def load_data(paths, format: str, horizon: Optional[int]) -> TraceSet:
     return TraceSet(tuple(ev.to_trace(variables) for ev in event_lists))
 
 
-def counts(rows: List[HypothesisRow]) -> dict:
+def counts(table: HypothesisTable) -> dict:
     """Stage counts of a hypothesis table."""
+    scored = ~np.isnan(table.eps_avg)
     return {
-        "enumerated": len(rows),
-        "prima_facie": sum(1 for r in rows if r.prima_facie),
-        "scored": sum(1 for r in rows if r.eps_avg is not None),
-        "significant": sum(1 for r in rows if r.label == "significant"),
-        "unscored_undefined": sum(
-            1 for r in rows if r.prima_facie and r.eps_avg is None),
+        "enumerated": len(table),
+        "prima_facie": int(table.prima_facie.sum()),
+        "scored": int(scored.sum()),
+        "significant": int((table.label == "significant").sum()),
+        "unscored_undefined": int((table.prima_facie & ~scored).sum()),
     }
 
 
-def _control(rows: List[HypothesisRow], bins: int, degree: int,
+def _control(table: HypothesisTable, bins: int, degree: int,
              threshold: float, p0: bool):
     """Stages 4-5 over the rows with an impact average: standardize, fit
-    the mixture and the empirical null, and label by local fdr.  Every
-    row's z/fdr/label is reset first.  Returns (null model, plot rows,
-    significant pairs, why the fit was skipped or None); a fit that cannot
-    run leaves every row unscored by fdr and insignificant."""
-    for row in rows:
-        row.z = None
-        row.fdr = None
-        row.label = "insignificant"
-    scored = [r for r in rows if r.eps_avg is not None]
-    if not scored:
-        return None, [], [], None
+    the mixture and the empirical null, and label by local fdr.  The
+    table's z/fdr/label columns are cleared first.  Returns (null model,
+    plot rows, why the fit was skipped or None); a fit that cannot run
+    leaves every row unscored by fdr and insignificant."""
+    n = len(table)
+    table.z, table.fdr = np.full(n, np.nan), np.full(n, np.nan)
+    table.label = np.full(n, "insignificant", dtype=object)
+    scored = np.flatnonzero(~np.isnan(table.eps_avg))
+    if not scored.size:
+        return None, [], None
     try:
-        zs = _stage("fdr", fdrmod.z_scores, [r.eps_avg for r in scored])
+        zs = _stage("fdr", fdrmod.z_scores, table.eps_avg[scored])
         density = _stage("fdr", fdrmod.fit_mixture, zs, bins=bins,
                          degree=degree)
         null_model = _stage("fdr", fdrmod.fit_null, density, estimate_p0=p0)
         fdrs = _stage("fdr", fdrmod.local_fdr, density, null_model,
                       np.asarray(zs.values))
     except FitError as exc:
-        return None, [], [], str(exc)
-    chosen = _stage("classify", fdrmod.classify, list(fdrs), threshold)
-    for i, row in enumerate(scored):
-        row.z = float(zs.values[i])
-        row.fdr = float(fdrs[i])
-        if i in chosen:
-            row.label = "significant"
-    significant = [(r.cause, r.effect) for r in scored
-                   if r.label == "significant"]
-    return (null_model, fdrmod.plot_rows(density, null_model), significant,
-            None)
+        return None, [], str(exc)
+    chosen = _stage("classify", fdrmod.classify, fdrs.tolist(), threshold)
+    table.z[scored] = zs.values
+    table.fdr[scored] = fdrs
+    table.label[scored[sorted(chosen)]] = "significant"
+    return null_model, fdrmod.plot_rows(density, null_model), None
 
 
 def _control_settings(bins, degree, threshold, p0) -> dict:
@@ -199,27 +221,25 @@ def run_pipeline(config: PipelineConfig) -> Report:
 
     data = _stage("load", load_data, config.paths, config.format,
                   config.horizon)
-    hypotheses = _stage("enumerate", enumerate_pairwise,
-                        data.variables, config.tmin, config.tmax,
-                        config.negations)
-    scores = _stage("score", score_hypotheses, data, hypotheses,
+    family = _stage("enumerate", enumerate_pairwise,
+                    data.variables, config.tmin, config.tmax,
+                    config.negations)
+    scores = _stage("score", score_hypotheses, data, family,
                     divisor=config.divisor, min_support=config.min_support)
+    n = len(family)
+    causes = np.array([print_formula(c) for c in family.causes], dtype=object)
+    effects = np.array([print_formula(e) for e in family.effects],
+                       dtype=object)
+    table = HypothesisTable(
+        causes[family.cause_ix], effects[family.effect_ix],
+        np.full(n, family.tmin), np.full(n, family.tmax),
+        np.divide(scores.num, scores.den, out=np.full(n, np.nan),
+                  where=scores.den > 0),
+        scores.marg / scores.qual_total if scores.qual_total
+        else np.full(n, np.nan), scores.passed, scores.eps)
 
-    rows = []
-    for result in scores:
-        h = result.hypothesis
-        rows.append(HypothesisRow(
-            cause=print_formula(h.cause), effect=print_formula(h.effect),
-            tmin=h.tmin, tmax=h.tmax,
-            p_cond=(result.p_cond.probability
-                    if result.p_cond.denominator else None),
-            p_marginal=(result.p_marginal.probability
-                        if result.p_marginal.denominator else None),
-            prima_facie=result.passed,
-            eps_avg=result.eps_avg))
-
-    null_model, plot, significant, fit_skipped = _control(
-        rows, config.bins, config.degree, config.threshold, config.p0)
+    null_model, plot, fit_skipped = _control(
+        table, config.bins, config.degree, config.threshold, config.p0)
     settings = {
         "inputs": ",".join(config.paths),
         "format": config.format,
@@ -234,8 +254,8 @@ def run_pipeline(config: PipelineConfig) -> Report:
         "ticks": str(data.total_ticks),
         "aggregation": "frequency-weighted over antecedent ticks",
     }
-    report = Report(rows, significant, null_model, plot, counts(rows),
-                    settings, wall_time=time.perf_counter() - started,
+    report = Report(table, null_model, plot, settings,
+                    wall_time=time.perf_counter() - started,
                     fit_skipped=fit_skipped)
     return _finish(report, config.outdir)
 
@@ -259,21 +279,28 @@ def _fmt_float(x) -> str:
     return format(float(x), ".10g")
 
 
-def _row_cells(row: HypothesisRow):
-    return (row.cause, row.effect, str(row.tmin), str(row.tmax),
-            _fmt_float(row.p_cond), _fmt_float(row.p_marginal),
-            "1" if row.prima_facie else "0",
-            _fmt_float(row.eps_avg), _fmt_float(row.z), _fmt_float(row.fdr),
-            row.label)
+def _cells(column: np.ndarray) -> list:
+    """One column of ``hypotheses.tsv``.  Floats are written as
+    ``_fmt_float`` writes them, NaN as the empty cell, each distinct bit
+    pattern once (columns such as ``p_marginal`` repeat a few values)."""
+    if column.dtype == bool:
+        return np.where(column, "1", "0").tolist()
+    if column.dtype != float:
+        return [str(v) for v in column.tolist()]
+    _, first, inverse = np.unique(column.view(np.int64), return_index=True,
+                                  return_inverse=True)
+    cells = ["" if v != v else format(v, ".10g")
+             for v in column[first].tolist()]
+    return [cells[i] for i in inverse.tolist()]
 
 
 def render_outputs(report: Report, outdir) -> None:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / HYPOTHESES_FILE, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\t".join(TSV_COLUMNS) + "\n")
-        for row in report.rows:
-            fh.write("\t".join(_row_cells(row)) + "\n")
+        columns = [_cells(getattr(report.rows, name)) for name in TSV_COLUMNS]
+        fh.write("\n".join(map("\t".join, [TSV_COLUMNS, *zip(*columns)]))
+                 + "\n")
     with open(out / EDGES_FILE, "w", encoding="utf-8", newline="\n") as fh:
         for cause, effect in report.significant:
             fh.write(f"{cause}\t{effect}\n")
@@ -298,7 +325,7 @@ def render_outputs(report: Report, outdir) -> None:
             fh.write(f"fit: skipped ({report.fit_skipped})\n")
 
 
-def read_hypotheses_tsv(path) -> List[HypothesisRow]:
+def read_hypotheses_tsv(path) -> HypothesisTable:
     """Parse a previously written hypothesis table."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -320,8 +347,10 @@ def read_hypotheses_tsv(path) -> List[HypothesisRow]:
             except (KeyError, ValueError):
                 raise DataError(f"{path}:{lineno}: bad {column} "
                                 f"{cell!r}") from None
-        rows.append(HypothesisRow(*values))
-    return rows
+        rows.append(values)
+    columns = list(zip(*rows)) or [()] * len(TSV_COLUMNS)
+    return HypothesisTable(*(np.array(column, dtype=dtype) for column, dtype
+                             in zip(columns, _DTYPES)))
 
 
 def _opt_float(cell):
@@ -333,7 +362,10 @@ def _opt_float(cell):
     return value
 
 
-# per column, in HypothesisRow order: refuses what render_outputs never writes
+# per column: the table's dtype (None reads as NaN) and the cell reader,
+# which refuses what render_outputs never writes
+_DTYPES = (object, object, object, object, float, float, bool, float, float,
+           float, object)
 _CELL_READERS = (str, str, int, int, _opt_float, _opt_float,
                  {"1": True, "0": False}.__getitem__,
                  _opt_float, _opt_float, _opt_float,
@@ -341,7 +373,7 @@ _CELL_READERS = (str, str, int, int, _opt_float, _opt_float,
                   "insignificant": "insignificant"}.__getitem__)
 
 
-def rerun_fdr(rows: List[HypothesisRow], outdir,
+def rerun_fdr(table: HypothesisTable, outdir,
               bins: int = fdrmod.DEFAULT_BINS,
               degree: int = fdrmod.DEFAULT_DEGREE,
               threshold: float = fdrmod.DEFAULT_THRESHOLD,
@@ -350,12 +382,12 @@ def rerun_fdr(rows: List[HypothesisRow], outdir,
     averages, refit, relabel, and write the outputs to ``outdir``.  A fit
     that cannot run raises ``FitError`` after writing them."""
     _check_control(bins, degree, threshold)
-    null_model, plot, significant, fit_skipped = _control(
-        rows, bins, degree, threshold, p0)
+    null_model, plot, fit_skipped = _control(table, bins, degree, threshold,
+                                             p0)
     settings = {"inputs": "(saved hypothesis table)",
                 **_control_settings(bins, degree, threshold, p0)}
-    return _finish(Report(rows, significant, null_model, plot, counts(rows),
-                          settings, fit_skipped=fit_skipped), outdir)
+    return _finish(Report(table, null_model, plot, settings,
+                          fit_skipped=fit_skipped), outdir)
 
 
 # ---------------------------------------------------------------------------

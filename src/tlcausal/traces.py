@@ -16,6 +16,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DataError
+from .pctl import FALSE, TRUE
 
 __all__ = [
     "EventList", "Trace", "TraceSet",
@@ -85,6 +86,10 @@ class Trace:
             raise DataError("trace must contain at least one tick")
         if len(set(self.variables)) != len(self.variables):
             raise DataError("duplicate variable names in trace")
+        for v in self.variables:
+            if v in (TRUE.name, FALSE.name):
+                raise DataError(f"variable {v!r} is a reserved name: formulas "
+                                f"read it as the constant atom")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_index",
                            {v: i for i, v in enumerate(self.variables)})

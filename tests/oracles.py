@@ -8,8 +8,9 @@ tick-by-tick chain builder is the reference for the array build in
 ``tlcausal.dtmc``.  The per-pair scoring functions at the end evaluate one
 hypothesis or one rival at a time through the package's trace counting
 (itself checked against the rational counter); they are the reference for
-the batched scorer.  ``scipy.stats.norm.pdf`` is the reference for the null
-density ``tlcausal.fdr.NullModel.pdf``.
+the batched scorer, and through them the hypothesis-table rows are the
+reference for the pipeline's columnar table.  ``scipy.stats.norm.pdf`` is
+the reference for the null density ``tlcausal.fdr.NullModel.pdf``.
 """
 
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from tlcausal.checker import (FrequencyEstimate, eval_on_trace,
                               trace_leads_to, window_hits)
 from tlcausal.dtmc import Dtmc, encode_labels
 from tlcausal.errors import CheckError, EmptyWindowError
-from tlcausal.pctl import And, Formula, Not
+from tlcausal.pctl import And, Atom, Formula, Not, print_formula
 from tlcausal.traces import TraceSet
 
 
@@ -365,6 +366,51 @@ def _reduce_terms(terms, divisor, n_rivals):
     if not defined:
         return None
     return total / len(defined)
+
+
+# ---------------------------------------------------------------------------
+# Hypothesis-table rows: one Hypothesis object at a time
+
+def pairwise_hypotheses(atoms, tmin, tmax, include_negations=False):
+    """Every ordered atom pair (cause != effect), positive causes first,
+    then negated ones, each crossed with the effects in atom order."""
+    causes = [(Atom(a), a) for a in atoms]
+    if include_negations:
+        causes += [(Not(Atom(a)), a) for a in atoms]
+    return [Hypothesis(cause, Atom(e), tmin, tmax)
+            for cause, base in causes for e in atoms if e != base]
+
+
+def hypothesis_rows(data, tmin, tmax, negations=False, divisor="defined",
+                    min_support=1):
+    """The first eight ``hypotheses.tsv`` cells of every pairwise
+    hypothesis: names, window, both frequencies, the prima facie flag and
+    the impact average, each number written with ``.10g`` and an empty
+    cell where it is undefined."""
+    tests = [prima_facie_test(data, h) for h in
+             pairwise_hypotheses(data.variables, tmin, tmax, negations)]
+    rivals = {}
+    for test in tests:
+        if test.passed:
+            rivals.setdefault(test.hypothesis.effect, []).append(
+                test.hypothesis.cause)
+    rows = []
+    for test in tests:
+        h = test.hypothesis
+        eps = (epsilon_avg(data, h.cause, h.effect, rivals[h.effect], tmin,
+                           tmax, divisor, min_support).eps_avg
+               if test.passed else None)
+        rows.append((print_formula(h.cause), print_formula(h.effect),
+                     str(tmin), str(tmax), _cell(test.p_cond),
+                     _cell(test.p_marginal), "1" if test.passed else "0",
+                     "" if eps is None else format(eps, ".10g")))
+    return rows
+
+
+def _cell(estimate):
+    if not estimate.denominator:
+        return ""
+    return format(estimate.probability, ".10g")
 
 
 # ---------------------------------------------------------------------------

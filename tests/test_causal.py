@@ -9,7 +9,8 @@ import oracles
 from conftest import random_traceset, traceset_from_marks
 from oracles import epsilon_avg, epsilon_x, prima_facie_test
 from tlcausal import causal
-from tlcausal.causal import Hypothesis, enumerate_pairwise, score_hypotheses
+from tlcausal.causal import (Hypothesis, HypothesisFamily, enumerate_pairwise,
+                             score_hypotheses)
 from tlcausal.errors import CheckError
 from tlcausal.pctl import And, Atom, Not
 from tlcausal.traces import Trace, TraceSet
@@ -33,6 +34,23 @@ class TestEnumerate:
     def test_invalid_window(self):
         with pytest.raises(CheckError):
             Hypothesis(Atom("a"), Atom("b"), 0, 4)
+        with pytest.raises(CheckError):
+            enumerate_pairwise(["a", "b"], 3, 2)
+
+    @pytest.mark.parametrize("negations", [False, True])
+    @pytest.mark.parametrize("n_atoms", [1, 2, 5])
+    def test_matches_hypothesis_loop(self, n_atoms, negations):
+        atoms = [f"v{i}" for i in range(n_atoms)]
+        family = enumerate_pairwise(atoms, 2, 4, include_negations=negations)
+        want = oracles.pairwise_hypotheses(atoms, 2, 4, negations)
+        assert list(family) == want
+        assert [family[i] for i in range(len(want))] == want
+        assert list(HypothesisFamily.of(want)) == want
+        assert HypothesisFamily.of(family) is family
+
+    def test_duplicate_atoms(self):
+        with pytest.raises(CheckError, match="duplicate"):
+            enumerate_pairwise(["a", "b", "a"], 1, 1)
 
 
 class TestPrimaFacie:
@@ -316,7 +334,7 @@ class TestBatchedScoring:
         data = random_traceset(rng, 4, max_len=80)
         hyps = enumerate_pairwise(data.variables, 1, 1)
         scores = score_hypotheses(data, hyps)
-        assert [r.hypothesis for r in scores] == hyps
+        assert [r.hypothesis for r in scores] == list(hyps)
         assert all(r.eps_avg is None for r in scores if not r.passed)
 
     def test_compound_cause_formulas(self):

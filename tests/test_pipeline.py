@@ -1,10 +1,17 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from tlcausal import cli
 from tlcausal.errors import FitError, UsageError
 from tlcausal.pipeline import (TSV_COLUMNS, PipelineConfig, load_config_file,
-                               read_hypotheses_tsv, rerun_fdr, run_pipeline)
+                               load_data, read_hypotheses_tsv, rerun_fdr,
+                               run_pipeline)
 from tlcausal.synthgen import GenConfig, generate, preset
 from tlcausal.traces import discretize, events_of, write_events
 
@@ -52,6 +59,16 @@ def _tiny_infer_args(tmp_path, outdir):
             "--format", "event-csv",
             "--horizon", "242", "--tmin", "1", "--tmax", "1",
             "--outdir", str(outdir)]
+
+
+@st.composite
+def _event_file(draw):
+    """Events over up to four variables.  A file's trace ends at its last
+    event, and some end before tick 6, the widest window's tmax."""
+    last = draw(st.integers(0, 20))
+    return draw(st.sets(st.tuples(st.integers(0, last),
+                                  st.sampled_from("abcd")),
+                        min_size=1, max_size=30))
 
 
 class TestRunPipeline:
@@ -128,6 +145,35 @@ class TestRunPipeline:
         assert report.counts["enumerated"] == 220 * 219
         assert report.counts["scored"] >= 50
         assert (tmp_path / "out" / "plot.tsv").read_text().count("\n") > 10
+
+    @settings(max_examples=80, deadline=None)
+    @given(files=st.lists(_event_file(), min_size=1, max_size=3),
+           tmin=st.integers(1, 3), width=st.integers(0, 3),
+           negations=st.booleans(),
+           divisor=st.sampled_from(["defined", "strict"]),
+           min_support=st.integers(1, 3))
+    def test_table_matches_oracle_rows(self, files, tmin, width, negations,
+                                       divisor, min_support):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for i, events in enumerate(files):
+                paths.append(str(Path(tmp) / f"r{i}.csv"))
+                Path(paths[-1]).write_text(
+                    "".join(f"{t},{v}\n" for t, v in sorted(events)))
+            out = Path(tmp) / "out"
+            try:
+                run_pipeline(PipelineConfig(
+                    paths=tuple(paths), tmin=tmin, tmax=tmin + width,
+                    negations=negations, divisor=divisor,
+                    min_support=min_support, outdir=str(out)))
+            except FitError:
+                pass  # the tables are written before the fit error
+            got = [tuple(line.split("\t")[:8]) for line in
+                   (out / "hypotheses.tsv").read_text().splitlines()[1:]]
+            data = load_data(paths, "event-csv", None)
+        assert got == oracles.hypothesis_rows(data, tmin, tmin + width,
+                                              negations, divisor,
+                                              min_support)
 
     def test_stage_labels_on_errors(self, tmp_path):
         cfg = PipelineConfig(paths=(str(tmp_path / "missing.csv"),),
@@ -340,6 +386,27 @@ class TestCli:
         assert (redo / "plot.tsv").read_text() == "center\tcount\tf\tf0\n"
         summary = (redo / "summary.txt").read_text().splitlines()
         assert summary[-1].startswith("fit: skipped ([stage fdr] ")
+
+    @pytest.mark.parametrize("format, text, name", [
+        ("event-csv", "0,true\n1,b\n5,true\n6,b\n9,c\n", "true"),
+        ("wide-csv", "time,b,false\n0,1,0\n1,0,1\n", "false")])
+    def test_reserved_variable_name_is_a_data_error(self, tmp_path, capsys,
+                                                    format, text, name):
+        # read as the constant atom, `true` would score as always holding
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["infer", "--path", str(path), "--format", format,
+                         "--tmin", "1", "--tmax", "1",
+                         "--outdir", str(out)]) == 2
+        assert f"variable {name!r} is a reserved name" in \
+            capsys.readouterr().err
+        assert not out.exists()
+        assert cli.main(["check", "--formula", f"{name} ~>{{>=1,<=1}}"
+                         "{>=0.5} b", "--path", str(path),
+                         "--format", format]) == 2
+        assert f"variable {name!r} is a reserved name" in \
+            capsys.readouterr().err
 
     def test_undecimal_event_time_is_a_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
