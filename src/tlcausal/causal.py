@@ -19,12 +19,13 @@ including the cause itself.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .checker import FrequencyEstimate, eval_on_trace, window_hits
+from .checker import (FrequencyEstimate, _check_window, eval_on_trace,
+                      window_hits)
 from .errors import CheckError
 from .pctl import Atom, Formula, Not, print_formula
 from .traces import TraceSet
@@ -33,13 +34,6 @@ __all__ = [
     "Hypothesis", "HypothesisFamily", "PrimaFacieResult", "ScoreTable",
     "enumerate_pairwise", "score_hypotheses",
 ]
-
-
-def _check_window(tmin, tmax):
-    if not (isinstance(tmin, int) and tmin >= 1):
-        raise CheckError("hypothesis window requires tmin >= 1")
-    if not (isinstance(tmax, int) and tmax >= tmin):
-        raise CheckError("hypothesis window requires tmax >= tmin")
 
 
 @dataclass(frozen=True)
@@ -73,7 +67,7 @@ class PrimaFacieResult:
 class HypothesisFamily(Sequence):
     """Hypotheses at one window as indices: hypothesis ``i`` pairs
     ``causes[cause_ix[i]]`` with ``effects[effect_ix[i]]``.  Items are
-    built on access."""
+    built on access; a slice is a family."""
 
     causes: tuple
     effects: tuple
@@ -88,7 +82,9 @@ class HypothesisFamily(Sequence):
     @classmethod
     def of(cls, hypotheses: Sequence[Hypothesis]) -> "HypothesisFamily":
         """The family of a hypothesis list at one window (a family is
-        returned as is); formulas printing alike share one index."""
+        returned as is); formulas printing alike share one index.  An
+        empty list has no window of its own and is given ``[1, 1]``, so
+        it still scores to an empty table."""
         if isinstance(hypotheses, HypothesisFamily):
             return hypotheses
         hypotheses = list(hypotheses)
@@ -103,6 +99,9 @@ class HypothesisFamily(Sequence):
         return len(self.cause_ix)
 
     def __getitem__(self, i):
+        if isinstance(i, slice):
+            return replace(self, cause_ix=self.cause_ix[i],
+                           effect_ix=self.effect_ix[i])
         return Hypothesis(self.causes[self.cause_ix[i]],
                           self.effects[self.effect_ix[i]],
                           self.tmin, self.tmax)
@@ -150,7 +149,8 @@ class ScoreTable(Sequence):
     """A family's scores as arrays over its hypotheses: ``num`` of the
     ``den`` qualifying cause ticks see the effect in window, as do ``marg``
     of all ``qual_total`` qualifying ticks; ``eps`` is the impact average,
-    NaN for none.  :class:`PrimaFacieResult` items are built on access."""
+    NaN for none.  :class:`PrimaFacieResult` items are built on access; a
+    slice is a list of them."""
 
     family: HypothesisFamily
     num: np.ndarray
@@ -165,6 +165,8 @@ class ScoreTable(Sequence):
         return len(self.family)
 
     def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
         eps = float(self.eps[i])
         return PrimaFacieResult(
             self.family[i], bool(self.occurred[i]),

@@ -93,9 +93,9 @@ HypothesisRow = namedtuple("HypothesisRow", TSV_COLUMNS)
 @dataclass(eq=False)
 class HypothesisTable:
     """The hypothesis table as one array per ``hypotheses.tsv`` column:
-    names as objects, NaN for an empty float cell.  The control stages
-    fill ``z``, ``fdr`` and ``label``.  Iterating yields
-    :class:`HypothesisRow` views."""
+    names as objects, the window as int64, NaN for an empty float cell.
+    The control stages fill ``z``, ``fdr`` and ``label``.  Iterating
+    yields :class:`HypothesisRow` views."""
 
     cause: np.ndarray
     effect: np.ndarray
@@ -282,7 +282,8 @@ def _fmt_float(x) -> str:
 def _cells(column: np.ndarray) -> list:
     """One column of ``hypotheses.tsv``.  Floats are written as
     ``_fmt_float`` writes them, NaN as the empty cell, each distinct bit
-    pattern once (columns such as ``p_marginal`` repeat a few values)."""
+    pattern once: on wide families most ``p_cond``, ``p_marginal`` and
+    ``fdr`` cells repeat a value, and formatting dominates the write."""
     if column.dtype == bool:
         return np.where(column, "1", "0").tolist()
     if column.dtype != float:
@@ -341,7 +342,7 @@ def read_hypotheses_tsv(path) -> HypothesisTable:
             raise DataError(f"{path}:{lineno}: expected "
                             f"{len(TSV_COLUMNS)} columns")
         values = []
-        for column, cell, read in zip(TSV_COLUMNS, cells, _CELL_READERS):
+        for column, cell, (read, _) in zip(TSV_COLUMNS, cells, _READERS):
             try:
                 values.append(read(cell))
             except (KeyError, ValueError):
@@ -349,8 +350,8 @@ def read_hypotheses_tsv(path) -> HypothesisTable:
                                 f"{cell!r}") from None
         rows.append(values)
     columns = list(zip(*rows)) or [()] * len(TSV_COLUMNS)
-    return HypothesisTable(*(np.array(column, dtype=dtype) for column, dtype
-                             in zip(columns, _DTYPES)))
+    return HypothesisTable(*(np.array(column, dtype=dtype) for column,
+                             (_, dtype) in zip(columns, _READERS)))
 
 
 def _opt_float(cell):
@@ -362,15 +363,14 @@ def _opt_float(cell):
     return value
 
 
-# per column: the table's dtype (None reads as NaN) and the cell reader,
-# which refuses what render_outputs never writes
-_DTYPES = (object, object, object, object, float, float, bool, float, float,
-           float, object)
-_CELL_READERS = (str, str, int, int, _opt_float, _opt_float,
-                 {"1": True, "0": False}.__getitem__,
-                 _opt_float, _opt_float, _opt_float,
-                 {"significant": "significant",
-                  "insignificant": "insignificant"}.__getitem__)
+# per column: the cell reader, which refuses what render_outputs never
+# writes, and the table's dtype (an empty float cell reads as NaN)
+_READERS = ((str, object), (str, object), (int, np.int64), (int, np.int64),
+            (_opt_float, float), (_opt_float, float),
+            ({"1": True, "0": False}.__getitem__, bool),
+            (_opt_float, float), (_opt_float, float), (_opt_float, float),
+            ({"significant": "significant",
+              "insignificant": "insignificant"}.__getitem__, object))
 
 
 def rerun_fdr(table: HypothesisTable, outdir,

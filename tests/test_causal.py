@@ -45,6 +45,8 @@ class TestEnumerate:
         want = oracles.pairwise_hypotheses(atoms, 2, 4, negations)
         assert list(family) == want
         assert [family[i] for i in range(len(want))] == want
+        assert list(family[1:-1]) == want[1:-1]
+        assert list(family[::-2]) == want[::-2]
         assert list(HypothesisFamily.of(want)) == want
         assert HypothesisFamily.of(family) is family
 
@@ -335,6 +337,9 @@ class TestBatchedScoring:
         hyps = enumerate_pairwise(data.variables, 1, 1)
         scores = score_hypotheses(data, hyps)
         assert [r.hypothesis for r in scores] == list(hyps)
+        assert scores[-3:] == list(scores)[-3:]
+        assert scores[::-1] == list(scores)[::-1]
+        assert list(score_hypotheses(data, [])) == []
         assert all(r.eps_avg is None for r in scores if not r.passed)
 
     def test_compound_cause_formulas(self):

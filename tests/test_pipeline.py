@@ -111,6 +111,9 @@ class TestRunPipeline:
         report = run_pipeline(_config(path, out, horizon=horizon))
         rows = read_hypotheses_tsv(out / "hypotheses.tsv")
         assert len(rows) == len(report.rows)
+        for name in TSV_COLUMNS:
+            assert (getattr(rows, name).dtype
+                    == getattr(report.rows, name).dtype), name
         for got, want in zip(rows, report.rows):
             assert got.cause == want.cause and got.effect == want.effect
             assert got.prima_facie == want.prima_facie
