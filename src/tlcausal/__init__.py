@@ -7,8 +7,8 @@ and significance is decided by empirical-null local false discovery rate
 control.
 """
 
-from .causal import (Hypothesis, HypothesisFamily, PrimaFacieResult,
-                     ScoreTable, enumerate_pairwise, score_hypotheses)
+from .causal import (Hypothesis, HypothesisFamily, ScoreTable,
+                     enumerate_pairwise, score_hypotheses)
 from .checker import (FrequencyEstimate, eval_on_trace, leads_to_prob,
                       sat_set, trace_leads_to, unless_prob, until_prob)
 from .dtmc import Dtmc, build_dtmc, encode_labels
@@ -23,6 +23,6 @@ from .pctl import (INFINITY, And, Atom, Formula, Implies, LeadsTo, Not, Or,
 from .pipeline import PipelineConfig, Report, run_pipeline
 from .synthgen import GenConfig, GroundTruth, StructureSpec, generate, preset
 from .traces import (EventList, Trace, TraceSet, discretize, events_of,
-                     load_events, load_traces, write_events)
+                     load_events, write_events)
 
 __version__ = "0.1.0"

@@ -19,20 +19,18 @@ including the cause itself.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from .checker import (FrequencyEstimate, _check_window, eval_on_trace,
-                      window_hits)
+from .checker import _check_window, eval_on_trace, window_hits
 from .errors import CheckError
 from .pctl import Atom, Formula, Not, print_formula
 from .traces import TraceSet
 
 __all__ = [
-    "Hypothesis", "HypothesisFamily", "PrimaFacieResult", "ScoreTable",
-    "enumerate_pairwise", "score_hypotheses",
+    "Hypothesis", "HypothesisFamily", "ScoreTable", "enumerate_pairwise",
+    "score_hypotheses",
 ]
 
 
@@ -49,25 +47,10 @@ class Hypothesis:
         _check_window(self.tmin, self.tmax)
 
 
-@dataclass(frozen=True)
-class PrimaFacieResult:
-    """One hypothesis's prima facie test and, for a passer, its average
-    impact ``eps_avg``: ``None`` when there is nothing to average (no rival
-    passer, or no defined term under the ``defined`` divisor)."""
-
-    hypothesis: Hypothesis
-    occurred: bool
-    p_cond: FrequencyEstimate
-    p_marginal: FrequencyEstimate
-    passed: bool
-    eps_avg: Optional[float] = None
-
-
 @dataclass(frozen=True, eq=False)
-class HypothesisFamily(Sequence):
+class HypothesisFamily:
     """Hypotheses at one window as indices: hypothesis ``i`` pairs
-    ``causes[cause_ix[i]]`` with ``effects[effect_ix[i]]``.  Items are
-    built on access; a slice is a family."""
+    ``causes[cause_ix[i]]`` with ``effects[effect_ix[i]]``."""
 
     causes: tuple
     effects: tuple
@@ -97,14 +80,6 @@ class HypothesisFamily(Sequence):
 
     def __len__(self):
         return len(self.cause_ix)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return replace(self, cause_ix=self.cause_ix[i],
-                           effect_ix=self.effect_ix[i])
-        return Hypothesis(self.causes[self.cause_ix[i]],
-                          self.effects[self.effect_ix[i]],
-                          self.tmin, self.tmax)
 
 
 def _index(formulas):
@@ -145,12 +120,11 @@ def enumerate_pairwise(atoms: Sequence[str], tmin: int, tmax: int,
 
 
 @dataclass(frozen=True, eq=False)
-class ScoreTable(Sequence):
+class ScoreTable:
     """A family's scores as arrays over its hypotheses: ``num`` of the
     ``den`` qualifying cause ticks see the effect in window, as do ``marg``
     of all ``qual_total`` qualifying ticks; ``eps`` is the impact average,
-    NaN for none.  :class:`PrimaFacieResult` items are built on access; a
-    slice is a list of them."""
+    NaN for none."""
 
     family: HypothesisFamily
     num: np.ndarray
@@ -160,24 +134,6 @@ class ScoreTable(Sequence):
     occurred: np.ndarray
     passed: np.ndarray
     eps: np.ndarray
-
-    def __len__(self):
-        return len(self.family)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        eps = float(self.eps[i])
-        return PrimaFacieResult(
-            self.family[i], bool(self.occurred[i]),
-            _estimate(int(self.num[i]), int(self.den[i])),
-            _estimate(int(self.marg[i]), self.qual_total),
-            bool(self.passed[i]), None if np.isnan(eps) else eps)
-
-
-def _estimate(num, den):
-    """``num`` of ``den`` ticks as a frequency; no ticks read as 0."""
-    return FrequencyEstimate(num / den if den else 0.0, num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -131,32 +131,24 @@ def sat_set(model: Dtmc, f: Formula) -> frozenset:
     return frozenset(int(i) for i in np.flatnonzero(_state_mask(model, f)))
 
 
-def _as_mask(model, states) -> np.ndarray:
-    if isinstance(states, np.ndarray) and states.dtype == bool:
-        return states
-    mask = np.zeros(model.n_states, dtype=bool)
-    for s in states:
-        mask[int(s)] = True
-    return mask
-
-
-def until_prob(model: Dtmc, f1set, f2set, tmax) -> np.ndarray:
-    """Per-state probability of ``f1 U{<=tmax} f2``.
+def until_prob(model: Dtmc, f1m: np.ndarray, f2m: np.ndarray,
+               tmax) -> np.ndarray:
+    """Per-state probability of ``f1 U{<=tmax} f2``, where ``f1m`` and
+    ``f2m`` are boolean state masks.
 
     Recurrence: P_0 = [s in f2]; P_k = 1 on f2, else T @ P_{k-1} on f1,
     else 0.  An infinite bound iterates to the least fixed point within
     ``FIXPOINT_TOL`` and raises :class:`ConvergenceError` at the cap.
     """
-    f2v = _as_mask(model, f2set).astype(float)
-    cont = _as_mask(model, f1set) & ~_as_mask(model, f2set)
-    return _iterate(model, f2v.copy(), f2v, cont, tmax)
+    f2v = f2m.astype(float)
+    return _iterate(model, f2v.copy(), f2v, f1m & ~f2m, tmax)
 
 
-def unless_prob(model: Dtmc, f1set, f2set, tmax) -> np.ndarray:
-    """Per-state probability of the weak until ``f1 W{<=tmax} f2``:
-    as until, except f1 may persist through the whole bound."""
-    f1m = _as_mask(model, f1set)
-    f2m = _as_mask(model, f2set)
+def unless_prob(model: Dtmc, f1m: np.ndarray, f2m: np.ndarray,
+                tmax) -> np.ndarray:
+    """Per-state probability of the weak until ``f1 W{<=tmax} f2``, where
+    ``f1m`` and ``f2m`` are boolean state masks: as until, except f1 may
+    persist through the whole bound."""
     f2v = f2m.astype(float)
     start = (f1m | f2m).astype(float)
     return _iterate(model, start, f2v, f1m & ~f2m, tmax)

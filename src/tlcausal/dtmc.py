@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import DataError
-from .traces import TraceSet
+from .traces import TraceSet, _reject_reserved
 
 __all__ = ["Dtmc", "build_dtmc", "encode_labels", "export_text", "load_text"]
 
@@ -44,6 +44,7 @@ class Dtmc:
 
     def __post_init__(self):
         object.__setattr__(self, "atoms", tuple(self.atoms))
+        _reject_reserved(self.atoms)
         marks = np.asarray(self.label_matrix, dtype=bool).view()
         if marks.ndim != 2 or marks.shape[1] != len(self.atoms):
             raise DataError("label matrix shape does not match atoms")

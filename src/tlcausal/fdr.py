@@ -66,6 +66,8 @@ class MixtureDensity:
 
     ``pdf`` evaluates ``exp(poly((z - mid) / half) - log_norm)``; the
     normalizer makes the density integrate to 1 over the binned range.
+    Outside that range the polynomial is not extrapolated: ``z`` is
+    clipped to the outer edges.
     """
 
     edges: np.ndarray
@@ -78,12 +80,13 @@ class MixtureDensity:
     n_scores: int
 
     def log_intensity(self, z):
-        t = (np.asarray(z, dtype=float) - self.mid) / self.half
-        return np.polynomial.polynomial.polyval(t, self.coef)
+        z = np.clip(np.asarray(z, dtype=float), self.edges[0], self.edges[-1])
+        return np.polynomial.polynomial.polyval((z - self.mid) / self.half,
+                                                self.coef)
 
     def pdf(self, z):
-        # upper clamp avoids overflow under far extrapolation; genuine
-        # underflow to 0 is kept and surfaces as an fdr note
+        # the upper clamp keeps exp finite; genuine underflow to 0 is kept
+        # and surfaces as an fdr note
         out = np.exp(np.minimum(self.log_intensity(z) - self.log_norm, 700.0))
         return float(out) if np.isscalar(z) else out
 

@@ -22,7 +22,7 @@ from . import fdr as fdrmod
 from .causal import enumerate_pairwise, score_hypotheses
 from .errors import DataError, FitError, TlcausalError, UsageError
 from .pctl import print_formula
-from .traces import TraceSet, load_events, load_traces
+from .traces import TraceSet, _load_wide, _open_lines, load_events
 
 __all__ = ["PipelineConfig", "HypothesisRow", "HypothesisTable", "Report",
            "run_pipeline", "load_data", "counts", "load_config_file",
@@ -153,12 +153,13 @@ def _stage(name, fn, *args, **kwargs):
 
 
 def load_data(paths, format: str, horizon: Optional[int]) -> TraceSet:
-    """Load replicate files into one trace set.  Event-csv replicates share
-    one variable universe, in first-appearance order across the files."""
+    """Load replicate files (paths or text streams) into one trace set.
+    Event-csv replicates share one variable universe, in first-appearance
+    order across the files; wide-csv files ignore ``horizon``."""
+    if format == "wide-csv":
+        return TraceSet(tuple(_load_wide(_open_lines(p)) for p in paths))
     if format != "event-csv":
-        return TraceSet(tuple(tr for path in paths
-                              for tr in load_traces(path, format,
-                                                    horizon=horizon)))
+        raise DataError(f"unknown trace format: {format!r}")
     event_lists = [load_events(path, horizon) for path in paths]
     variables = tuple(dict.fromkeys(v for events in event_lists
                                     for v in events.variables()))

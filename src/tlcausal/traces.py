@@ -20,7 +20,7 @@ from .pctl import FALSE, TRUE
 
 __all__ = [
     "EventList", "Trace", "TraceSet",
-    "load_traces", "load_events", "discretize", "events_of", "write_events",
+    "load_events", "discretize", "events_of", "write_events",
 ]
 
 
@@ -86,10 +86,7 @@ class Trace:
             raise DataError("trace must contain at least one tick")
         if len(set(self.variables)) != len(self.variables):
             raise DataError("duplicate variable names in trace")
-        for v in self.variables:
-            if v in (TRUE.name, FALSE.name):
-                raise DataError(f"variable {v!r} is a reserved name: formulas "
-                                f"read it as the constant atom")
+        _reject_reserved(self.variables)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_index",
                            {v: i for i, v in enumerate(self.variables)})
@@ -103,6 +100,15 @@ class Trace:
             return self.values[self._index[variable]]
         except KeyError:
             raise DataError(f"unknown atom: {variable!r}") from None
+
+
+def _reject_reserved(names):
+    """Refuse ``true`` and ``false`` as variable names: formulas read them
+    as the constant atoms."""
+    for v in names:
+        if v in (TRUE.name, FALSE.name):
+            raise DataError(f"variable {v!r} is a reserved name: formulas "
+                            f"read it as the constant atom")
 
 
 @dataclass(frozen=True)
@@ -152,29 +158,12 @@ def _open_lines(source):
     return data.splitlines()
 
 
-def load_traces(source: Source, format: str,
-                horizon: Optional[int] = None,
-                variables: Optional[Sequence[str]] = None) -> TraceSet:
-    """Load one trace from a CSV stream into a singleton :class:`TraceSet`.
-
-    ``wide-csv``: header ``time,<var1>,...,<varN>``; one row per tick with
-    cells in {0, 1}; the time column must run 0..length-1 in order.
-
-    ``event-csv``: headerless ``<time>,<variable>`` rows; densified to length
-    ``horizon`` (defaulting to the last event time + 1).  ``variables`` may
-    declare the universe when some variables never occur.
-    """
-    if format == "wide-csv":
-        return TraceSet((_load_wide(_open_lines(source)),))
-    if format == "event-csv":
-        return TraceSet((load_events(source, horizon).to_trace(variables),))
-    raise DataError(f"unknown trace format: {format!r}")
-
-
 def load_events(source: Source, horizon: Optional[int] = None) -> EventList:
-    """Parse an event-csv stream without densifying (replicate loaders can
-    then share one variable universe across files).  Syntax errors name
-    their line; :meth:`EventList.from_records` checks range and duplicates.
+    """Parse an event-csv stream, headerless ``<time>,<variable>`` rows,
+    without densifying (replicate loaders can then share one variable
+    universe across files).  ``horizon`` defaults to the last event time
+    + 1.  Syntax errors name their line; :meth:`EventList.from_records`
+    checks range and duplicates.
     """
     records = []
     for lineno, line in enumerate(_open_lines(source), start=1):
@@ -192,6 +181,9 @@ def load_events(source: Source, horizon: Optional[int] = None) -> EventList:
 
 
 def _load_wide(lines):
+    """One trace from wide-csv lines: header ``time,<var1>,...,<varN>``,
+    then one row per tick with cells in {0, 1}; the time column must run
+    0..length-1 in order."""
     rows = [ln for ln in lines if ln.strip() != ""]
     if not rows:
         raise DataError("empty wide-csv input")

@@ -21,7 +21,7 @@ import numpy as np
 from scipy import sparse
 from scipy.stats import norm
 
-from tlcausal.causal import Hypothesis, PrimaFacieResult
+from tlcausal.causal import Hypothesis
 from tlcausal.checker import (FrequencyEstimate, eval_on_trace,
                               trace_leads_to, window_hits)
 from tlcausal.dtmc import Dtmc, encode_labels
@@ -274,6 +274,17 @@ def marginal_window_prob(data: TraceSet, e: Formula,
 
 
 
+@dataclass(frozen=True)
+class PrimaFacieRecord:
+    """One hypothesis's prima facie test."""
+
+    hypothesis: Hypothesis
+    occurred: bool
+    p_cond: FrequencyEstimate
+    p_marginal: FrequencyEstimate
+    passed: bool
+
+
 def prima_facie_test(data, h):
     """Occurrence, probability raising, and the strictness check for one
     hypothesis.  Empty denominators make the test fail, not raise."""
@@ -291,7 +302,7 @@ def prima_facie_test(data, h):
               and p_marginal.denominator > 0
               and Fraction(p_cond.numerator, p_cond.denominator)
               > Fraction(p_marginal.numerator, p_marginal.denominator))
-    return PrimaFacieResult(h, occurred, p_cond, p_marginal, passed)
+    return PrimaFacieRecord(h, occurred, p_cond, p_marginal, passed)
 
 
 @dataclass(frozen=True)

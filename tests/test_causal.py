@@ -25,11 +25,11 @@ class TestEnumerate:
     def test_negations_double_the_causes(self):
         got = enumerate_pairwise(["a", "b"], 1, 1, include_negations=True)
         assert len(got) == 4
-        assert got[2].cause == Not(Atom("a"))
+        assert got.causes[got.cause_ix[2]] == Not(Atom("a"))
 
     def test_window_carried(self):
-        h = enumerate_pairwise(["a", "b"], 20, 40)[0]
-        assert (h.tmin, h.tmax) == (20, 40)
+        family = enumerate_pairwise(["a", "b"], 20, 40)
+        assert (family.tmin, family.tmax) == (20, 40)
 
     def test_invalid_window(self):
         with pytest.raises(CheckError):
@@ -43,11 +43,11 @@ class TestEnumerate:
         atoms = [f"v{i}" for i in range(n_atoms)]
         family = enumerate_pairwise(atoms, 2, 4, include_negations=negations)
         want = oracles.pairwise_hypotheses(atoms, 2, 4, negations)
-        assert list(family) == want
-        assert [family[i] for i in range(len(want))] == want
-        assert list(family[1:-1]) == want[1:-1]
-        assert list(family[::-2]) == want[::-2]
-        assert list(HypothesisFamily.of(want)) == want
+        assert len(family) == len(want)
+        for fam in (family, HypothesisFamily.of(want)):
+            assert [(fam.causes[c], fam.effects[e], fam.tmin, fam.tmax)
+                    for c, e in zip(fam.cause_ix, fam.effect_ix)] == \
+                [(h.cause, h.effect, h.tmin, h.tmax) for h in want]
         assert HypothesisFamily.of(family) is family
 
     def test_duplicate_atoms(self):
@@ -232,6 +232,13 @@ def _row_terms(terms, by_effect, h):
             for k in range(len(rivals)) if k != i]
 
 
+def _eps(scores, i):
+    """The impact average of hypothesis ``i``, None where NaN, as the
+    per-pair functions report it."""
+    eps = float(scores.eps[i])
+    return None if np.isnan(eps) else eps
+
+
 @st.composite
 def _replicate_sets(draw):
     """1-3 replicate traces over 2-4 atoms, 1-24 ticks each, so that with
@@ -256,27 +263,30 @@ class TestBatchedScoring:
             tmin = int(rng.integers(1, 3))
             tmax = tmin + int(rng.integers(0, 3))
             hyps = enumerate_pairwise(data.variables, tmin, tmax)
+            want = oracles.pairwise_hypotheses(data.variables, tmin, tmax)
             scores, terms = _score_with_terms(monkeypatch, data, hyps)
             by_effect = {}
-            for res in scores:
-                single = prima_facie_test(data, res.hypothesis)
-                assert single.passed == res.passed
-                assert single.p_cond == res.p_cond
-                assert single.p_marginal == res.p_marginal
-                if res.passed:
-                    by_effect.setdefault(res.hypothesis.effect,
-                                         []).append(res.hypothesis.cause)
+            for i, h in enumerate(want):
+                single = prima_facie_test(data, h)
+                assert scores.passed[i] == single.passed
+                assert (scores.num[i], scores.den[i]) == \
+                    (single.p_cond.numerator, single.p_cond.denominator)
+                assert (scores.marg[i], scores.qual_total) == \
+                    (single.p_marginal.numerator,
+                     single.p_marginal.denominator)
+                if single.passed:
+                    by_effect.setdefault(h.effect, []).append(h.cause)
             # the scorer visits the effects with rivals in first-passer order
             with_rivals = [e for e, cs in by_effect.items() if len(cs) > 1]
             assert len(terms) == len(with_rivals)
             terms = dict(zip(with_rivals, terms))
-            for record in [r for r in scores if r.passed]:
-                h = record.hypothesis
-                want = epsilon_avg(data, h.cause, h.effect,
-                                   by_effect[h.effect], tmin, tmax)
-                assert record.eps_avg == want.eps_avg
+            for i in np.flatnonzero(scores.passed):
+                h = want[i]
+                single = epsilon_avg(data, h.cause, h.effect,
+                                     by_effect[h.effect], tmin, tmax)
+                assert _eps(scores, i) == single.eps_avg
                 assert _row_terms(terms, by_effect, h) == \
-                       [(t.value, t.defined) for t in want.eps_terms]
+                       [(t.value, t.defined) for t in single.eps_terms]
 
     @settings(max_examples=150, deadline=None)
     @given(data=_replicate_sets(), tmin=st.integers(1, 3),
@@ -289,25 +299,27 @@ class TestBatchedScoring:
         tmax = tmin + width
         hyps = enumerate_pairwise(data.variables, tmin, tmax,
                                   include_negations=negations)
+        want = oracles.pairwise_hypotheses(data.variables, tmin, tmax,
+                                           negations)
         scores = score_hypotheses(data, hyps, divisor=divisor,
                                   min_support=min_support)
         by_effect = {}
-        for res in scores:
-            single = prima_facie_test(data, res.hypothesis)
-            assert res.p_cond == single.p_cond
-            assert res.p_marginal == single.p_marginal
-            assert res.passed == single.passed
-            if res.passed:
-                by_effect.setdefault(res.hypothesis.effect,
-                                     []).append(res.hypothesis.cause)
-        assert len([r for r in scores if r.passed]) == \
-               sum(map(len, by_effect.values()))
-        for record in [r for r in scores if r.passed]:
-            h = record.hypothesis
-            want = epsilon_avg(data, h.cause, h.effect, by_effect[h.effect],
-                               tmin, tmax, divisor=divisor,
-                               min_support=min_support)
-            assert record.eps_avg == want.eps_avg
+        for i, h in enumerate(want):
+            single = prima_facie_test(data, h)
+            assert (scores.num[i], scores.den[i]) == \
+                (single.p_cond.numerator, single.p_cond.denominator)
+            assert (scores.marg[i], scores.qual_total) == \
+                (single.p_marginal.numerator, single.p_marginal.denominator)
+            assert scores.passed[i] == single.passed
+            if single.passed:
+                by_effect.setdefault(h.effect, []).append(h.cause)
+        assert scores.passed.sum() == sum(map(len, by_effect.values()))
+        for i in np.flatnonzero(scores.passed):
+            h = want[i]
+            single = epsilon_avg(data, h.cause, h.effect, by_effect[h.effect],
+                                 tmin, tmax, divisor=divisor,
+                                 min_support=min_support)
+            assert _eps(scores, i) == single.eps_avg
 
     def test_min_support_below_one_acts_as_one(self):
         # a and b never co-occur: their mutual terms have no ticks at all
@@ -317,30 +329,29 @@ class TestBatchedScoring:
         hyps = enumerate_pairwise(data.variables, 1, 1)
         zero = score_hypotheses(data, hyps, min_support=0)
         one = score_hypotheses(data, hyps, min_support=1)
-        assert len([r for r in zero if r.passed]) == 2
-        assert [r.eps_avg for r in zero if r.passed] == \
-               [r.eps_avg for r in one if r.passed]
+        assert zero.passed.sum() == 2
+        assert [_eps(zero, i) for i in np.flatnonzero(zero.passed)] == \
+               [_eps(one, i) for i in np.flatnonzero(one.passed)]
 
     def test_negated_causes(self):
         rng = np.random.default_rng(55)
         data = random_traceset(rng, 3, max_len=60)
         hyps = enumerate_pairwise(data.variables, 1, 2,
                                   include_negations=True)
+        want = oracles.pairwise_hypotheses(data.variables, 1, 2, True)
         scores = score_hypotheses(data, hyps)
-        for res in scores:
-            single = prima_facie_test(data, res.hypothesis)
-            assert single.passed == res.passed
+        for i, h in enumerate(want):
+            single = prima_facie_test(data, h)
+            assert single.passed == scores.passed[i]
 
     def test_records_in_enumeration_order(self):
         rng = np.random.default_rng(9)
         data = random_traceset(rng, 4, max_len=80)
         hyps = enumerate_pairwise(data.variables, 1, 1)
         scores = score_hypotheses(data, hyps)
-        assert [r.hypothesis for r in scores] == list(hyps)
-        assert scores[-3:] == list(scores)[-3:]
-        assert scores[::-1] == list(scores)[::-1]
-        assert list(score_hypotheses(data, [])) == []
-        assert all(r.eps_avg is None for r in scores if not r.passed)
+        assert scores.family is hyps
+        assert len(score_hypotheses(data, []).family) == 0
+        assert np.isnan(scores.eps[~scores.passed]).all()
 
     def test_compound_cause_formulas(self):
         data = traceset_from_marks(
@@ -349,8 +360,9 @@ class TestBatchedScoring:
         h = Hypothesis(And(Atom("a"), Atom("b")), Atom("e"), 1, 1)
         scores = score_hypotheses(data, [h])
         single = prima_facie_test(data, h)
-        assert scores[0].p_cond == single.p_cond
-        assert scores[0].passed == single.passed
+        assert (scores.num[0], scores.den[0]) == \
+            (single.p_cond.numerator, single.p_cond.denominator)
+        assert scores.passed[0] == single.passed
 
 
 class TestDivisorArithmetic:

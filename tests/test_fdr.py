@@ -142,10 +142,9 @@ class TestLocalFdr:
         null = NullModel(delta0=-0.14, sigma0=0.39)
         z_at_8 = (8.0 - zs.source_mean) / zs.source_sd
         # raw 8.0 lies past the binned z range, where the fitted marginal
-        # (log f = -1474) underflows and falls far below the null
-        # (log f0 = -218): the ratio in logs caps at 1
-        assert density.pdf(8.0) == 0.0
-        assert local_fdr(density, null, 8.0) == 1.0
+        # holds its value at the upper edge instead of extrapolating
+        assert density.pdf(8.0) == density.pdf(density.edges[-1])
+        assert local_fdr(density, null, 8.0) < 1e-6
         assert local_fdr(density, null, z_at_8) < 1e-6
 
     def test_underflow_takes_log_ratio(self):
@@ -153,7 +152,8 @@ class TestLocalFdr:
         zs = z_scores(rng.standard_normal(1000))
         density = fit_mixture(zs)
         null = fit_null(density)
-        assert density.pdf(-1e6) == 0.0  # the fitted tail underflows here
+        # past the histogram the density holds its edge value
+        assert density.pdf(-1e6) == density.pdf(density.edges[0])
         for z in (-1e6, 1e6):
             fz = density.pdf(z)
             if fz == 0.0:
@@ -163,18 +163,28 @@ class TestLocalFdr:
             else:
                 want = min(1.0, null.pdf(z) / fz)
             assert local_fdr(density, null, z) == want
-        # log f0 is about -5.6e11 there and log f about -6.8e38
-        assert local_fdr(density, null, -1e6) == 1.0
-        # both logs are -inf at -1e300: the ratio is undefined and reads as 1
+
+    def test_bounded_past_the_histogram(self):
+        # the seed-3 fit spans about [-4.0, 3.9]; extrapolating its
+        # polynomial gave pdf(10) = 1e304 and NaN at +-inf
+        rng = np.random.default_rng(3)
+        density = fit_mixture(z_scores(rng.standard_normal(1000)))
+        null = fit_null(density)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert local_fdr(density, null, -1e300) == 1.0
+            warnings.simplefilter("error", RuntimeWarning)
+            values = local_fdr(density, null,
+                               np.array([1e6, np.inf, -np.inf]))
+            assert np.isfinite(values).all()
+            assert ((values >= 0.0) & (values <= 1.0)).all()
+            for z in (1e6, np.inf, -np.inf):
+                assert 0.0 <= local_fdr(density, null, z) <= 1.0
 
     @pytest.mark.parametrize("p0", [None, 0.25])
     def test_underflow_matches_the_ratio_it_replaces(self, p0):
         # f is exactly the standard normal; so is f0, scaled by p0.  Past
         # z = 38.6 both underflow, yet their ratio is still p0 (or 1).
-        density = MixtureDensity(np.zeros(2), np.zeros(1), np.zeros(1),
+        density = MixtureDensity(np.array([-60.0, 60.0]), np.zeros(1),
+                                 np.zeros(1),
                                  np.array([0.0, 0.0, -0.5]), 0.0, 1.0,
                                  float(np.log(np.sqrt(2 * np.pi))), 0)
         null = NullModel(0.0, 1.0, p0)

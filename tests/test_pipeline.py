@@ -297,10 +297,9 @@ class TestCli:
 
     def test_check_on_exported_model(self, tmp_path, capsys):
         from tlcausal.dtmc import build_dtmc, export_text
-        from tlcausal.traces import load_traces
         ev = tmp_path / "ev.csv"
         ev.write_text("0,a\n1,b\n2,a\n3,b\n")
-        model = build_dtmc(load_traces(ev, "event-csv", horizon=4))
+        model = build_dtmc(load_data([ev], "event-csv", 4))
         listing = tmp_path / "model.txt"
         export_text(model, listing)
         rc = cli.main(["check", "--formula", "[true U{<=2} b]{>0}",
@@ -315,6 +314,16 @@ class TestCli:
         assert cli.main(["check", "--formula", "a",
                          "--model", str(listing)]) == 2
         assert "names a state outside" in capsys.readouterr().err
+
+    def test_check_model_with_reserved_atom_name(self, tmp_path, capsys):
+        # read as the constant atom, `true` would hold in every state
+        listing = tmp_path / "model.txt"
+        listing.write_text("atoms true b\ninitial 0\nstate 0: {b}\n"
+                           "state 1: {}\ntrans 0 1 1.0\ntrans 1 0 1.0\n")
+        assert cli.main(["check", "--formula", "true",
+                         "--model", str(listing)]) == 2
+        assert "variable 'true' is a reserved name" in \
+            capsys.readouterr().err
 
     def test_fdr_rerun_from_table(self, tmp_path, capsys):
         path, _, horizon = _generate_inputs(tmp_path)
@@ -514,10 +523,9 @@ outdir = {tmp_path / 'cfgout'}
 
     def test_check_leads_to_against_model(self, tmp_path, capsys):
         from tlcausal.dtmc import build_dtmc, export_text
-        from tlcausal.traces import load_traces
         ev = tmp_path / "ev.csv"
         ev.write_text("0,a\n1,b\n2,a\n3,b\n4,a\n5,b\n")
-        model = build_dtmc(load_traces(ev, "event-csv", horizon=6))
+        model = build_dtmc(load_data([ev], "event-csv", 6))
         listing = tmp_path / "model.txt"
         export_text(model, listing)
         rc = cli.main(["check", "--formula", "a ~>{>=1,<=2}{>=0.9} b",

@@ -6,14 +6,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tlcausal.errors import DataError
+from tlcausal.pipeline import load_data
 from tlcausal.traces import (EventList, Trace, TraceSet, discretize,
-                             events_of, load_events, load_traces,
-                             write_events)
+                             events_of, load_events, write_events)
 
 
 class TestWideCsv:
     def test_basic(self):
-        data = load_traces(io.StringIO("time,a,b\n0,1,0\n1,0,1\n"), "wide-csv")
+        data = load_data([io.StringIO("time,a,b\n0,1,0\n1,0,1\n")], "wide-csv",
+                         None)
         trace = data.traces[0]
         assert trace.variables == ("a", "b")
         assert trace.column("a").tolist() == [True, False]
@@ -21,21 +22,20 @@ class TestWideCsv:
 
     def test_bad_cell(self):
         with pytest.raises(DataError, match="line 3"):
-            load_traces(io.StringIO("time,a\n0,1\n1,2\n"), "wide-csv")
+            load_data([io.StringIO("time,a\n0,1\n1,2\n")], "wide-csv", None)
 
     def test_tick_order_enforced(self):
         with pytest.raises(DataError, match="expected tick"):
-            load_traces(io.StringIO("time,a\n0,1\n2,1\n"), "wide-csv")
+            load_data([io.StringIO("time,a\n0,1\n2,1\n")], "wide-csv", None)
 
     def test_crlf(self):
-        data = load_traces(io.StringIO("time,a\r\n0,1\r\n"), "wide-csv")
+        data = load_data([io.StringIO("time,a\r\n0,1\r\n")], "wide-csv", None)
         assert data.traces[0].length == 1
 
 
 class TestEventCsv:
     def test_densify(self):
-        data = load_traces(io.StringIO("0,a\n5,a\n2,e\n"), "event-csv",
-                           horizon=10)
+        data = load_data([io.StringIO("0,a\n5,a\n2,e\n")], "event-csv", 10)
         trace = data.traces[0]
         assert trace.length == 10
         assert set(np.flatnonzero(trace.column("a"))) == {0, 5}
@@ -43,34 +43,33 @@ class TestEventCsv:
 
     def test_time_out_of_range(self):
         with pytest.raises(DataError, match="out of range"):
-            load_traces(io.StringIO("12,a\n"), "event-csv", horizon=10)
+            load_data([io.StringIO("12,a\n")], "event-csv", 10)
 
     def test_duplicate(self):
         with pytest.raises(DataError, match="duplicate"):
-            load_traces(io.StringIO("3,a\n3,a\n"), "event-csv", horizon=10)
+            load_data([io.StringIO("3,a\n3,a\n")], "event-csv", 10)
 
     def test_malformed(self):
         with pytest.raises(DataError, match="line 2"):
-            load_traces(io.StringIO("1,a\nnope\n"), "event-csv", horizon=10)
+            load_data([io.StringIO("1,a\nnope\n")], "event-csv", 10)
 
     def test_time_must_be_decimal(self):
         # "²" passes str.isdigit(), but int() rejects it
         with pytest.raises(DataError, match="line 1"):
-            load_traces(io.StringIO("²,a\n"), "event-csv")
+            load_data([io.StringIO("²,a\n")], "event-csv", None)
 
     def test_default_horizon(self):
-        data = load_traces(io.StringIO("7,a\n"), "event-csv")
+        data = load_data([io.StringIO("7,a\n")], "event-csv", None)
         assert data.traces[0].length == 8
 
     def test_declared_variables_cover_silent_ones(self):
-        data = load_traces(io.StringIO("0,a\n"), "event-csv", horizon=3,
-                           variables=("a", "quiet"))
-        assert data.traces[0].variables == ("a", "quiet")
-        assert not data.traces[0].column("quiet").any()
+        trace = load_events(io.StringIO("0,a\n"), 3).to_trace(("a", "quiet"))
+        assert trace.variables == ("a", "quiet")
+        assert not trace.column("quiet").any()
 
     def test_serialization_roundtrip(self):
         text = "0,a\n2,e\n5,a\n"
-        data = load_traces(io.StringIO(text), "event-csv", horizon=10)
+        data = load_data([io.StringIO(text)], "event-csv", 10)
         events = events_of(data.traces[0])
         sink = io.StringIO()
         write_events(EventList(events.records, events.horizon), sink)
