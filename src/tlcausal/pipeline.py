@@ -322,7 +322,7 @@ def render_outputs(report: Report, outdir) -> None:
             fh.write(f"null: delta0={_fmt_float(nm.delta0)} "
                      f"sigma0={_fmt_float(nm.sigma0)}"
                      + (f" p0={_fmt_float(nm.p0)}" if nm.p0 is not None else "")
-                     + "\n")
+                     + " window=[{},{}]\n".format(*map(_fmt_float, nm.window)))
         elif report.fit_skipped is not None:
             fh.write(f"fit: skipped ({report.fit_skipped})\n")
 

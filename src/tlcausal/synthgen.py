@@ -9,16 +9,24 @@ ineligible for ticks ``t+1 .. t+refractory-1`` and eligible again exactly at
 ``t + refractory``.  Generation stops at the first tick where cumulative
 firings reach the target.
 
-Randomness comes from one numpy PCG64 stream consumed in a fixed order per
-tick: spontaneous draws for eligible neurons in ascending neuron index, then
-trigger draws in trigger creation order, then delay draws for the tick's
-firings in (neuron index, edge declaration) order.  The same seed and config
-therefore reproduce the event list bit for bit.
+Randomness comes from ``numpy.random.default_rng(seed)``, consumed in a
+fixed order per tick: ``random(k)`` for the eligible neurons in ascending
+index, then ``random()`` per trigger in creation order, then
+``integers(delay_min, delay_max + 1)`` per out-edge of the tick's firings in
+(neuron index, edge declaration) order.  The same seed and config therefore
+reproduce the event list bit for bit.  The draws are replayed from blocks of
+raw PCG64 words (``random_raw``), without a numpy call per tick: a uniform
+takes one word ``w`` as ``(w >> 11) * 2**-53``; a delay is Lemire's bounded
+integer on 32-bit draws, each the low half of a new word or the high half
+kept from the last one, past any uniforms in between.  Equal delay bounds
+draw nothing; a span of ``2**32 - 1`` or more, another numpy branch, is
+refused.
 """
 
 from __future__ import annotations
 
 import string
+from bisect import insort
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -98,6 +106,8 @@ class GenConfig:
         if self.delay_min < 1:
             raise DataError("delay_min must be >= 1 (a trigger takes at "
                             "least one tick)")
+        if self.delay_max - self.delay_min >= _MASK32:
+            raise DataError("delay_max - delay_min must be below 2**32 - 1")
         if self.refractory < 0:
             raise DataError("refractory period must be >= 0")
         if self.target_firings < 1:
@@ -107,6 +117,9 @@ class GenConfig:
 
 
 _PRESET_NAMES = ("chain", "fork", "collider", "tree")
+_BLOCK = 1 << 15  # raw words per block
+_U53 = 2.0 ** -53
+_MASK32 = 0xFFFFFFFF
 
 
 def _names(count: int) -> tuple:
@@ -153,6 +166,71 @@ def preset(name: str, size: int = None, trigger_prob: float = 1.0) -> StructureS
     raise UsageError(f"unknown preset {name!r}; expected one of {_PRESET_NAMES}")
 
 
+class _Replay:
+    """``default_rng(seed)``'s draws, replayed from blocks of raw PCG64 words
+    (see the module docstring).  No ``below`` bound may exceed ``cap``."""
+
+    def __init__(self, seed: int, cap: float):
+        self._bits, self._cap = np.random.PCG64(seed), cap
+        self._raw, self.pos, self.half = np.empty(0, np.uint64), 0, None
+        self._fill(0)
+
+    def _fill(self, k: int) -> None:
+        """Start a block at ``pos`` with at least ``k`` words, and list the
+        positions whose uniform falls below the cap, then a sentinel."""
+        raw = np.concatenate([self._raw[self.pos:],
+                              self._bits.random_raw(max(_BLOCK, k))])
+        low = (raw >> np.uint64(11)) * _U53 < self._cap
+        self._raw, self.words = raw, memoryview(raw)  # items read as int
+        self.cand = np.flatnonzero(low).tolist() + [len(raw)]
+        self.pos = self.ci = 0
+
+    def below(self, chosen: list, bounds: list) -> list:
+        """``random(len(chosen))``: the ``i`` in ``chosen`` whose draw falls
+        below ``bounds[i]``, in ``chosen`` order."""
+        if self.pos + len(chosen) > len(self.words):
+            self._fill(len(chosen))
+        pos, end, words, cand, ci = (self.pos, self.pos + len(chosen),
+                                     self.words, self.cand, self.ci)
+        while cand[ci] < pos:  # positions taken by single draws
+            ci += 1
+        hits = []
+        while cand[ci] < end:
+            i = chosen[cand[ci] - pos]
+            if (words[cand[ci]] >> 11) * _U53 < bounds[i]:
+                hits.append(i)
+            ci += 1
+        self.pos, self.ci = end, ci
+        return hits
+
+    def _word(self) -> int:
+        if self.pos == len(self.words):
+            self._fill(1)
+        self.pos += 1
+        return self.words[self.pos - 1]
+
+    def uniform(self) -> float:
+        """``random()``."""
+        return (self._word() >> 11) * _U53
+
+    def bounded(self, span: int) -> int:
+        """``integers(lo, lo + span + 1) - lo`` for ``span < 2**32 - 1``:
+        Lemire's method on 32-bit draws, each the low half of a new word or
+        the high half that the last one left."""
+        if not span:
+            return 0  # numpy draws nothing
+        n = span + 1
+        threshold = (_MASK32 - span) % n  # below n: numpy's first test folds in
+        while True:
+            if self.half is None:
+                word = self._word()
+                value, self.half = word & _MASK32, word >> 32
+            else:
+                value, self.half = self.half, None
+            if value * n & _MASK32 >= threshold:
+                return value * n >> 32
+
+
 def generate(config: GenConfig) -> tuple:
     """Run the simulation; returns ``(EventList, GroundTruth)``.
 
@@ -168,34 +246,39 @@ def generate(config: GenConfig) -> tuple:
     for p, c, q in structure.edges:
         out_edges[index[p]].append((index[c], q))
 
-    rng = np.random.default_rng(config.seed)
-    eligible_at = np.zeros(n, dtype=np.int64)
+    stream = _Replay(config.seed, float(rates.max()))
+    rates = rates.tolist()
+    lo, span = config.delay_min, config.delay_max - config.delay_min
+    rest = config.refractory
+    eligible_at = [0] * n
+    eligible = list(range(n))  # ascending; kept in step with eligible_at
+    wake: dict = {}  # tick -> neurons eligible again from that tick
     pending: dict = {}  # tick -> [(child index, trigger prob)] in creation order
     times: list = []
     fired_idx: list = []
-    total = 0
     t = 0
-    fired = np.zeros(n, dtype=bool)
 
-    while total < config.target_firings:
-        fired[:] = False
-        eligible = np.flatnonzero(eligible_at <= t)
-        if eligible.size:
-            draws = rng.random(eligible.size)
-            fired[eligible] = draws < rates[eligible]
-        for child, prob in pending.pop(t, ()):
-            if eligible_at[child] <= t and rng.random() < prob:
-                fired[child] = True
-        for i in np.flatnonzero(fired):
+    while len(times) < config.target_firings:
+        for i in wake.pop(t, ()):
+            insort(eligible, i)
+        fired = stream.below(eligible, rates)
+        triggers = pending.pop(t, None)
+        if triggers:
+            for child, prob in triggers:
+                if eligible_at[child] <= t and stream.uniform() < prob:
+                    fired.append(child)
+            fired = sorted(set(fired))
+        for i in fired:
             times.append(t)
             fired_idx.append(i)
-            total += 1
-            eligible_at[i] = t + config.refractory
+            eligible_at[i] = t + rest
+            if rest > 1:
+                eligible.remove(i)
+                wake.setdefault(t + rest, []).append(i)
             for child, prob in out_edges[i]:
-                d = int(rng.integers(config.delay_min, config.delay_max + 1))
+                d = lo + stream.bounded(span)
                 pending.setdefault(t + d, []).append((child, prob))
         t += 1
 
-    horizon = t
     records = [(tick, names[i]) for tick, i in zip(times, fired_idx)]
-    return EventList.from_records(records, horizon), GroundTruth.of(structure)
+    return EventList.from_records(records, t), GroundTruth.of(structure)

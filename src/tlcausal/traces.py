@@ -225,8 +225,7 @@ def write_events(events: EventList, sink) -> None:
     own = isinstance(sink, (str, Path))
     fh = open(sink, "w", encoding="utf-8", newline="\n") if own else sink
     try:
-        for t, v in events.records:
-            fh.write(f"{t},{v}\n")
+        fh.write("".join([f"{t},{v}\n" for t, v in events.records]))
     finally:
         if own:
             fh.close()

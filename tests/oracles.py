@@ -5,11 +5,13 @@ enumeration over small chains, pure-Python window counting in exact rational
 arithmetic, and an event-by-event replay validator for generated spike
 trains; none of that calls into the package's own evaluation paths.  The
 tick-by-tick chain builder is the reference for the array build in
-``tlcausal.dtmc``.  The per-pair scoring functions at the end evaluate one
-hypothesis or one rival at a time through the package's trace counting
-(itself checked against the rational counter); they are the reference for
-the batched scorer, and through them the hypothesis-table rows are the
-reference for the pipeline's columnar table.  ``scipy.stats.norm.pdf`` is
+``tlcausal.dtmc``, and the tick-by-tick simulator, one ``Generator`` call
+per draw, the reference for the raw-word replay in ``tlcausal.synthgen``.
+The per-pair scoring functions at the end evaluate one hypothesis or one
+rival at a time through the package's trace counting (itself checked
+against the rational counter); they are the reference for the batched
+scorer, and through them the hypothesis-table rows are the reference for
+the pipeline's columnar table.  ``scipy.stats.norm.pdf`` is
 the reference for the null density ``tlcausal.fdr.NullModel.pdf``.
 """
 
@@ -27,7 +29,8 @@ from tlcausal.checker import (FrequencyEstimate, eval_on_trace,
 from tlcausal.dtmc import Dtmc, encode_labels
 from tlcausal.errors import CheckError, EmptyWindowError
 from tlcausal.pctl import And, Atom, Formula, Not, print_formula
-from tlcausal.traces import TraceSet
+from tlcausal.synthgen import GenConfig, GroundTruth
+from tlcausal.traces import EventList, TraceSet
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +192,55 @@ def check_triggering(events, parent, child, delay_min, delay_max, refractory):
         if not any(t + delay_min <= u <= t + delay_max for t in parents):
             problems.append(f"child firing at {u} outside every parent window")
     return problems
+
+
+# ---------------------------------------------------------------------------
+# Spike-train simulation: one tick at a time
+
+def generate(config: GenConfig) -> tuple:
+    """The simulator one tick at a time, each draw a ``Generator`` call:
+    the reference for the raw-word replay in ``tlcausal.synthgen``."""
+    config.check()
+    structure = config.structure
+    names = structure.neurons
+    n = len(names)
+    rates = config.rate_vector()
+    out_edges = [[] for _ in range(n)]  # per parent: (child index, prob)
+    index = {v: i for i, v in enumerate(names)}
+    for p, c, q in structure.edges:
+        out_edges[index[p]].append((index[c], q))
+
+    rng = np.random.default_rng(config.seed)
+    eligible_at = np.zeros(n, dtype=np.int64)
+    pending: dict = {}  # tick -> [(child index, trigger prob)] in creation order
+    times: list = []
+    fired_idx: list = []
+    total = 0
+    t = 0
+    fired = np.zeros(n, dtype=bool)
+
+    while total < config.target_firings:
+        fired[:] = False
+        eligible = np.flatnonzero(eligible_at <= t)
+        if eligible.size:
+            draws = rng.random(eligible.size)
+            fired[eligible] = draws < rates[eligible]
+        for child, prob in pending.pop(t, ()):
+            if eligible_at[child] <= t and rng.random() < prob:
+                fired[child] = True
+        for i in np.flatnonzero(fired):
+            times.append(t)
+            fired_idx.append(i)
+            total += 1
+            eligible_at[i] = t + config.refractory
+            for child, prob in out_edges[i]:
+                d = int(rng.integers(config.delay_min, config.delay_max + 1))
+                pending.setdefault(t + d, []).append((child, prob))
+        t += 1
+
+    horizon = t
+    records = [(tick, names[i]) for tick, i in zip(times, fired_idx)]
+    return EventList.from_records(records, horizon), GroundTruth.of(structure)
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,21 @@ class TestRunPipeline:
                      "summary.txt"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_summary_reports_null_window(self, tmp_path):
+        path, _, horizon = _generate_inputs(tmp_path)
+        out = tmp_path / "out"
+        for p0 in (False, True):
+            nm = run_pipeline(_config(path, out, horizon=horizon,
+                                      p0=p0)).null_model
+            lo, hi = nm.window
+            assert lo < hi
+            fields = [f"delta0={nm.delta0:.10g}", f"sigma0={nm.sigma0:.10g}"]
+            fields += [f"p0={nm.p0:.10g}"] if p0 else []
+            fields += [f"window=[{lo:.10g},{hi:.10g}]"]
+            summary = (out / "summary.txt").read_text().splitlines()
+            assert [line for line in summary if line.startswith("null:")] \
+                == ["null: " + " ".join(fields)]
+
     def test_table_roundtrip(self, tmp_path):
         path, _, horizon = _generate_inputs(tmp_path)
         out = tmp_path / "out"

@@ -1,6 +1,12 @@
+from unittest import mock
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
+from tlcausal import cli, synthgen
 from tlcausal.errors import DataError, UsageError
 from tlcausal.synthgen import GenConfig, StructureSpec, generate, preset
 
@@ -100,3 +106,115 @@ class TestGenerate:
         last = events.records[-1][0]
         before = sum(1 for t, _ in events.records if t < last)
         assert before < 50
+
+    def test_delay_span_below_two_to_the_32_minus_one(self):
+        structure = preset("chain", 2)
+        GenConfig(structure, 0.5, delay_min=1, delay_max=2**32 - 1).check()
+        for delay_max in (2**32, 2**32 + 1):
+            with pytest.raises(DataError, match="delay_max - delay_min"):
+                generate(GenConfig(structure, 0.5, delay_min=1,
+                                   delay_max=delay_max, target_firings=1))
+
+    def test_cli_refuses_wide_delay_span_before_writing(self, tmp_path,
+                                                        capsys):
+        out = tmp_path / "gen"
+        rc = cli.main(["generate", "--preset", "chain", "--size", "2",
+                       "--delay-min", "1", "--delay-max", "4294967297",
+                       "--target-firings", "10", "--seed", "1",
+                       "--outdir", str(out)])
+        assert rc == 2
+        assert "delay_max - delay_min" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# The raw-word replay against numpy's Generator
+
+@st.composite
+def _configs(draw):
+    kind = draw(st.sampled_from(("chain", "fork", "collider", "tree")))
+    size = {"chain": draw(st.integers(2, 6)),
+            "tree": draw(st.integers(1, 5))}.get(kind)
+    prob = draw(st.sampled_from((0.0, 0.5, 1.0))
+                | st.floats(0.0, 1.0, allow_nan=False))
+    structure = preset(kind, size, prob)
+    rate = st.floats(0.1, 1.0, allow_nan=False)
+    if draw(st.booleans()):
+        # some neurons silent (rate 0 or unlisted), at least one source
+        names = structure.neurons
+        rates = {v: draw(st.sampled_from((0.0, None)) | rate) for v in names}
+        rates = {v: r for v, r in rates.items() if r is not None}
+        rates[draw(st.sampled_from(names))] = draw(rate)
+    else:
+        rates = draw(rate)
+    delay_min = draw(st.integers(1, 30))
+    span = draw(st.sampled_from((0, 1, 20, 2**31)) | st.integers(0, 40))
+    return GenConfig(structure, rates,
+                     refractory=draw(st.sampled_from((0, 1, 2, 20))
+                                     | st.integers(0, 25)),
+                     delay_min=delay_min, delay_max=delay_min + span,
+                     target_firings=draw(st.integers(1, 3000)),
+                     seed=draw(st.integers(0, 2**32)))
+
+
+class TestReplayMatchesGenerator:
+    @settings(max_examples=100, deadline=None)
+    @given(config=_configs(), block=st.sampled_from((1, 7, 1 << 15)))
+    @example(  # delay_min == delay_max: numpy draws nothing for the delay
+        config=GenConfig(preset("tree", 3, 0.5), 0.3, refractory=2,
+                         delay_min=5, delay_max=5, target_firings=2000,
+                         seed=7), block=1 << 15)
+    @example(  # refractory 0: a neuron that fired is eligible next tick
+        config=GenConfig(preset("chain", 3, 1.0), 0.4, refractory=0,
+                         delay_min=1, delay_max=2, target_firings=2000,
+                         seed=3), block=7)
+    @example(  # two triggers of one child, each drawing; rate-0 child
+        config=GenConfig(preset("collider", None, 1.0),
+                         {"A": 0.5, "B": 0.5, "C": 0.0}, refractory=3,
+                         delay_min=2, delay_max=4, target_firings=2000,
+                         seed=11), block=1 << 15)
+    @example(  # span 2**31: Lemire's rejection branch about half the time
+        config=GenConfig(preset("tree", 2, 1.0), 0.5, refractory=1,
+                         delay_min=1, delay_max=1 + 2**31,
+                         target_firings=3000, seed=5), block=1 << 15)
+    def test_identical_event_lists(self, config, block):
+        with mock.patch.object(synthgen, "_BLOCK", block):
+            got, truth = generate(config)
+        want, want_truth = oracles.generate(config)
+        assert got.horizon == want.horizon
+        assert got.records == want.records
+        assert truth == want_truth
+
+
+def _pin_op():
+    return (st.tuples(st.just("random_k"), st.integers(0, 4000))
+            | st.tuples(st.just("random"), st.just(0))
+            | st.tuples(st.just("integers"),
+                        st.sampled_from((0, 20, 2**31, 2**32 - 2))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), cap=st.floats(0.01, 1.0),
+       ops=st.lists(_pin_op(), max_size=60))
+def test_replay_pins_numpy_stream(seed, cap, ops):
+    """Replay helpers and ``default_rng(seed)`` give equal values when the
+    calls interleave in any order; a numpy that changes its conversions
+    fails here before it changes generated events."""
+    rng = np.random.default_rng(seed)
+    replay = synthgen._Replay(seed, cap)
+    coins = np.random.default_rng([seed, 1])
+    lo = 3
+    for op, arg in ops:
+        if op == "random_k":
+            want = rng.random(arg)
+            # a bound at the draw or one ulp above it pins each draw below
+            # the cap exactly
+            nudge = coins.random(arg) < 0.5
+            bounds = np.minimum(np.where(nudge, np.nextafter(want, 2.0),
+                                         want), cap)
+            got = replay.below(list(range(arg)), bounds.tolist())
+            assert got == np.flatnonzero(want < bounds).tolist()
+        elif op == "random":
+            assert replay.uniform() == rng.random()
+        else:
+            assert replay.bounded(arg) == rng.integers(lo, lo + arg + 1) - lo
