@@ -131,7 +131,6 @@ class ScoreTable:
     den: np.ndarray
     marg: np.ndarray
     qual_total: int
-    occurred: np.ndarray
     passed: np.ndarray
     eps: np.ndarray
 
@@ -173,7 +172,6 @@ def score_hypotheses(data: TraceSet, hypotheses: Sequence[Hypothesis],
 
     cooc = np.zeros((nc, nc), dtype=np.int64)      # qualifying co-occurrence
     cond_num = np.zeros((nc, ne), dtype=np.int64)  # cause tick & effect in window
-    cause_occ = np.zeros(nc, dtype=np.int64)       # all ticks, uncensored
     cause_qual = np.zeros(nc, dtype=np.int64)
     marg_num = np.zeros(ne, dtype=np.int64)
     qual_total = 0
@@ -182,7 +180,6 @@ def score_hypotheses(data: TraceSet, hypotheses: Sequence[Hypothesis],
     for trace in data:
         rows = np.array([eval_on_trace(trace, c) for c in causes],
                         dtype=bool).reshape(nc, trace.length)
-        cause_occ += rows.sum(axis=1)
         nq = trace.length - tmax
         if nq <= 0:
             continue
@@ -223,8 +220,7 @@ def score_hypotheses(data: TraceSet, hypotheses: Sequence[Hypothesis],
             min_support=min_support)
         eps[members] = np.array(_average(values, defined, divisor),
                                 dtype=float)  # None reads as NaN
-    return ScoreTable(family, num, den, marg, qual_total,
-                      cause_occ[cause_ix] > 0, passed, eps)
+    return ScoreTable(family, num, den, marg, qual_total, passed, eps)
 
 
 def _pair_counts(kept, rivals, ej):

@@ -7,12 +7,15 @@ to a fixed point.  Probability-bounded leads-to is checked per state through
 the always-globally reading: every reachable state where the antecedent holds
 must reach the consequent within the window with the bounded probability.
 
-On traces, formulæ are evaluated per tick (temporal operators along the trace
-suffix, with truncation satisfying only the weak until), and the leads-to
-probability is the fraction of antecedent ticks whose full window contains a
-consequent tick.  Antecedent ticks whose window runs off the end of the trace
-are censored from both numerator and denominator, and windows never cross
-trace boundaries.  Counts are integers, so callers can compare estimates in
+On traces, formulæ are evaluated per tick, temporal operators along the trace
+suffix.  The decider of tick t for ``l U{<=k} r`` or ``l W{<=k} r`` is the
+first tick j >= t where r holds or l fails.  Both hold at t when there is a
+decider with j - t <= k and r holds at j; when no decider falls within the
+bound and the trace, only the weak until holds.  The leads-to probability is
+the fraction of antecedent ticks whose full window contains a consequent
+tick.  Antecedent ticks whose window runs off the end of the trace are
+censored from both numerator and denominator, and windows never cross trace
+boundaries.  Counts are integers, so callers can compare estimates in
 exact rational arithmetic.
 """
 
@@ -25,7 +28,7 @@ import numpy as np
 from .dtmc import Dtmc
 from .errors import CheckError, ConvergenceError, EmptyWindowError
 from .pctl import (INFINITY, And, Atom, Formula, Implies, LeadsTo, Not, Or,
-                   PathFormula, ProbBound, Unless, Until)
+                   PathFormula, ProbBound, StateFormula, Unless, Until)
 from .traces import Trace, TraceSet
 
 __all__ = [
@@ -61,25 +64,37 @@ def _cmp_vec(vec, cmp, p):
 
 
 # ---------------------------------------------------------------------------
+# Shared propositional core
+
+def _sat(f: Formula, n: int, leaf) -> np.ndarray:
+    """Boolean satisfaction of ``f`` at ``n`` positions (chain states or
+    trace ticks): the constants and the connectives here, every other node
+    by ``leaf``."""
+    if isinstance(f, Atom) and f.name in ("true", "false"):
+        return np.full(n, f.name == "true")
+    if isinstance(f, Not):
+        return ~_sat(f.operand, n, leaf)
+    if isinstance(f, And):
+        return _sat(f.left, n, leaf) & _sat(f.right, n, leaf)
+    if isinstance(f, Or):
+        return _sat(f.left, n, leaf) | _sat(f.right, n, leaf)
+    if isinstance(f, Implies):
+        return ~_sat(f.left, n, leaf) | _sat(f.right, n, leaf)
+    return leaf(f)
+
+
+# ---------------------------------------------------------------------------
 # Exact semantics on a Dtmc
 
 def _state_mask(model: Dtmc, f: Formula) -> np.ndarray:
+    return _sat(f, model.n_states, lambda g: _chain_leaf(model, g))
+
+
+def _chain_leaf(model: Dtmc, f: Formula) -> np.ndarray:
     if isinstance(f, Atom):
-        if f.name == "true":
-            return np.ones(model.n_states, dtype=bool)
-        if f.name == "false":
-            return np.zeros(model.n_states, dtype=bool)
         if f.name not in model.atoms:
             raise CheckError(f"unknown atom: {f.name!r}")
         return model.states_with(f.name)
-    if isinstance(f, Not):
-        return ~_state_mask(model, f.operand)
-    if isinstance(f, And):
-        return _state_mask(model, f.left) & _state_mask(model, f.right)
-    if isinstance(f, Or):
-        return _state_mask(model, f.left) | _state_mask(model, f.right)
-    if isinstance(f, Implies):
-        return ~_state_mask(model, f.left) | _state_mask(model, f.right)
     if isinstance(f, ProbBound):
         return _probbound_mask(model, f)
     if isinstance(f, PathFormula):
@@ -90,32 +105,27 @@ def _state_mask(model: Dtmc, f: Formula) -> np.ndarray:
 
 def _probbound_mask(model: Dtmc, f: ProbBound) -> np.ndarray:
     inner = f.path
-    if isinstance(inner, Until):
-        vec = until_prob(model, _state_mask(model, inner.left),
-                         _state_mask(model, inner.right), inner.tmax)
-    elif isinstance(inner, Unless):
-        vec = unless_prob(model, _state_mask(model, inner.left),
-                          _state_mask(model, inner.right), inner.tmax)
-    elif isinstance(inner, LeadsTo):
+    if isinstance(inner, LeadsTo):
         # AG[left -> (window-reach right with this bound)]
-        reach = _window_reach(model, inner, f.comparison, f.p)
+        if not (isinstance(inner.left, StateFormula)
+                and isinstance(inner.right, StateFormula)):
+            raise CheckError("leads-to on a chain requires state-formula "
+                             "operands; use the trace semantics for "
+                             "temporal operands")
+        reach = _cmp_vec(_window_reach_vector(
+            model, _state_mask(model, inner.right), inner.tmin, inner.tmax),
+            f.comparison, f.p)
         good = reach | ~_state_mask(model, inner.left)
         vec = unless_prob(model, good, np.zeros(model.n_states, bool), INFINITY)
         return vec >= _SAT_ONE
+    if isinstance(inner, (Until, Unless)):
+        prob = until_prob if isinstance(inner, Until) else unless_prob
+        vec = prob(model, _state_mask(model, inner.left),
+                   _state_mask(model, inner.right), inner.tmax)
     else:
         # degenerate zero-length path: indicator of the state formula
         vec = _state_mask(model, inner).astype(float)
     return _cmp_vec(vec, f.comparison, f.p)
-
-
-def _window_reach(model: Dtmc, lead: LeadsTo, cmp: str, p: float) -> np.ndarray:
-    if not isinstance(lead.left, (Atom, Not, And, Or, Implies, ProbBound)) or \
-       not isinstance(lead.right, (Atom, Not, And, Or, Implies, ProbBound)):
-        raise CheckError("leads-to on a chain requires state-formula operands; "
-                         "use the trace semantics for temporal operands")
-    u = _window_reach_vector(model, _state_mask(model, lead.right),
-                             lead.tmin, lead.tmax)
-    return _cmp_vec(u, cmp, p)
 
 
 def _window_reach_vector(model, target_mask, tmin, tmax):
@@ -203,63 +213,35 @@ def leads_to_prob(model: Dtmc, c: Formula, e: Formula,
 def eval_on_trace(trace: Trace, f: Formula) -> np.ndarray:
     """Boolean satisfaction of ``f`` at every tick of one trace.
 
-    Temporal operators look along the trace suffix; running off the end
-    falsifies an until and satisfies an unless (weak truncation).
+    Temporal operators look along the trace suffix by the decider rule of
+    the module docstring.
     """
+    return _sat(f, trace.length, lambda g: _trace_leaf(trace, g))
+
+
+def _trace_leaf(trace: Trace, f: Formula) -> np.ndarray:
     if isinstance(f, Atom):
-        if f.name == "true":
-            return np.ones(trace.length, dtype=bool)
-        if f.name == "false":
-            return np.zeros(trace.length, dtype=bool)
         return trace.column(f.name)
-    if isinstance(f, Not):
-        return ~eval_on_trace(trace, f.operand)
-    if isinstance(f, And):
-        return eval_on_trace(trace, f.left) & eval_on_trace(trace, f.right)
-    if isinstance(f, Or):
-        return eval_on_trace(trace, f.left) | eval_on_trace(trace, f.right)
-    if isinstance(f, Implies):
-        return ~eval_on_trace(trace, f.left) | eval_on_trace(trace, f.right)
     if isinstance(f, ProbBound):
-        inner = f.path
-        if isinstance(inner, LeadsTo):
-            raise CheckError("leads-to has no per-tick truth value on traces; "
-                             "use trace_leads_to")
-        if isinstance(inner, (Until, Unless)):
-            sat = _eval_path_on_trace(trace, inner)
-        else:
-            sat = eval_on_trace(trace, inner)
-        vals = sat.astype(float)  # a trace is one path: probability is 0/1
-        return vals >= f.p if f.comparison == ">=" else vals > f.p
-    if isinstance(f, (Until, Unless)):
-        return _eval_path_on_trace(trace, f)
+        # a trace is one path: the path probability is 0 or 1
+        sat = eval_on_trace(trace, f.path)
+        return _cmp_vec(sat.astype(float), f.comparison, f.p)
     if isinstance(f, LeadsTo):
         raise CheckError("leads-to has no per-tick truth value on traces; "
                          "use trace_leads_to")
-    raise CheckError(f"not a formula node: {f!r}")
-
-
-def _eval_path_on_trace(trace: Trace, f) -> np.ndarray:
+    if not isinstance(f, (Until, Unless)):
+        raise CheckError(f"not a formula node: {f!r}")
     left = eval_on_trace(trace, f.left)
     right = eval_on_trace(trace, f.right)
-    weak = isinstance(f, Unless)
     n = trace.length
-    if f.tmax == INFINITY:
-        out = np.empty(n, dtype=bool)
-        carry = weak  # beyond the end: weak succeeds, strong fails
-        for t in range(n - 1, -1, -1):
-            carry = right[t] or (left[t] and carry)
-            out[t] = carry
-        return out
-    k = int(f.tmax)
-    current = (right | left) if weak else right.copy()
-    fill = weak
-    for _ in range(k):
-        shifted = np.empty(n, dtype=bool)
-        shifted[:-1] = current[1:]
-        shifted[-1] = fill
-        current = right | (left & shifted)
-    return current
+    ticks = np.arange(n)
+    # the decider of each tick: the first tick at or after it where right
+    # holds or left fails; n where there is none
+    decider = np.minimum.accumulate(
+        np.where(right | ~left, ticks, n)[::-1])[::-1]
+    decided = (decider < n) & (decider - ticks <= f.tmax)
+    return np.where(decided, right[np.minimum(decider, n - 1)],
+                    isinstance(f, Unless))
 
 
 def window_hits(marks: np.ndarray, lo: int, hi: int) -> np.ndarray:

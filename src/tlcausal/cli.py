@@ -182,54 +182,45 @@ def _cmd_infer(args):
     return 0
 
 
-def _formula_window(f):
-    if isinstance(f, ProbBound) and isinstance(f.path, LeadsTo):
-        lead = f.path
-        return lead, f.comparison, f.p
-    return None, None, None
-
-
 def _cmd_check(args):
     formula = parse(args.formula)
     problems = validate(formula)
     if problems:
         raise DataError("; ".join(str(v) for v in problems))
-    lead, cmp, bound = _formula_window(formula)
+    lead = formula.path if isinstance(formula, ProbBound) \
+        and isinstance(formula.path, LeadsTo) else None
     if args.model:
         model = dtmcmod.load_text(args.model)
-        if lead is not None:
-            est = leads_to_prob(model, lead.left, lead.right,
-                                lead.tmin, lead.tmax)
-            verdict = est.probability >= bound if cmp == ">=" \
-                else est.probability > bound
-            print(f"probability: {est.probability:.6g} "
-                  f"(weighted {est.numerator:.6g}/{est.denominator:.6g})")
-            print(f"bound {cmp} {bound}: {'holds' if verdict else 'fails'}")
-        else:
+        if lead is None:
             states = sorted(sat_set(model, formula))
             print(f"satisfying states ({len(states)}): "
                   + " ".join(map(str, states)))
-        return 0
-    if not args.path:
-        raise UsageError("check needs --path or --model")
-    data = pl.load_data(args.path, args.format, args.horizon)
-    if lead is not None:
+            return 0
+        est = leads_to_prob(model, lead.left, lead.right,
+                            lead.tmin, lead.tmax)
+        counts = f"weighted {est.numerator:.6g}/{est.denominator:.6g}"
+    else:
+        if not args.path:
+            raise UsageError("check needs --path or --model")
+        data = pl.load_data(args.path, args.format, args.horizon)
+        if lead is None:
+            total = hits = 0
+            for tr in data:
+                sat = eval_on_trace(tr, formula)
+                total += sat.size
+                hits += int(sat.sum())
+            print(f"holds at {hits}/{total} ticks")
+            return 0
         if lead.tmax == INFINITY:
             raise UsageError("trace checking needs a finite window")
         est = trace_leads_to(data, lead.left, lead.right,
                              lead.tmin, int(lead.tmax))
-        verdict = est.probability >= bound if cmp == ">=" \
-            else est.probability > bound
-        print(f"probability: {est.probability:.6g} "
-              f"({int(est.numerator)}/{int(est.denominator)})")
-        print(f"bound {cmp} {bound}: {'holds' if verdict else 'fails'}")
-    else:
-        total = hits = 0
-        for tr in data:
-            sat = eval_on_trace(tr, formula)
-            total += sat.size
-            hits += int(sat.sum())
-        print(f"holds at {hits}/{total} ticks")
+        counts = f"{int(est.numerator)}/{int(est.denominator)}"
+    cmp, bound = formula.comparison, formula.p
+    verdict = est.probability >= bound if cmp == ">=" \
+        else est.probability > bound
+    print(f"probability: {est.probability:.6g} ({counts})")
+    print(f"bound {cmp} {bound}: {'holds' if verdict else 'fails'}")
     return 0
 
 

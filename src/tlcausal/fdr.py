@@ -48,7 +48,7 @@ class ZScores:
 
 def z_scores(eps: Sequence[float]) -> ZScores:
     """Standardize scores to mean 0 and unit sample standard deviation."""
-    arr = np.asarray(list(eps), dtype=float)
+    arr = np.asarray(eps, dtype=float)
     if arr.size < 2:
         raise FitError("need at least 2 scores to standardize")
     if not np.isfinite(arr).all():

@@ -92,6 +92,10 @@ class GenConfig:
     def rate_vector(self) -> np.ndarray:
         names = self.structure.neurons
         if isinstance(self.spontaneous_rate, Mapping):
+            unknown = [k for k in self.spontaneous_rate if k not in names]
+            if unknown:
+                raise DataError("spontaneous rate for unknown neurons: "
+                                + ", ".join(map(str, unknown)))
             rates = np.array([float(self.spontaneous_rate.get(n, 0.0))
                               for n in names])
         else:

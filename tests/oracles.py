@@ -2,11 +2,13 @@
 
 Most of this recomputes results from first principles: exhaustive path
 enumeration over small chains, pure-Python window counting in exact rational
-arithmetic, and an event-by-event replay validator for generated spike
-trains; none of that calls into the package's own evaluation paths.  The
-tick-by-tick chain builder is the reference for the array build in
-``tlcausal.dtmc``, and the tick-by-tick simulator, one ``Generator`` call
-per draw, the reference for the raw-word replay in ``tlcausal.synthgen``.
+arithmetic, per-tick trace semantics by loops (the reference for the
+vectorised until/unless in ``tlcausal.checker``), and an event-by-event
+replay validator for generated spike trains; none of that calls into the
+package's own evaluation paths.  The tick-by-tick chain builder is the
+reference for the array build in ``tlcausal.dtmc``, and the tick-by-tick
+simulator, one ``Generator`` call per draw, the reference for the raw-word
+replay in ``tlcausal.synthgen``.
 The per-pair scoring functions at the end evaluate one hypothesis or one
 rival at a time through the package's trace counting (itself checked
 against the rational counter); they are the reference for the batched
@@ -28,7 +30,8 @@ from tlcausal.checker import (FrequencyEstimate, eval_on_trace,
                               trace_leads_to, window_hits)
 from tlcausal.dtmc import Dtmc, encode_labels
 from tlcausal.errors import CheckError, EmptyWindowError
-from tlcausal.pctl import And, Atom, Formula, Not, print_formula
+from tlcausal.pctl import (INFINITY, And, Atom, Formula, Implies, Not, Or,
+                           ProbBound, Unless, print_formula)
 from tlcausal.synthgen import GenConfig, GroundTruth
 from tlcausal.traces import EventList, TraceSet
 
@@ -146,6 +149,56 @@ def rational_epsilon(columns_c, columns_x, columns_e, tmin, tmax,
     if d1 < min_support or d2 < min_support:
         return None
     return Fraction(n1, d1) - Fraction(n2, d2)
+
+
+# ---------------------------------------------------------------------------
+# Per-tick trace semantics by loops
+
+def trace_sat(trace, f):
+    """Per-tick truth of ``f`` on one trace, node by node; until and unless
+    by the backward loop or the k-pass shift of ``path_on_trace``."""
+    if isinstance(f, Atom):
+        if f.name in ("true", "false"):
+            return np.full(trace.length, f.name == "true")
+        return trace.column(f.name)
+    if isinstance(f, Not):
+        return ~trace_sat(trace, f.operand)
+    if isinstance(f, And):
+        return trace_sat(trace, f.left) & trace_sat(trace, f.right)
+    if isinstance(f, Or):
+        return trace_sat(trace, f.left) | trace_sat(trace, f.right)
+    if isinstance(f, Implies):
+        return ~trace_sat(trace, f.left) | trace_sat(trace, f.right)
+    if isinstance(f, ProbBound):
+        vals = trace_sat(trace, f.path).astype(float)  # 0/1 on one path
+        return vals >= f.p if f.comparison == ">=" else vals > f.p
+    return path_on_trace(trace, f)
+
+
+def path_on_trace(trace, f):
+    """``f.left U{<=tmax} f.right`` (or W) at every tick: one backward
+    pass for an infinite bound, ``tmax`` shift passes for a finite one;
+    running off the end falsifies U and satisfies W."""
+    left = trace_sat(trace, f.left)
+    right = trace_sat(trace, f.right)
+    weak = isinstance(f, Unless)
+    n = trace.length
+    if f.tmax == INFINITY:
+        out = np.empty(n, dtype=bool)
+        carry = weak  # beyond the end: weak succeeds, strong fails
+        for t in range(n - 1, -1, -1):
+            carry = right[t] or (left[t] and carry)
+            out[t] = carry
+        return out
+    k = int(f.tmax)
+    current = (right | left) if weak else right.copy()
+    fill = weak
+    for _ in range(k):
+        shifted = np.empty(n, dtype=bool)
+        shifted[:-1] = current[1:]
+        shifted[-1] = fill
+        current = right | (left & shifted)
+    return current
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,20 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import random_dtmc, random_traceset, traceset_from_marks
+from conftest import (random_dtmc, random_traceset, trace_from_marks,
+                      traceset_from_marks)
 from oracles import marginal_window_prob
 from tlcausal.checker import (eval_on_trace, leads_to_prob, sat_set,
                               trace_leads_to, unless_prob, until_prob,
                               window_hits)
-from tlcausal.errors import CheckError, EmptyWindowError
-from tlcausal.pctl import INFINITY, Atom, Not, parse
+from tlcausal.errors import CheckError, DataError, EmptyWindowError
+from tlcausal.pctl import (INFINITY, And, Atom, Not, ProbBound, Unless, Until,
+                           parse)
 
 
 class TestSatSet:
@@ -276,3 +280,58 @@ def test_window_hits_matches_naive_loop(marks, lo, width):
     got = window_hits(np.array(marks, dtype=bool), lo, hi)
     assert got.dtype == bool
     assert got.tolist() == naive
+
+
+_TRACE_ATOMS = st.sampled_from([Atom(n) for n in ("a", "b", "true", "false")])
+_TBOUNDS = st.one_of(st.integers(0, 10), st.just(INFINITY))
+
+
+def _path(operand):
+    return st.one_of(*(st.builds(cls, operand, operand, _TBOUNDS)
+                       for cls in (Until, Unless)))
+
+
+def _trace_formulas(operand):
+    return st.one_of(
+        operand.map(Not),
+        _path(operand),  # bare until/unless, as an operand too
+        st.builds(ProbBound, _path(operand), st.sampled_from([">=", ">"]),
+                  st.sampled_from([0.0, 0.5, 1.0])),
+        st.builds(And, _path(operand), _TRACE_ATOMS))
+
+
+@settings(max_examples=400, deadline=None)
+@given(ticks=st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1,
+                      max_size=30),
+       f=st.recursive(_TRACE_ATOMS, _trace_formulas, max_leaves=6))
+def test_eval_on_trace_matches_loop_oracle(ticks, f):
+    trace = trace_from_marks(("a", "b"), len(ticks), {
+        "a": [t for t, (a, _) in enumerate(ticks) if a],
+        "b": [t for t, (_, b) in enumerate(ticks) if b]})
+    got = eval_on_trace(trace, f)
+    assert got.dtype == bool
+    assert got.tolist() == oracles.trace_sat(trace, f).tolist()
+
+
+_LEADS_TO = "leads-to has no per-tick truth value on traces; use trace_leads_to"
+
+
+@pytest.mark.parametrize("on, f, error, message", [
+    ("chain", And(Atom("a"), Atom("zz")), CheckError, "unknown atom: 'zz'"),
+    ("trace", And(Atom("a"), Atom("zz")), DataError, "unknown atom: 'zz'"),
+    ("chain", Not(Until(Atom("a"), Atom("b"), 2)), CheckError,
+     "a bare path formula has no satisfaction set; "
+     "wrap it in a probability bound"),
+    ("trace", parse("a ~>{>=1,<=2}{>=0.5} b"), CheckError, _LEADS_TO),
+    ("trace", parse("a ~>{>=1,<=2}{>=0.5} b").path, CheckError, _LEADS_TO),
+    ("chain", parse("a U{<=2} b ~>{>=1,<=2}{>=0.5} b"), CheckError,
+     "leads-to on a chain requires state-formula operands; "
+     "use the trace semantics for temporal operands"),
+    ("chain", Not("a"), CheckError, "not a formula node: 'a'"),
+    ("trace", And(Atom("a"), 42), CheckError, "not a formula node: 42"),
+])
+def test_checker_error_types_and_messages(dtmc_a, on, f, error, message):
+    trace = trace_from_marks(("a", "b"), 4, {"a": [0], "b": [1]})
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        sat_set(dtmc_a, f) if on == "chain" else eval_on_trace(trace, f)
+    assert info.type is error

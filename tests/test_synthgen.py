@@ -55,6 +55,13 @@ class TestGenerate:
         with pytest.raises(DataError, match="spontaneous"):
             generate(GenConfig(s, 0.0, target_firings=1, seed=1))
 
+    def test_rate_for_unknown_neuron_errors(self):
+        # "b" is not "B": the misspelt key must not leave B silent
+        config = GenConfig(preset("chain", 2), {"A": 0.5, "b": 0.5, "C": 0.1},
+                           target_firings=20, seed=1)
+        with pytest.raises(DataError, match="unknown neurons: b, C$"):
+            generate(config)
+
     def test_deterministic_refire(self):
         s = StructureSpec(("A",), ())
         events, _ = generate(GenConfig(s, 1.0, refractory=20,
