@@ -34,6 +34,7 @@ from .traces import Trace, TraceSet
 __all__ = [
     "FrequencyEstimate", "sat_set", "until_prob", "unless_prob",
     "leads_to_prob", "trace_leads_to", "eval_on_trace", "window_hits",
+    "meets_bound",
 ]
 
 FIXPOINT_TOL = 1e-12
@@ -55,9 +56,9 @@ class FrequencyEstimate:
     denominator: float
 
 
-def _cmp_vec(vec, cmp, p):
-    """Threshold a probability vector.  Interior bounds compare exactly;
-    a >=1 bound allows for fixed-point tolerance."""
+def meets_bound(vec, cmp, p):
+    """Threshold a probability or a probability vector.  Interior bounds
+    compare exactly; a >=1 bound allows for fixed-point tolerance."""
     if cmp == ">=":
         return vec >= (_SAT_ONE if p >= 1.0 else p)
     return vec > p
@@ -112,7 +113,7 @@ def _probbound_mask(model: Dtmc, f: ProbBound) -> np.ndarray:
             raise CheckError("leads-to on a chain requires state-formula "
                              "operands; use the trace semantics for "
                              "temporal operands")
-        reach = _cmp_vec(_window_reach_vector(
+        reach = meets_bound(_window_reach_vector(
             model, _state_mask(model, inner.right), inner.tmin, inner.tmax),
             f.comparison, f.p)
         good = reach | ~_state_mask(model, inner.left)
@@ -125,7 +126,7 @@ def _probbound_mask(model: Dtmc, f: ProbBound) -> np.ndarray:
     else:
         # degenerate zero-length path: indicator of the state formula
         vec = _state_mask(model, inner).astype(float)
-    return _cmp_vec(vec, f.comparison, f.p)
+    return meets_bound(vec, f.comparison, f.p)
 
 
 def _window_reach_vector(model, target_mask, tmin, tmax):
@@ -225,7 +226,7 @@ def _trace_leaf(trace: Trace, f: Formula) -> np.ndarray:
     if isinstance(f, ProbBound):
         # a trace is one path: the path probability is 0 or 1
         sat = eval_on_trace(trace, f.path)
-        return _cmp_vec(sat.astype(float), f.comparison, f.p)
+        return meets_bound(sat.astype(float), f.comparison, f.p)
     if isinstance(f, LeadsTo):
         raise CheckError("leads-to has no per-tick truth value on traces; "
                          "use trace_leads_to")

@@ -11,12 +11,14 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 fit error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
 from . import dtmc as dtmcmod
 from . import pipeline as pl
-from .checker import eval_on_trace, leads_to_prob, sat_set, trace_leads_to
+from .checker import (eval_on_trace, leads_to_prob, meets_bound, sat_set,
+                      trace_leads_to)
 from .errors import (ConvergenceError, DataError, FitError, TlcausalError,
                      UsageError)
 from .pctl import INFINITY, LeadsTo, ProbBound, parse, validate
@@ -31,6 +33,34 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _parse_bool(raw):
+    if raw in ("true", "on", "1", "yes"):
+        return True
+    if raw in ("false", "off", "0", "no"):
+        return False
+    raise ValueError(raw)
+
+
+# The settings of generate, infer and fdr: each key with the parser its
+# value goes through.  Every key is a flag of the same name (dashes for
+# underscores; a _parse_bool key is a switch), and a config file may set
+# any key of generate or infer.  The library checks the values.
+_PRESET = {"preset": str, "size": int, "trigger_prob": float}
+_SIMULATOR = {"spontaneous_rate": float, "refractory": int, "delay_min": int,
+              "delay_max": int, "target_firings": int, "seed": int}
+_CONTROL = {"bins": int, "degree": int, "threshold": float,
+            "p0": _parse_bool}
+_OUTDIR = {"outdir": str}
+_SETTINGS = {
+    "generate": {**_PRESET, **_SIMULATOR, **_OUTDIR},
+    "infer": {"format": str, "horizon": int, "tmin": int, "tmax": int,
+              "negations": _parse_bool, "divisor": str, "min_support": int,
+              **_CONTROL, **_OUTDIR},
+    "fdr": {**_CONTROL, **_OUTDIR},
+}
+_CONFIG_KEYS = {"path", *_SETTINGS["generate"], *_SETTINGS["infer"]}
+
+
 def _build_parser():
     parser = _Parser(prog="tlcausal", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -39,57 +69,40 @@ def _build_parser():
     gen = sub.add_parser("generate", help="simulate spike trains with an "
                          "embedded causal structure")
     gen.add_argument("--config", help="key=value config file")
-    gen.add_argument("--preset", choices=("chain", "fork", "collider", "tree"))
-    gen.add_argument("--size", type=int, help="chain length / tree depth")
-    gen.add_argument("--trigger-prob", type=float, dest="trigger_prob")
-    gen.add_argument("--spontaneous-rate", type=float, dest="spontaneous_rate")
-    gen.add_argument("--refractory", type=int)
-    gen.add_argument("--delay-min", type=int, dest="delay_min")
-    gen.add_argument("--delay-max", type=int, dest="delay_max")
-    gen.add_argument("--target-firings", type=int, dest="target_firings")
-    gen.add_argument("--seed", type=int)
-    gen.add_argument("--outdir", required=False)
     gen.set_defaults(func=_cmd_generate)
 
     inf = sub.add_parser("infer", help="run the inference pipeline")
     inf.add_argument("--config", help="key=value config file")
     inf.add_argument("--path", action="append", help="input file (repeatable)")
-    inf.add_argument("--format", choices=("event-csv", "wide-csv"))
-    inf.add_argument("--horizon", type=int)
-    inf.add_argument("--tmin", type=int)
-    inf.add_argument("--tmax", type=int)
-    inf.add_argument("--negations", action="store_true", default=None)
-    inf.add_argument("--divisor", choices=("defined", "strict"))
-    inf.add_argument("--min-support", type=int, dest="min_support")
-    inf.add_argument("--bins", type=int)
-    inf.add_argument("--degree", type=int)
-    inf.add_argument("--threshold", type=float)
-    inf.add_argument("--p0", action="store_true", default=None)
-    inf.add_argument("--outdir")
     inf.set_defaults(func=_cmd_infer)
 
     chk = sub.add_parser("check", help="evaluate one formula")
     chk.add_argument("--formula", required=True)
     chk.add_argument("--path", action="append", help="trace input (repeatable)")
-    chk.add_argument("--format", choices=("event-csv", "wide-csv"),
-                     default="event-csv")
+    chk.add_argument("--format", default="event-csv")
     chk.add_argument("--horizon", type=int)
     chk.add_argument("--model", help="exported chain listing")
     chk.set_defaults(func=_cmd_check)
 
     fdr = sub.add_parser("fdr", help="re-run control stages on a saved table")
     fdr.add_argument("--hypotheses", required=True)
-    fdr.add_argument("--bins", type=int, default=None)
-    fdr.add_argument("--degree", type=int, default=None)
-    fdr.add_argument("--threshold", type=float, default=None)
-    fdr.add_argument("--p0", action="store_true", default=None)
-    fdr.add_argument("--outdir", required=True)
     fdr.set_defaults(func=_cmd_fdr)
 
     rep = sub.add_parser("report", help="re-render outputs from a saved table")
     rep.add_argument("--hypotheses", required=True)
     rep.add_argument("--outdir", required=True)
     rep.set_defaults(func=_cmd_report)
+
+    for command, settings in ((gen, _SETTINGS["generate"]),
+                              (inf, _SETTINGS["infer"]),
+                              (fdr, _SETTINGS["fdr"])):
+        for key, parse_fn in settings.items():
+            flag = "--" + key.replace("_", "-")
+            if parse_fn is _parse_bool:
+                command.add_argument(flag, dest=key, action="store_true",
+                                     default=None)
+            else:
+                command.add_argument(flag, dest=key, type=parse_fn)
     return parser
 
 
@@ -98,7 +111,7 @@ def _given(args, cfg, parsers):
     Settings left out fall to the library's own defaults."""
     out = {}
     for key, parse_fn in parsers.items():
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is None and key in cfg:
             try:
                 value = parse_fn(cfg[key])
@@ -110,49 +123,58 @@ def _given(args, cfg, parsers):
     return out
 
 
-def _parse_bool(raw):
-    if raw in ("true", "on", "1", "yes"):
-        return True
-    if raw in ("false", "off", "0", "no"):
-        return False
-    raise ValueError(raw)
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
+def load_config_file(path) -> dict:
+    """Parse ``key = value`` lines; bracketed section headers group keys for
+    readability but key names are global and must be unique.  A ``#`` at
+    the start of a line or after whitespace starts a comment; elsewhere it
+    is part of the value."""
+    out: dict = {}
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot read config {path}: {exc}") from exc
+    with fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = _COMMENT.split(raw, maxsplit=1)[0].strip()
+            if not line:
+                continue
+            if line.startswith("[") and line.endswith("]"):
+                continue
+            if "=" not in line:
+                raise UsageError(f"{path}:{lineno}: expected key = value")
+            key, _, value = line.partition("=")
+            key = key.strip()
+            value = value.strip()
+            if key not in _CONFIG_KEYS:
+                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in out:
+                raise UsageError(f"{path}:{lineno}: duplicate key {key!r}")
+            out[key] = value
+    return out
 
 
 def _load_cfg(args):
-    if getattr(args, "config", None):
-        return pl.load_config_file(args.config)
-    return {}
+    return load_config_file(args.config) if args.config else {}
 
 
-_PRESET_KEYS = {"size": int, "trigger_prob": float}
-
-_GENERATE_KEYS = {
-    "spontaneous_rate": float, "refractory": int, "delay_min": int,
-    "delay_max": int, "target_firings": int, "seed": int,
-}
-
-_CONTROL_KEYS = {"bins": int, "degree": int, "threshold": float,
-                 "p0": _parse_bool}
-
-_INFER_KEYS = {
-    "format": str, "horizon": int, "tmin": int, "tmax": int,
-    "negations": _parse_bool, "divisor": str, "min_support": int,
-    "outdir": str, **_CONTROL_KEYS,
-}
+def _need_outdir(given, command):
+    if "outdir" not in given:
+        raise UsageError(f"{command} needs --outdir")
+    return given["outdir"]
 
 
 def _cmd_generate(args):
     cfg = _load_cfg(args)
-    given = _given(args, cfg, {"preset": str, "outdir": str})
-    if "outdir" not in given:
-        raise UsageError("generate needs --outdir")
-    structure = preset(given.get("preset", "tree"),
-                       **_given(args, cfg, _PRESET_KEYS))
+    out = Path(_need_outdir(_given(args, cfg, _OUTDIR), "generate"))
+    shape = _given(args, cfg, _PRESET)
+    structure = preset(shape.pop("preset", "tree"), **shape)
     # GenConfig declares no default rate
     config = GenConfig(structure, **{"spontaneous_rate": 0.02,
-                                     **_given(args, cfg, _GENERATE_KEYS)})
+                                     **_given(args, cfg, _SIMULATOR)})
     events, truth = generate(config)
-    out = Path(given["outdir"])
     out.mkdir(parents=True, exist_ok=True)
     write_events(events, out / "events.csv")
     with open(out / "truth.csv", "w", encoding="utf-8", newline="\n") as fh:
@@ -169,7 +191,7 @@ def _cmd_infer(args):
     paths = args.path if args.path else (
         cfg["path"].split(",") if "path" in cfg else [])
     config = pl.PipelineConfig(paths=tuple(p.strip() for p in paths),
-                               **_given(args, cfg, _INFER_KEYS))
+                               **_given(args, cfg, _SETTINGS["infer"]))
     report = pl.run_pipeline(config)
     for key in ("enumerated", "prima_facie", "scored", "significant"):
         print(f"{key}: {report.counts[key]}")
@@ -183,6 +205,7 @@ def _cmd_infer(args):
 
 
 def _cmd_check(args):
+    pl.check_format(args.format)
     formula = parse(args.formula)
     problems = validate(formula)
     if problems:
@@ -217,20 +240,19 @@ def _cmd_check(args):
                              lead.tmin, int(lead.tmax))
         counts = f"{int(est.numerator)}/{int(est.denominator)}"
     cmp, bound = formula.comparison, formula.p
-    verdict = est.probability >= bound if cmp == ">=" \
-        else est.probability > bound
+    verdict = meets_bound(est.probability, cmp, bound)
     print(f"probability: {est.probability:.6g} ({counts})")
     print(f"bound {cmp} {bound}: {'holds' if verdict else 'fails'}")
     return 0
 
 
 def _cmd_fdr(args):
-    table = pl.read_hypotheses_tsv(args.hypotheses)
-    report = pl.rerun_fdr(table, args.outdir,
-                          **_given(args, {}, _CONTROL_KEYS))
+    given = _given(args, {}, _SETTINGS["fdr"])
+    outdir = _need_outdir(given, "fdr")
+    report = pl.rerun_fdr(pl.read_hypotheses_tsv(args.hypotheses), **given)
     for key in ("scored", "significant"):
         print(f"{key}: {report.counts[key]}")
-    print(f"outputs -> {args.outdir}")
+    print(f"outputs -> {outdir}")
     return 0
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import DataError
-from .traces import TraceSet, _reject_reserved
+from .traces import TraceSet, _open_lines, _reject_reserved
 
 __all__ = ["Dtmc", "build_dtmc", "encode_labels", "export_text", "load_text"]
 
@@ -145,12 +145,7 @@ def export_text(model: Dtmc, sink) -> None:
 
 def load_text(source) -> Dtmc:
     """Parse a listing produced by :func:`export_text`."""
-    try:
-        with (open(source, encoding="utf-8") if isinstance(source, (str, Path))
-              else nullcontext(source)) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read {source}: {exc}") from exc
+    lines = _open_lines(source)
     atoms, initial, states, freqs, triples = None, 0, [], [], []
     for lineno, line in enumerate(map(str.strip, lines), start=1):
         if not line:

@@ -9,7 +9,6 @@ a run died.
 
 from __future__ import annotations
 
-import re
 import time
 from collections import namedtuple
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from .pctl import print_formula
 from .traces import TraceSet, _load_wide, _open_lines, load_events
 
 __all__ = ["PipelineConfig", "HypothesisRow", "HypothesisTable", "Report",
-           "run_pipeline", "load_data", "counts", "load_config_file",
+           "run_pipeline", "check_format", "load_data", "counts",
            "read_hypotheses_tsv", "render_outputs", "rerun_fdr"]
 
 HYPOTHESES_FILE = "hypotheses.tsv"
@@ -152,14 +151,20 @@ def _stage(name, fn, *args, **kwargs):
         raise
 
 
+def check_format(format: str) -> None:
+    """Refuse a trace format other than ``event-csv`` and ``wide-csv``."""
+    if format not in ("event-csv", "wide-csv"):
+        raise UsageError(f"unknown trace format {format!r}; expected "
+                         f"'event-csv' or 'wide-csv'")
+
+
 def load_data(paths, format: str, horizon: Optional[int]) -> TraceSet:
     """Load replicate files (paths or text streams) into one trace set.
     Event-csv replicates share one variable universe, in first-appearance
     order across the files; wide-csv files ignore ``horizon``."""
+    check_format(format)
     if format == "wide-csv":
         return TraceSet(tuple(_load_wide(_open_lines(p)) for p in paths))
-    if format != "event-csv":
-        raise DataError(f"unknown trace format: {format!r}")
     event_lists = [load_events(path, horizon) for path in paths]
     variables = tuple(dict.fromkeys(v for events in event_lists
                                     for v in events.variables()))
@@ -329,11 +334,7 @@ def render_outputs(report: Report, outdir) -> None:
 
 def read_hypotheses_tsv(path) -> HypothesisTable:
     """Parse a previously written hypothesis table."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    lines = _open_lines(path)
     if not lines or tuple(lines[0].split("\t")) != TSV_COLUMNS:
         raise DataError(f"{path}: not a hypothesis table")
     rows = []
@@ -389,50 +390,3 @@ def rerun_fdr(table: HypothesisTable, outdir,
                 **_control_settings(bins, degree, threshold, p0)}
     return _finish(Report(table, null_model, plot, settings,
                           fit_skipped=fit_skipped), outdir)
-
-
-# ---------------------------------------------------------------------------
-# Flat key=value configuration files with bracketed section headers
-
-CONFIG_KEYS = {
-    "path", "format", "horizon",
-    "tmin", "tmax", "negations",
-    "divisor", "min_support",
-    "bins", "degree", "threshold", "p0",
-    "outdir", "seed",
-    "preset", "size", "trigger_prob", "spontaneous_rate", "refractory",
-    "delay_min", "delay_max", "target_firings",
-}
-
-
-_COMMENT = re.compile(r"(?:^|\s)#")
-
-
-def load_config_file(path) -> dict:
-    """Parse ``key = value`` lines; bracketed section headers group keys for
-    readability but key names are global and must be unique.  A ``#`` at
-    the start of a line or after whitespace starts a comment; elsewhere it
-    is part of the value."""
-    out: dict = {}
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = _COMMENT.split(raw, maxsplit=1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in CONFIG_KEYS:
-                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in out:
-                raise UsageError(f"{path}:{lineno}: duplicate key {key!r}")
-            out[key] = value
-    return out

@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 
 import oracles
 from tlcausal import cli
+from tlcausal.checker import sat_set
+from tlcausal.dtmc import load_text
 from tlcausal.errors import FitError, UsageError
-from tlcausal.pipeline import (TSV_COLUMNS, PipelineConfig, load_config_file,
-                               load_data, read_hypotheses_tsv, rerun_fdr,
-                               run_pipeline)
+from tlcausal.pctl import parse
+from tlcausal.cli import load_config_file
+from tlcausal.pipeline import (TSV_COLUMNS, PipelineConfig, load_data,
+                               read_hypotheses_tsv, rerun_fdr, run_pipeline)
 from tlcausal.synthgen import GenConfig, generate, preset
 from tlcausal.traces import discretize, events_of, write_events
 
@@ -330,6 +333,23 @@ class TestCli:
                          "--model", str(listing)]) == 2
         assert "names a state outside" in capsys.readouterr().err
 
+    def test_check_model_verdict_at_a_bound_of_one(self, tmp_path, capsys):
+        # state 0 goes to ten {b} states with probability 0.1 each: the
+        # chain estimate sums to 1 only up to rounding, as sat_set allows
+        listing = tmp_path / "model.txt"
+        listing.write_text("\n".join(
+            ["atoms a b", "initial 0", "state 0: {a}"]
+            + [f"state {i}: {{b}}\ntrans 0 {i} 0.1\ntrans {i} 0 1.0"
+               for i in range(1, 11)]) + "\n")
+        formula = "a ~>{>=1,<=1}{>=1} b"
+        assert sat_set(load_text(listing), parse(formula)) == \
+            frozenset(range(11))
+        assert cli.main(["check", "--formula", formula,
+                         "--model", str(listing)]) == 0
+        out = capsys.readouterr().out
+        assert "probability: 1 (weighted 1/1)" in out
+        assert "bound >= 1.0: holds" in out
+
     def test_check_model_with_reserved_atom_name(self, tmp_path, capsys):
         # read as the constant atom, `true` would hold in every state
         listing = tmp_path / "model.txt"
@@ -470,6 +490,33 @@ class TestCli:
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, key, allowed", [
+        ("infer", "format", "'event-csv' or 'wide-csv'"),
+        ("infer", "divisor", "'defined' or 'strict'"),
+        ("generate", "preset", "'chain', 'fork', 'collider', 'tree'")])
+    def test_bad_choice_is_a_usage_error(self, tmp_path, capsys, command,
+                                         key, allowed):
+        # a flag and a config key reach the same library check
+        ev = tmp_path / "ev.csv"
+        ev.write_text("0,a\n1,b\n")
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "out"
+        for flags in ([f"--{key}", "bogus"], []):
+            cfg.write_text(f"path = {ev}\n"
+                           + ("" if flags else f"{key} = bogus\n"))
+            assert cli.main([command, "--config", str(cfg), *flags,
+                             "--outdir", str(out)]) == 1
+            assert allowed in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_check_bad_format_is_a_usage_error(self, tmp_path, capsys):
+        ev = tmp_path / "ev.csv"
+        ev.write_text("0,a\n1,b\n")
+        for source in (["--path", str(ev)], ["--model", str(ev)]):
+            assert cli.main(["check", "--formula", "a", *source,
+                             "--format", "bogus"]) == 1
+            assert "unknown trace format 'bogus'" in capsys.readouterr().err
+
     def test_bad_fdr_setting_stops_before_work(self, tmp_path, capsys):
         out = tmp_path / "t"
         assert cli.main(_tiny_infer_args(tmp_path, out)) == 3
@@ -508,6 +555,22 @@ outdir = {tmp_path / 'cfgout'}
                      "summary.txt"):
             assert (tmp_path / "cfgout" / name).read_bytes() == \
                 (tmp_path / "flags" / name).read_bytes()
+        # generate, with every one of its settings
+        settings = {"preset": "chain", "size": "3", "trigger_prob": "0.9",
+                    "spontaneous_rate": "0.05", "refractory": "5",
+                    "delay_min": "2", "delay_max": "6",
+                    "target_firings": "2000", "seed": "7"}
+        flags = [arg for key, value in settings.items()
+                 for arg in ("--" + key.replace("_", "-"), value)]
+        assert cli.main(["generate", *flags,
+                         "--outdir", str(tmp_path / "gflags")]) == 0
+        cfg.write_text("".join(f"{key} = {value}\n"
+                               for key, value in settings.items())
+                       + f"outdir = {tmp_path / 'gcfg'}\n")
+        assert cli.main(["generate", "--config", str(cfg)]) == 0
+        for name in ("events.csv", "truth.csv"):
+            assert (tmp_path / "gcfg" / name).read_bytes() == \
+                (tmp_path / "gflags" / name).read_bytes()
 
     def test_cli_flag_overrides_config(self, tmp_path):
         path, _, horizon = _generate_inputs(tmp_path, seed=3)
