@@ -23,7 +23,7 @@ from .errors import (ConvergenceError, DataError, FitError, TlcausalError,
                      UsageError)
 from .pctl import INFINITY, LeadsTo, ProbBound, parse, validate
 from .synthgen import GenConfig, generate, preset
-from .traces import write_events
+from .traces import _write_text, write_events
 
 __all__ = ["main"]
 
@@ -175,11 +175,9 @@ def _cmd_generate(args):
     config = GenConfig(structure, **{"spontaneous_rate": 0.02,
                                      **_given(args, cfg, _SIMULATOR)})
     events, truth = generate(config)
-    out.mkdir(parents=True, exist_ok=True)
     write_events(events, out / "events.csv")
-    with open(out / "truth.csv", "w", encoding="utf-8", newline="\n") as fh:
-        for parent, child in truth.edges:
-            fh.write(f"{parent},{child}\n")
+    _write_text(out / "truth.csv", "".join(
+        [f"{cause},{effect}\n" for cause, effect in truth.edges]))
     print(f"generated {len(events.records)} firings over {events.horizon} "
           f"ticks ({len(structure.neurons)} neurons, "
           f"{len(truth.edges)} true edges) -> {out}")

@@ -10,17 +10,15 @@ that checkers can average over states by empirical frequency.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
 from .errors import DataError
-from .traces import TraceSet, _open_lines, _reject_reserved
+from .traces import TraceSet, _open_lines, _reject_reserved, _write_text
 
 __all__ = ["Dtmc", "build_dtmc", "encode_labels", "export_text", "load_text"]
 
@@ -131,16 +129,14 @@ def export_text(model: Dtmc, sink) -> None:
     Lines: ``atoms <a> <b> ...``, ``initial <id>``, ``state <id>: {a,b}``,
     ``freq <id> <count>``, ``trans <from> <to> <prob>``.
     """
-    with (open(sink, "w", encoding="utf-8", newline="\n")
-          if isinstance(sink, (str, Path)) else nullcontext(sink)) as fh:
-        fh.write(f"atoms {' '.join(model.atoms)}\ninitial {model.initial}\n")
-        for i, lab in enumerate(model.labels):
-            fh.write(f"state {i}: {{{','.join(sorted(lab))}}}\n")
-        for i, f in enumerate(model.frequency):
-            fh.write(f"freq {i} {f:g}\n")
-        coo = model.transitions.tocoo()
-        for k in np.lexsort((coo.col, coo.row)):
-            fh.write(f"trans {coo.row[k]} {coo.col[k]} {float(coo.data[k])!r}\n")
+    coo = model.transitions.tocoo()
+    _write_text(sink, "".join([
+        f"atoms {' '.join(model.atoms)}\ninitial {model.initial}\n",
+        *(f"state {i}: {{{','.join(sorted(lab))}}}\n"
+          for i, lab in enumerate(model.labels)),
+        *(f"freq {i} {f:g}\n" for i, f in enumerate(model.frequency)),
+        *(f"trans {coo.row[k]} {coo.col[k]} {float(coo.data[k])!r}\n"
+          for k in np.lexsort((coo.col, coo.row)))]))
 
 
 def load_text(source) -> Dtmc:

@@ -463,18 +463,14 @@ def _fmt_operand(f):
     for nested until/unless (legal only under a leads-to), state text with
     parens around embedded leads-to bounds."""
     if isinstance(f, (Until, Unless)):
-        return _fmt_path(f)
+        return _fmt_node(f)
     return _fmt_state(f, _PREC_IMPLIES)
 
 
-def _fmt_path(f):
-    if isinstance(f, Until):
-        return "%s U{<=%s} %s" % (
-            _fmt_operand(f.left), _fmt_time(f.tmax), _fmt_operand(f.right))
-    if isinstance(f, Unless):
-        return "%s W{<=%s} %s" % (
-            _fmt_operand(f.left), _fmt_time(f.tmax), _fmt_operand(f.right))
-    return _fmt_operand(f)
+def _fmt_leads_to(lead, bound=""):
+    return "%s ~>{>=%d,<=%s}%s %s" % (
+        _fmt_operand(lead.left), lead.tmin, _fmt_time(lead.tmax), bound,
+        _fmt_operand(lead.right))
 
 
 def _fmt_node(f):
@@ -492,19 +488,17 @@ def _fmt_node(f):
         return "%s -> %s" % (_fmt_state(f.left, _PREC_IMPLIES + 1),
                              _fmt_state(f.right, _PREC_IMPLIES))
     if isinstance(f, ProbBound):
+        bound = _fmt_pbound(f.comparison, f.p)
         if isinstance(f.path, LeadsTo):
-            lead = f.path
-            return "%s ~>{>=%d,<=%s}%s %s" % (
-                _fmt_path(lead.left), lead.tmin, _fmt_time(lead.tmax),
-                _fmt_pbound(f.comparison, f.p), _fmt_path(lead.right))
-        return "[%s]%s" % (_fmt_path(f.path),
-                           _fmt_pbound(f.comparison, f.p))
+            return _fmt_leads_to(f.path, bound)
+        return "[%s]%s" % (_fmt_operand(f.path), bound)
     if isinstance(f, (Until, Unless)):
-        return _fmt_path(f)
+        return "%s %s{<=%s} %s" % (
+            _fmt_operand(f.left), "U" if isinstance(f, Until) else "W",
+            _fmt_time(f.tmax), _fmt_operand(f.right))
     if isinstance(f, LeadsTo):
         # a bare leads-to has no probability bound; printable for debugging
-        return "%s ~>{>=%d,<=%s} %s" % (
-            _fmt_path(f.left), f.tmin, _fmt_time(f.tmax), _fmt_path(f.right))
+        return _fmt_leads_to(f)
     raise TypeError(f"not a formula node: {f!r}")
 
 

@@ -21,7 +21,8 @@ from . import fdr as fdrmod
 from .causal import enumerate_pairwise, score_hypotheses
 from .errors import DataError, FitError, TlcausalError, UsageError
 from .pctl import print_formula
-from .traces import TraceSet, _load_wide, _open_lines, load_events
+from .traces import (TraceSet, _load_wide, _open_lines, _write_text,
+                     load_events)
 
 __all__ = ["PipelineConfig", "HypothesisRow", "HypothesisTable", "Report",
            "run_pipeline", "check_format", "load_data", "counts",
@@ -172,14 +173,15 @@ def load_data(paths, format: str, horizon: Optional[int]) -> TraceSet:
 
 
 def counts(table: HypothesisTable) -> dict:
-    """Stage counts of a hypothesis table."""
+    """Stage counts of a hypothesis table, in the order ``summary.txt``
+    lists them."""
     scored = ~np.isnan(table.eps_avg)
     return {
         "enumerated": len(table),
         "prima_facie": int(table.prima_facie.sum()),
         "scored": int(scored.sum()),
-        "significant": int((table.label == "significant").sum()),
         "unscored_undefined": int((table.prima_facie & ~scored).sum()),
+        "significant": int((table.label == "significant").sum()),
     }
 
 
@@ -303,33 +305,26 @@ def _cells(column: np.ndarray) -> list:
 
 def render_outputs(report: Report, outdir) -> None:
     out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / HYPOTHESES_FILE, "w", encoding="utf-8", newline="\n") as fh:
-        columns = [_cells(getattr(report.rows, name)) for name in TSV_COLUMNS]
-        fh.write("\n".join(map("\t".join, [TSV_COLUMNS, *zip(*columns)]))
-                 + "\n")
-    with open(out / EDGES_FILE, "w", encoding="utf-8", newline="\n") as fh:
-        for cause, effect in report.significant:
-            fh.write(f"{cause}\t{effect}\n")
-    with open(out / PLOT_FILE, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("center\tcount\tf\tf0\n")
-        for center, count, fv, f0 in report.plot:
-            fh.write(f"{_fmt_float(center)}\t{count}\t"
-                     f"{_fmt_float(fv)}\t{_fmt_float(f0)}\n")
-    with open(out / SUMMARY_FILE, "w", encoding="utf-8", newline="\n") as fh:
-        for key, value in report.settings.items():
-            fh.write(f"{key}: {value}\n")
-        for key in ("enumerated", "prima_facie", "scored",
-                    "unscored_undefined", "significant"):
-            fh.write(f"{key}: {report.counts[key]}\n")
-        if report.null_model is not None:
-            nm = report.null_model
-            fh.write(f"null: delta0={_fmt_float(nm.delta0)} "
-                     f"sigma0={_fmt_float(nm.sigma0)}"
-                     + (f" p0={_fmt_float(nm.p0)}" if nm.p0 is not None else "")
-                     + " window=[{},{}]\n".format(*map(_fmt_float, nm.window)))
-        elif report.fit_skipped is not None:
-            fh.write(f"fit: skipped ({report.fit_skipped})\n")
+    columns = [_cells(getattr(report.rows, name)) for name in TSV_COLUMNS]
+    _write_text(out / HYPOTHESES_FILE, "\n".join(
+        map("\t".join, [TSV_COLUMNS, *zip(*columns)])) + "\n")
+    _write_text(out / EDGES_FILE, "".join(
+        [f"{cause}\t{effect}\n" for cause, effect in report.significant]))
+    _write_text(out / PLOT_FILE, "".join(
+        ["center\tcount\tf\tf0\n",
+         *(f"{_fmt_float(center)}\t{count}\t{_fmt_float(fv)}\t"
+           f"{_fmt_float(f0)}\n" for center, count, fv, f0 in report.plot)]))
+    fields = [*report.settings.items(), *report.counts.items()]
+    if report.null_model is not None:
+        nm = report.null_model
+        p0 = "" if nm.p0 is None else f" p0={_fmt_float(nm.p0)}"
+        lo, hi = map(_fmt_float, nm.window)
+        fields.append(("null", f"delta0={_fmt_float(nm.delta0)} sigma0="
+                       f"{_fmt_float(nm.sigma0)}{p0} window=[{lo},{hi}]"))
+    elif report.fit_skipped is not None:
+        fields.append(("fit", f"skipped ({report.fit_skipped})"))
+    _write_text(out / SUMMARY_FILE,
+                "".join([f"{key}: {value}\n" for key, value in fields]))
 
 
 def read_hypotheses_tsv(path) -> HypothesisTable:

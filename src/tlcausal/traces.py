@@ -61,7 +61,11 @@ class EventList:
         """
         names = tuple(variables) if variables is not None else self.variables()
         index = {v: i for i, v in enumerate(names)}
-        values = np.zeros((len(names), self.horizon), dtype=bool)
+        try:
+            values = np.zeros((len(names), self.horizon), dtype=bool)
+        except (MemoryError, ValueError) as exc:  # numpy refuses the size
+            raise DataError(f"cannot hold a trace of {len(names)} x "
+                            f"{self.horizon} (variables x ticks)") from exc
         for t, v in self.records:
             if v not in index:
                 raise DataError(f"event variable {v!r} not in declared list")
@@ -158,6 +162,21 @@ def _open_lines(source):
     return data.splitlines()
 
 
+def _write_text(sink, text: str) -> None:
+    """Write ``text`` to an open text stream as it is, or to a path as
+    UTF-8 with LF line endings, making missing parent directories.  A
+    path that cannot be written is a data error naming it."""
+    if not isinstance(sink, (str, Path)):
+        sink.write(text)
+        return
+    try:
+        Path(sink).parent.mkdir(parents=True, exist_ok=True)
+        with open(sink, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DataError(f"cannot write {sink}: {exc}") from exc
+
+
 def load_events(source: Source, horizon: Optional[int] = None) -> EventList:
     """Parse an event-csv stream, headerless ``<time>,<variable>`` rows,
     without densifying (replicate loaders can then share one variable
@@ -184,10 +203,11 @@ def _load_wide(lines):
     """One trace from wide-csv lines: header ``time,<var1>,...,<varN>``,
     then one row per tick with cells in {0, 1}; the time column must run
     0..length-1 in order."""
-    rows = [ln for ln in lines if ln.strip() != ""]
+    rows = [(lineno, ln) for lineno, ln in enumerate(lines, start=1)
+            if ln.strip() != ""]
     if not rows:
         raise DataError("empty wide-csv input")
-    header = [c.strip() for c in rows[0].split(",")]
+    header = [c.strip() for c in rows[0][1].split(",")]
     if len(header) < 2 or header[0] != "time":
         raise DataError("wide-csv header must be 'time,<var1>,...'")
     names = tuple(header[1:])
@@ -195,9 +215,8 @@ def _load_wide(lines):
     if length < 1:
         raise DataError("wide-csv must contain at least one tick row")
     values = np.zeros((len(names), length), dtype=bool)
-    for tick, line in enumerate(rows[1:], start=0):
+    for tick, (lineno, line) in enumerate(rows[1:]):
         cells = [c.strip() for c in line.split(",")]
-        lineno = tick + 2
         if len(cells) != len(header):
             raise DataError(f"malformed row at line {lineno}: "
                             f"expected {len(header)} cells")
@@ -222,13 +241,7 @@ def events_of(trace: Trace) -> EventList:
 
 def write_events(events: EventList, sink) -> None:
     """Serialize as event-csv (sorted records, LF line endings)."""
-    own = isinstance(sink, (str, Path))
-    fh = open(sink, "w", encoding="utf-8", newline="\n") if own else sink
-    try:
-        fh.write("".join([f"{t},{v}\n" for t, v in events.records]))
-    finally:
-        if own:
-            fh.close()
+    _write_text(sink, "".join([f"{t},{v}\n" for t, v in events.records]))
 
 
 def discretize(series: np.ndarray, theta_up: float, theta_down: float,

@@ -455,6 +455,48 @@ class TestCli:
         assert f"variable {name!r} is a reserved name" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("time", ["1000000000000000",
+                                      "99999999999999999999"])
+    def test_huge_event_time_is_a_data_error(self, tmp_path, capsys, time):
+        # numpy refuses a trace this long outright: it exceeds the address
+        # space, so nothing is allocated
+        path = tmp_path / "ev.csv"
+        path.write_text(f"{time},A\n0,B\n")
+        out = tmp_path / "out"
+        assert cli.main(["infer", "--path", str(path),
+                         "--outdir", str(out)]) == 2
+        assert f"cannot hold a trace of 2 x {int(time) + 1}" in \
+            capsys.readouterr().err
+        assert not out.exists()
+        assert cli.main(["check", "--formula", "A ~>{>=1,<=1}{>=0.5} B",
+                         "--path", str(path)]) == 2
+        assert f"cannot hold a trace of 2 x {int(time) + 1}" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["generate", "infer", "fdr",
+                                         "report"])
+    def test_unwritable_outdir_is_a_data_error(self, tmp_path, capsys,
+                                               command):
+        table = tmp_path / "t" / "hypotheses.tsv"
+        assert cli.main(_tiny_infer_args(tmp_path, table.parent)) == 3
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = {
+            "generate": ["generate", "--preset", "chain", "--size", "3",
+                         "--target-firings", "300", "--outdir", str(blocker)],
+            "infer": _tiny_infer_args(tmp_path, blocker),
+            "fdr": ["fdr", "--hypotheses", str(table),
+                    "--outdir", str(blocker)],
+            "report": ["report", "--hypotheses", str(table),
+                       "--outdir", str(blocker)],
+        }[command]
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: cannot write {blocker}")
+        assert "Traceback" not in err
+        assert blocker.read_text() == ""
+
     def test_undecimal_event_time_is_a_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("²,a\n", encoding="utf-8")

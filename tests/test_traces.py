@@ -1,10 +1,12 @@
 import io
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tlcausal.dtmc import build_dtmc, export_text
 from tlcausal.errors import DataError
 from tlcausal.pipeline import load_data
 from tlcausal.traces import (EventList, Trace, TraceSet, discretize,
@@ -31,6 +33,14 @@ class TestWideCsv:
     def test_crlf(self):
         data = load_data([io.StringIO("time,a\r\n0,1\r\n")], "wide-csv", None)
         assert data.traces[0].length == 1
+
+    @pytest.mark.parametrize("row, message", [
+        ("1,0", "expected 3 cells"), ("2,0,1", "expected tick 1"),
+        ("1,0,2", "cell must be 0 or 1")])
+    def test_error_names_the_line_past_blank_lines(self, row, message):
+        text = f"time,a,b\n\n0,1,0\n\n{row}\n"
+        with pytest.raises(DataError, match=f"line 5: {message}"):
+            load_data([io.StringIO(text)], "wide-csv", None)
 
 
 class TestEventCsv:
@@ -84,6 +94,30 @@ def _traces(draw):
     cells = draw(st.lists(st.booleans(), min_size=len(names) * length,
                           max_size=len(names) * length))
     return Trace(names, np.array(cells).reshape(len(names), length))
+
+
+class TestWriters:
+    @pytest.fixture(params=["events", "model"])
+    def write(self, request):
+        trace = Trace(("a", "b"), np.array([[1, 0, 1], [0, 1, 1]], bool))
+        if request.param == "events":
+            return lambda sink: write_events(events_of(trace), sink)
+        return lambda sink: export_text(build_dtmc(TraceSet((trace,))), sink)
+
+    def test_path_gets_the_stream_text(self, tmp_path, write):
+        sink = io.StringIO()
+        write(sink)
+        path = tmp_path / "missing" / "dir" / "out.txt"
+        write(path)
+        assert path.read_bytes() == sink.getvalue().encode("utf-8")
+        write(str(path))
+        assert path.read_bytes() == sink.getvalue().encode("utf-8")
+
+    def test_unwritable_path_is_a_data_error(self, tmp_path, write):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(DataError, match=re.escape(f"cannot write {blocker}")):
+            write(blocker / "out.txt")
 
 
 class TestEventProperties:
