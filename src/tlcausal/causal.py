@@ -139,17 +139,23 @@ class ScoreTable:
 # Batched scoring over a whole hypothesis family
 #
 # The pipeline evaluates every ordered pair at once.  Counts come from 0/1
-# matrix products over the qualifying ticks of each trace.  Every partial sum
-# of such a product is an integer no larger than the number of ticks summed
-# over, so it is exact in float64 up to 2**53 ticks; the counts match the
-# per-pair definitions exactly.
+# matrix products over the qualifying ticks of each trace, in float32 over
+# chunks of at most _CHUNK ticks: a partial sum is an integer no larger than
+# the chunk length, and float32 holds every integer up to 2**24 exactly, in
+# any summation order.  Chunk results add up in int64, so the counts match
+# the per-pair definitions exactly at any trace length.
+_CHUNK = 2 ** 16
+
 
 def _products(left, right):
     """Exact counts ``left @ right.T`` of two boolean matrices whose rows
     run over the same ticks."""
-    lf = left.astype(np.float64)
-    rf = lf if right is left else right.astype(np.float64)
-    return (lf @ rf.T).astype(np.int64)
+    total = np.zeros((len(left), len(right)), dtype=np.int64)
+    for t in range(0, left.shape[1], _CHUNK):
+        lf = left[:, t:t + _CHUNK].astype(np.float32)
+        rf = lf if right is left else right[:, t:t + _CHUNK].astype(np.float32)
+        total += (lf @ rf.T).astype(np.int64)
+    return total
 
 
 def score_hypotheses(data: TraceSet, hypotheses: Sequence[Hypothesis],
@@ -175,7 +181,7 @@ def score_hypotheses(data: TraceSet, hypotheses: Sequence[Hypothesis],
     cause_qual = np.zeros(nc, dtype=np.int64)
     marg_num = np.zeros(ne, dtype=np.int64)
     qual_total = 0
-    kept = []  # per trace: cause rows and effect window hits, qualifying ticks
+    kept = []  # per trace: cause rows, effect hits, ticks two causes hold
 
     for trace in data:
         rows = np.array([eval_on_trace(trace, c) for c in causes],
@@ -192,7 +198,7 @@ def score_hypotheses(data: TraceSet, hypotheses: Sequence[Hypothesis],
         marg_num += hits.sum(axis=1)
         cooc += _products(rq, rq)
         cond_num += _products(rq, hits)
-        kept.append((rq, hits))
+        kept.append((rq, hits, np.flatnonzero(rq.sum(axis=0) >= 2)))
 
     cause_ix, effect_ix = family.cause_ix, family.effect_ix
     num = cond_num[cause_ix, effect_ix]
@@ -212,24 +218,28 @@ def score_hypotheses(data: TraceSet, hypotheses: Sequence[Hypothesis],
         if len(members) == 1:
             continue  # no rival to compare against
         rivals = cause_ix[members]
+        num_x = cond_num[rivals, ej]
         values, defined = _impact_terms(
             both=cooc[np.ix_(rivals, rivals)],
             x_total=cause_qual[rivals],
-            num_both=_pair_counts(kept, rivals, ej),
-            num_x=cond_num[rivals, ej],
+            num_both=_pair_counts(kept, rivals, ej, num_x),
+            num_x=num_x,
             min_support=min_support)
         eps[members] = np.array(_average(values, defined, divisor),
                                 dtype=float)  # None reads as NaN
     return ScoreTable(family, num, den, marg, qual_total, passed, eps)
 
 
-def _pair_counts(kept, rivals, ej):
+def _pair_counts(kept, rivals, ej, own):
     """Ticks where two rivals both hold and effect ``ej`` hits its window,
-    summed over the traces; only the hit ticks can contribute."""
+    summed over the traces.  Only hit ticks where two causes hold can add
+    to a pair; the diagonal, each rival's own hit count, is ``own``."""
     total = np.zeros((len(rivals), len(rivals)), dtype=np.int64)
-    for rq, hits in kept:
-        sub = rq[rivals][:, np.flatnonzero(hits[ej])]  # faster than np.ix_
+    for rq, hits, multi in kept:
+        # index arrays, not a filtered copy of rq: faster than np.ix_ too
+        sub = rq[rivals][:, multi[hits[ej, multi]]]
         total += _products(sub, sub)
+    np.fill_diagonal(total, own)
     return total
 
 

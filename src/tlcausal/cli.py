@@ -23,7 +23,7 @@ from .errors import (ConvergenceError, DataError, FitError, TlcausalError,
                      UsageError)
 from .pctl import INFINITY, LeadsTo, ProbBound, parse, validate
 from .synthgen import GenConfig, generate, preset
-from .traces import _write_text, write_events
+from .traces import _check_writable, _write_text, write_events
 
 __all__ = ["main"]
 
@@ -174,6 +174,8 @@ def _cmd_generate(args):
     # GenConfig declares no default rate
     config = GenConfig(structure, **{"spontaneous_rate": 0.02,
                                      **_given(args, cfg, _SIMULATOR)})
+    config.check()
+    _check_writable(out)
     events, truth = generate(config)
     write_events(events, out / "events.csv")
     _write_text(out / "truth.csv", "".join(
@@ -255,6 +257,7 @@ def _cmd_fdr(args):
 
 
 def _cmd_report(args):
+    _check_writable(args.outdir)
     table = pl.read_hypotheses_tsv(args.hypotheses)
     report = pl.Report(table, None, [], {"inputs": "(saved hypothesis table)"})
     pl.render_outputs(report, args.outdir)

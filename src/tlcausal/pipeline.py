@@ -21,8 +21,8 @@ from . import fdr as fdrmod
 from .causal import enumerate_pairwise, score_hypotheses
 from .errors import DataError, FitError, TlcausalError, UsageError
 from .pctl import print_formula
-from .traces import (TraceSet, _load_wide, _open_lines, _write_text,
-                     load_events)
+from .traces import (TraceSet, _check_writable, _load_wide, _open_lines,
+                     _write_text, load_events)
 
 __all__ = ["PipelineConfig", "HypothesisRow", "HypothesisTable", "Report",
            "run_pipeline", "check_format", "load_data", "counts",
@@ -72,6 +72,7 @@ class PipelineConfig:
             raise UsageError("divisor must be 'defined' or 'strict'")
         if self.min_support < 1:
             raise UsageError("min_support must be >= 1")
+        check_format(self.format)
         _check_control(self.bins, self.degree, self.threshold)
 
 
@@ -225,6 +226,8 @@ def run_pipeline(config: PipelineConfig) -> Report:
     A fit that cannot run raises ``FitError`` after the outputs are
     written."""
     config.check()
+    if config.outdir is not None:
+        _check_writable(config.outdir)
     started = time.perf_counter()
 
     data = _stage("load", load_data, config.paths, config.format,
@@ -288,18 +291,20 @@ def _fmt_float(x) -> str:
 
 
 def _cells(column: np.ndarray) -> list:
-    """One column of ``hypotheses.tsv``.  Floats are written as
-    ``_fmt_float`` writes them, NaN as the empty cell, each distinct bit
-    pattern once: on wide families most ``p_cond``, ``p_marginal`` and
-    ``fdr`` cells repeat a value, and formatting dominates the write."""
+    """One column of ``hypotheses.tsv``.  Numbers are formatted once per
+    distinct value (floats keyed by their bit pattern, NaN as the empty
+    cell): the window columns hold one value, most ``p_cond``,
+    ``p_marginal`` and ``fdr`` cells repeat one, and formatting dominates
+    the write.  Names go as they are; sorting objects would cost more."""
     if column.dtype == bool:
         return np.where(column, "1", "0").tolist()
-    if column.dtype != float:
+    if column.dtype == object:
         return [str(v) for v in column.tolist()]
-    _, first, inverse = np.unique(column.view(np.int64), return_index=True,
-                                  return_inverse=True)
-    cells = ["" if v != v else format(v, ".10g")
-             for v in column[first].tolist()]
+    floats = column.dtype == float
+    _, first, inverse = np.unique(column.view(np.int64) if floats else column,
+                                  return_index=True, return_inverse=True)
+    fmt = (lambda v: "" if v != v else format(v, ".10g")) if floats else str
+    cells = list(map(fmt, column[first].tolist()))
     return [cells[i] for i in inverse.tolist()]
 
 
@@ -379,6 +384,8 @@ def rerun_fdr(table: HypothesisTable, outdir,
     averages, refit, relabel, and write the outputs to ``outdir``.  A fit
     that cannot run raises ``FitError`` after writing them."""
     _check_control(bins, degree, threshold)
+    if outdir is not None:
+        _check_writable(outdir)
     null_model, plot, fit_skipped = _control(table, bins, degree, threshold,
                                              p0)
     settings = {"inputs": "(saved hypothesis table)",

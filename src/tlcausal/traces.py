@@ -9,6 +9,7 @@ by the spike-train generator and the ``event-csv`` format.
 from __future__ import annotations
 
 import io
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
@@ -175,6 +176,17 @@ def _write_text(sink, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise DataError(f"cannot write {sink}: {exc}") from exc
+
+
+def _check_writable(directory) -> None:
+    """Refuse, before any work, an output directory that a write could not
+    make or write into: the nearest existing path must be a writable
+    directory.  Makes nothing."""
+    path = Path(directory)
+    existing = next(p for p in (path, *path.parents) if os.path.exists(p))
+    if not (existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)):
+        raise DataError(f"cannot write {path}: {existing} is not a "
+                        f"writable directory")
 
 
 def load_events(source: Source, horizon: Optional[int] = None) -> EventList:

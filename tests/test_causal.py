@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import random_traceset, traceset_from_marks
+from conftest import random_traceset, trace_from_marks, traceset_from_marks
 from oracles import epsilon_avg, epsilon_x, prima_facie_test
 from tlcausal import causal
 from tlcausal.causal import (Hypothesis, HypothesisFamily, enumerate_pairwise,
@@ -254,6 +254,71 @@ def _replicate_sets(draw):
     return TraceSet(tuple(traces))
 
 
+def _assert_matches_per_pair_functions(monkeypatch, data, tmin, tmax):
+    """Counts, terms and impact averages of every pairwise hypothesis
+    against the per-pair oracle functions."""
+    hyps = enumerate_pairwise(data.variables, tmin, tmax)
+    want = oracles.pairwise_hypotheses(data.variables, tmin, tmax)
+    scores, terms = _score_with_terms(monkeypatch, data, hyps)
+    by_effect = {}
+    for i, h in enumerate(want):
+        single = prima_facie_test(data, h)
+        assert scores.passed[i] == single.passed
+        assert (scores.num[i], scores.den[i]) == \
+            (single.p_cond.numerator, single.p_cond.denominator)
+        assert (scores.marg[i], scores.qual_total) == \
+            (single.p_marginal.numerator,
+             single.p_marginal.denominator)
+        if single.passed:
+            by_effect.setdefault(h.effect, []).append(h.cause)
+    # the scorer visits the effects with rivals in first-passer order
+    with_rivals = [e for e, cs in by_effect.items() if len(cs) > 1]
+    assert len(terms) == len(with_rivals)
+    terms = dict(zip(with_rivals, terms))
+    for i in np.flatnonzero(scores.passed):
+        h = want[i]
+        single = epsilon_avg(data, h.cause, h.effect,
+                             by_effect[h.effect], tmin, tmax)
+        assert _eps(scores, i) == single.eps_avg
+        assert _row_terms(terms, by_effect, h) == \
+               [(t.value, t.defined) for t in single.eps_terms]
+    return by_effect
+
+
+_ORACLE_CASES = dict(data=_replicate_sets(), tmin=st.integers(1, 3),
+                     width=st.integers(0, 3), negations=st.booleans(),
+                     min_support=st.sampled_from([1, 2, 3]),
+                     divisor=st.sampled_from(["defined", "strict"]))
+
+
+def _assert_matches_oracles(data, tmin, tmax, negations, min_support,
+                            divisor):
+    """Counts and impact averages of every pairwise hypothesis against the
+    oracle functions."""
+    hyps = enumerate_pairwise(data.variables, tmin, tmax,
+                              include_negations=negations)
+    want = oracles.pairwise_hypotheses(data.variables, tmin, tmax, negations)
+    scores = score_hypotheses(data, hyps, divisor=divisor,
+                              min_support=min_support)
+    by_effect = {}
+    for i, h in enumerate(want):
+        single = prima_facie_test(data, h)
+        assert (scores.num[i], scores.den[i]) == \
+            (single.p_cond.numerator, single.p_cond.denominator)
+        assert (scores.marg[i], scores.qual_total) == \
+            (single.p_marginal.numerator, single.p_marginal.denominator)
+        assert scores.passed[i] == single.passed
+        if single.passed:
+            by_effect.setdefault(h.effect, []).append(h.cause)
+    assert scores.passed.sum() == sum(map(len, by_effect.values()))
+    for i in np.flatnonzero(scores.passed):
+        h = want[i]
+        single = epsilon_avg(data, h.cause, h.effect, by_effect[h.effect],
+                             tmin, tmax, divisor=divisor,
+                             min_support=min_support)
+        assert _eps(scores, i) == single.eps_avg
+
+
 class TestBatchedScoring:
     def test_matches_per_pair_functions(self, monkeypatch):
         rng = np.random.default_rng(100)
@@ -262,64 +327,55 @@ class TestBatchedScoring:
                                    n_traces=int(rng.integers(1, 3)))
             tmin = int(rng.integers(1, 3))
             tmax = tmin + int(rng.integers(0, 3))
-            hyps = enumerate_pairwise(data.variables, tmin, tmax)
-            want = oracles.pairwise_hypotheses(data.variables, tmin, tmax)
-            scores, terms = _score_with_terms(monkeypatch, data, hyps)
-            by_effect = {}
-            for i, h in enumerate(want):
-                single = prima_facie_test(data, h)
-                assert scores.passed[i] == single.passed
-                assert (scores.num[i], scores.den[i]) == \
-                    (single.p_cond.numerator, single.p_cond.denominator)
-                assert (scores.marg[i], scores.qual_total) == \
-                    (single.p_marginal.numerator,
-                     single.p_marginal.denominator)
-                if single.passed:
-                    by_effect.setdefault(h.effect, []).append(h.cause)
-            # the scorer visits the effects with rivals in first-passer order
-            with_rivals = [e for e, cs in by_effect.items() if len(cs) > 1]
-            assert len(terms) == len(with_rivals)
-            terms = dict(zip(with_rivals, terms))
-            for i in np.flatnonzero(scores.passed):
-                h = want[i]
-                single = epsilon_avg(data, h.cause, h.effect,
-                                     by_effect[h.effect], tmin, tmax)
-                assert _eps(scores, i) == single.eps_avg
-                assert _row_terms(terms, by_effect, h) == \
-                       [(t.value, t.defined) for t in single.eps_terms]
+            _assert_matches_per_pair_functions(monkeypatch, data, tmin, tmax)
 
     @settings(max_examples=150, deadline=None)
-    @given(data=_replicate_sets(), tmin=st.integers(1, 3),
-           width=st.integers(0, 3), negations=st.booleans(),
-           min_support=st.sampled_from([1, 2, 3]),
-           divisor=st.sampled_from(["defined", "strict"]))
+    @given(**_ORACLE_CASES)
     def test_matches_oracles_on_random_replicates(self, data, tmin, width,
                                                   negations, min_support,
                                                   divisor):
-        tmax = tmin + width
-        hyps = enumerate_pairwise(data.variables, tmin, tmax,
-                                  include_negations=negations)
-        want = oracles.pairwise_hypotheses(data.variables, tmin, tmax,
-                                           negations)
-        scores = score_hypotheses(data, hyps, divisor=divisor,
-                                  min_support=min_support)
-        by_effect = {}
-        for i, h in enumerate(want):
-            single = prima_facie_test(data, h)
-            assert (scores.num[i], scores.den[i]) == \
-                (single.p_cond.numerator, single.p_cond.denominator)
-            assert (scores.marg[i], scores.qual_total) == \
-                (single.p_marginal.numerator, single.p_marginal.denominator)
-            assert scores.passed[i] == single.passed
-            if single.passed:
-                by_effect.setdefault(h.effect, []).append(h.cause)
-        assert scores.passed.sum() == sum(map(len, by_effect.values()))
-        for i in np.flatnonzero(scores.passed):
-            h = want[i]
-            single = epsilon_avg(data, h.cause, h.effect, by_effect[h.effect],
-                                 tmin, tmax, divisor=divisor,
-                                 min_support=min_support)
-            assert _eps(scores, i) == single.eps_avg
+        _assert_matches_oracles(data, tmin, tmin + width, negations,
+                                min_support, divisor)
+
+    # chunks of 1 and 7 ticks break inside windows and inside traces
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_matches_per_pair_functions_in_small_chunks(self, monkeypatch,
+                                                        chunk):
+        monkeypatch.setattr(causal, "_CHUNK", chunk)
+        self.test_matches_per_pair_functions(monkeypatch)
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @settings(max_examples=150, deadline=None)
+    @given(**_ORACLE_CASES)
+    def test_matches_oracles_in_small_chunks(self, chunk, data, tmin, width,
+                                             negations, min_support, divisor):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(causal, "_CHUNK", chunk)
+            _assert_matches_oracles(data, tmin, tmin + width, negations,
+                                    min_support, divisor)
+
+    def test_replicate_without_two_causes_at_one_tick(self, monkeypatch):
+        # no two atoms of "apart" hold at one tick, so it adds to no rival
+        # pair; a and b hold together at ticks 0 and 16 of "together"
+        variables = ("a", "b", "e")
+        apart = trace_from_marks(variables, 40, {
+            "a": [0, 10, 20], "b": [5, 15, 25], "e": [1, 6, 11, 16, 21, 26]})
+        together = trace_from_marks(variables, 40, {
+            "a": [0, 8, 16, 24], "b": [0, 4, 16, 28], "e": [1, 5, 9, 17, 29]})
+        assert apart.values.sum(axis=0).max() == 1
+        for data in (TraceSet((apart, together)),
+                     TraceSet((together, apart))):
+            by_effect = _assert_matches_per_pair_functions(monkeypatch, data,
+                                                           1, 1)
+            assert by_effect[Atom("e")] == [Atom("a"), Atom("b")]
+
+    def test_products_exact_across_a_chunk_boundary(self):
+        ticks = causal._CHUNK + 3
+        ones = np.ones((2, ticks), dtype=bool)
+        counts = causal._products(ones, ones[:1])
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [[ticks], [ticks]]
+        assert causal._products(ones, ones).tolist() == [[ticks] * 2] * 2
 
     def test_min_support_below_one_acts_as_one(self):
         # a and b never co-occur: their mutual terms have no ticks at all

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from tlcausal import cli
+from tlcausal import cli, pipeline
 from tlcausal.checker import sat_set
 from tlcausal.dtmc import load_text
 from tlcausal.errors import FitError, UsageError
@@ -476,7 +476,7 @@ class TestCli:
     @pytest.mark.parametrize("command", ["generate", "infer", "fdr",
                                          "report"])
     def test_unwritable_outdir_is_a_data_error(self, tmp_path, capsys,
-                                               command):
+                                               monkeypatch, command):
         table = tmp_path / "t" / "hypotheses.tsv"
         assert cli.main(_tiny_infer_args(tmp_path, table.parent)) == 3
         blocker = tmp_path / "file"
@@ -490,12 +490,46 @@ class TestCli:
             "report": ["report", "--hypotheses", str(table),
                        "--outdir", str(blocker)],
         }[command]
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("work began before the outdir was checked")
+
+        # the first piece of work each command would do
+        monkeypatch.setattr(*{"generate": (cli, "generate"),
+                              "infer": (pipeline, "load_data"),
+                              "fdr": (pipeline, "_control"),
+                              "report": (pipeline, "read_hypotheses_tsv"),
+                              }[command], unreachable)
         capsys.readouterr()
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"data error: cannot write {blocker}")
         assert "Traceback" not in err
         assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize("command", ["generate", "infer", "format",
+                                         "fdr"])
+    def test_settings_error_wins_over_unwritable_outdir(self, tmp_path,
+                                                        capsys, command):
+        table = tmp_path / "t" / "hypotheses.tsv"
+        assert cli.main(_tiny_infer_args(tmp_path, table.parent)) == 3
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for outdir in (blocker, tmp_path / "new" / "out"):
+            argv = {
+                "generate": ["generate", "--preset", "chain", "--size", "1",
+                             "--outdir", str(outdir)],
+                "infer": _tiny_infer_args(tmp_path, outdir) + ["--bins", "1"],
+                "format": _tiny_infer_args(tmp_path, outdir)
+                + ["--format", "bogus"],
+                "fdr": ["fdr", "--hypotheses", str(table), "--bins", "1",
+                        "--outdir", str(outdir)],
+            }[command]
+            capsys.readouterr()
+            assert cli.main(argv) == 1
+            assert capsys.readouterr().err.startswith("usage error:")
+        assert blocker.read_text() == ""
+        assert not (tmp_path / "new").exists()
 
     def test_undecimal_event_time_is_a_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
