@@ -26,27 +26,26 @@ config = GenConfig(
     seed=42,
 )
 events, truth = generate(config)
-print(f"\ngenerated {len(events.records)} firings over "
+print(f"\ngenerated {len(events)} firings over "
       f"{events.horizon} ticks")
 
-# Firing counts per neuron: children fire a bit more often than roots
-# because triggered firings add to the spontaneous ones.
-counts = {}
-for _, neuron in events.records:
-    counts[neuron] = counts.get(neuron, 0) + 1
+# The events are arrays: neuron events.names[events.ids[k]] fired at tick
+# events.times[k].  Firing counts per neuron: children fire a bit more
+# often than roots because triggered firings add to the spontaneous ones.
+counts = dict(zip(events.names, np.bincount(events.ids).tolist()))
 for neuron in structure.neurons:
     bar = "#" * (counts.get(neuron, 0) // 200)
     print(f"  {neuron}: {counts.get(neuron, 0):6d} {bar}")
 
 # Inter-firing intervals respect the refractory period by construction.
-times_a = [t for t, n in events.records if n == "A"]
+times_a = events.times[events.ids == events.names.index("A")]
 gaps = np.diff(times_a)
 print(f"\nroot neuron A: {len(times_a)} firings, "
       f"min gap {gaps.min()}, mean gap {gaps.mean():.1f} ticks")
 
 # Lag histogram from parent A to child B: triggered firings pile up
 # inside the 20-40 tick window.
-times_b = np.array([t for t, n in events.records if n == "B"])
+times_b = events.times[events.ids == events.names.index("B")]
 lags = []
 for t in times_a:
     inside = times_b[(times_b > t) & (times_b <= t + 60)]

@@ -180,7 +180,7 @@ def _cmd_generate(args):
     write_events(events, out / "events.csv")
     _write_text(out / "truth.csv", "".join(
         [f"{cause},{effect}\n" for cause, effect in truth.edges]))
-    print(f"generated {len(events.records)} firings over {events.horizon} "
+    print(f"generated {len(events)} firings over {events.horizon} "
           f"ticks ({len(structure.neurons)} neurons, "
           f"{len(truth.edges)} true edges) -> {out}")
     return 0
@@ -249,6 +249,10 @@ def _cmd_check(args):
 def _cmd_fdr(args):
     given = _given(args, {}, _SETTINGS["fdr"])
     outdir = _need_outdir(given, "fdr")
+    # refuse bad settings and the outdir before reading the table
+    pl._check_control(**{key: value for key, value in given.items()
+                         if key in ("bins", "degree", "threshold")})
+    _check_writable(outdir)
     report = pl.rerun_fdr(pl.read_hypotheses_tsv(args.hypotheses), **given)
     for key in ("scored", "significant"):
         print(f"{key}: {report.counts[key]}")

@@ -76,7 +76,8 @@ class PipelineConfig:
         _check_control(self.bins, self.degree, self.threshold)
 
 
-def _check_control(bins, degree, threshold):
+def _check_control(bins=fdrmod.DEFAULT_BINS, degree=fdrmod.DEFAULT_DEGREE,
+                   threshold=fdrmod.DEFAULT_THRESHOLD):
     """Reject, before any work, settings the fit or classify refuses."""
     if bins < fdrmod.MIN_BINS:
         raise UsageError(f"bins must be >= {fdrmod.MIN_BINS}")

@@ -284,5 +284,5 @@ def generate(config: GenConfig) -> tuple:
                 pending.setdefault(t + d, []).append((child, prob))
         t += 1
 
-    records = [(tick, names[i]) for tick, i in zip(times, fired_idx)]
-    return EventList.from_records(records, t), GroundTruth.of(structure)
+    return (EventList.from_arrays(times, fired_idx, names, t),
+            GroundTruth.of(structure))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
@@ -25,34 +26,82 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventList:
-    """Sparse (time, variable) records over ticks ``0 .. horizon-1``.
+    """Sparse (time, variable) events over ticks ``0 .. horizon-1``.
 
-    Records are sorted by time then variable and contain no duplicates.
+    Event ``k`` is variable ``names[ids[k]]`` at tick ``times[k]`` (int64).
+    Events are sorted by time, then by name in ``str`` order, and contain
+    no duplicates; ``names`` may also hold variables that never occur.
     """
 
-    records: tuple
+    times: np.ndarray
+    ids: np.ndarray
+    names: tuple
     horizon: int
 
     @staticmethod
-    def from_records(records: Iterable[tuple], horizon: int) -> "EventList":
-        recs = sorted((int(t), str(v)) for t, v in records)
-        for t, v in recs[:1] + recs[-1:]:  # the earliest and the latest
+    def from_arrays(times, ids, names: Sequence[str],
+                    horizon: int) -> "EventList":
+        """Sort events given as parallel time and name-index arrays over
+        distinct ``names``, then refuse a time outside ``[0, horizon)`` and
+        a repeated event."""
+        try:
+            times = np.asarray(times, np.int64)
+        except OverflowError:
+            raise DataError("event times must fit in int64") from None
+        ids, names = np.asarray(ids, np.intp), tuple(names)
+        rank = np.empty(len(names), np.intp)
+        rank[sorted(range(len(names)), key=names.__getitem__)] = \
+            np.arange(len(names))
+        ranks = rank[ids]
+        step, rise = np.diff(times), np.diff(ranks)
+        if (step < 0).any() or ((step == 0) & (rise < 0)).any():
+            order = np.lexsort((ranks, times))
+            times, ids, ranks = times[order], ids[order], ranks[order]
+            step, rise = np.diff(times), np.diff(ranks)
+        for k in (0, -1)[:len(times)]:  # the earliest and the latest
+            t, v = int(times[k]), names[ids[k]]
             if not 0 <= t < horizon:
                 raise DataError(f"event time out of range: ({t}, {v}) "
                                 f"with horizon {horizon}")
-        for a, b in zip(recs, recs[1:]):
-            if a == b:
-                raise DataError(f"duplicate event: {a}")
-        return EventList(tuple(recs), int(horizon))
+        same = np.flatnonzero((step == 0) & (rise == 0))
+        if same.size:
+            k = same[0]
+            record = (int(times[k]), names[ids[k]])
+            raise DataError(f"duplicate event: {record}")
+        return EventList(times, ids, names, int(horizon))
+
+    @staticmethod
+    def from_records(records: Iterable[tuple], horizon: int) -> "EventList":
+        """From ``(time, variable)`` pairs in any order."""
+        recs = [(int(t), str(v)) for t, v in records]
+        ids, names = _index([v for _, v in recs])
+        return EventList.from_arrays([t for t, _ in recs], ids, names,
+                                     horizon)
+
+    @property
+    def records(self) -> tuple:
+        """The events as sorted ``(time, variable)`` pairs."""
+        names = self.names
+        return tuple([(t, names[i]) for t, i in
+                      zip(self.times.tolist(), self.ids.tolist())])
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __eq__(self, other):
+        if not isinstance(other, EventList):
+            return NotImplemented
+        named = [np.array(e.names, dtype=object)[e.ids] for e in (self, other)]
+        return (self.horizon == other.horizon
+                and np.array_equal(self.times, other.times)
+                and np.array_equal(*named))
 
     def variables(self) -> tuple:
         """Variable names in order of first appearance."""
-        seen = {}
-        for _, v in self.records:
-            seen.setdefault(v, None)
-        return tuple(seen)
+        ids, first = np.unique(self.ids, return_index=True)
+        return tuple(self.names[i] for i in ids[np.argsort(first)].tolist())
 
     def to_trace(self, variables: Optional[Sequence[str]] = None) -> "Trace":
         """Densify into a boolean trace of length ``horizon``.
@@ -67,11 +116,21 @@ class EventList:
         except (MemoryError, ValueError) as exc:  # numpy refuses the size
             raise DataError(f"cannot hold a trace of {len(names)} x "
                             f"{self.horizon} (variables x ticks)") from exc
-        for t, v in self.records:
-            if v not in index:
-                raise DataError(f"event variable {v!r} not in declared list")
-            values[index[v], t] = True
+        rows = np.array([index.get(v, -1) for v in self.names],
+                        dtype=np.intp)[self.ids]
+        if (rows < 0).any():
+            v = self.names[self.ids[np.argmax(rows < 0)]]
+            raise DataError(f"event variable {v!r} not in declared list")
+        values[rows, self.times] = True
         return Trace(names, values)
+
+
+def _index(names: Sequence[str]) -> tuple:
+    """Each name's index among the distinct names in first-appearance
+    order, as an array, and those distinct names."""
+    index = {v: i for i, v in enumerate(dict.fromkeys(names))}
+    return (np.fromiter(map(index.__getitem__, names), np.intp, len(names)),
+            tuple(index))
 
 
 @dataclass(frozen=True)
@@ -150,17 +209,19 @@ class TraceSet:
 Source = Union[str, Path, io.IOBase]
 
 
-def _open_lines(source):
+def _read_text(source) -> str:
     if isinstance(source, (str, Path)):
         try:
             with open(source, "r", encoding="utf-8", newline="") as fh:
-                return fh.read().splitlines()
+                return fh.read()
         except OSError as exc:
             raise DataError(f"cannot read {source}: {exc}") from exc
     data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return data.splitlines()
+    return data.decode("utf-8") if isinstance(data, bytes) else data
+
+
+def _open_lines(source):
+    return _read_text(source).splitlines()
 
 
 def _write_text(sink, text: str) -> None:
@@ -189,26 +250,43 @@ def _check_writable(directory) -> None:
                         f"writable directory")
 
 
+# An ASCII text that matches is read as a whole: each line one time of
+# 1-18 decimal digits (so below 2^63), a comma and a name without comma or
+# whitespace; no empty line; the last line's LF optional.
+_CLEAN_EVENTS = re.compile(r"(?:[0-9]{1,18},[^,\s]*(?:\n|\Z))+")
+
+
 def load_events(source: Source, horizon: Optional[int] = None) -> EventList:
     """Parse an event-csv stream, headerless ``<time>,<variable>`` rows,
     without densifying (replicate loaders can then share one variable
     universe across files).  ``horizon`` defaults to the last event time
-    + 1.  Syntax errors name their line; :meth:`EventList.from_records`
-    checks range and duplicates.
+    + 1.  A clean text is split as a whole; any other goes line by line,
+    stripping cells and skipping blank lines, and a syntax error names its
+    line.  :meth:`EventList.from_arrays` checks range and duplicates.
     """
-    records = []
-    for lineno, line in enumerate(_open_lines(source), start=1):
-        if line.strip() == "":
-            continue
-        parts = [c.strip() for c in line.split(",")]
-        if len(parts) != 2 or not parts[0].isdecimal():
-            raise DataError(f"malformed row at line {lineno}: {line!r}")
-        records.append((int(parts[0]), parts[1]))
-    if not records:
+    text = _read_text(source)
+    if text.isascii() and _CLEAN_EVENTS.fullmatch(text):
+        cells = text.removesuffix("\n").replace("\n", ",").split(",")
+        times, names = cells[0::2], cells[1::2]
+    else:
+        times, names = [], []
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if line.strip() == "":
+                continue
+            parts = [c.strip() for c in line.split(",")]
+            if len(parts) != 2 or not parts[0].isdecimal():
+                raise DataError(f"malformed row at line {lineno}: {line!r}")
+            if int(parts[0]) >= 2 ** 63:
+                raise DataError(f"event time above 2^63 - 1 at line "
+                                f"{lineno}: {line!r}")
+            times.append(parts[0])
+            names.append(parts[1])
+    if not times:
         raise DataError("empty event-csv input")
+    times = np.fromiter(map(int, times), np.int64, len(times))
     if horizon is None:
-        horizon = max(records)[0] + 1
-    return EventList.from_records(records, horizon)
+        horizon = int(times.max()) + 1
+    return EventList.from_arrays(times, *_index(names), horizon)
 
 
 def _load_wide(lines):
@@ -247,13 +325,15 @@ def _load_wide(lines):
 def events_of(trace: Trace) -> EventList:
     """The sparse event view of a trace (inverse of densification)."""
     var_idx, ticks = np.nonzero(trace.values)
-    records = [(int(t), trace.variables[i]) for i, t in zip(var_idx, ticks)]
-    return EventList.from_records(records, trace.length)
+    return EventList.from_arrays(ticks, var_idx, trace.variables,
+                                 trace.length)
 
 
 def write_events(events: EventList, sink) -> None:
     """Serialize as event-csv (sorted records, LF line endings)."""
-    _write_text(sink, "".join([f"{t},{v}\n" for t, v in events.records]))
+    rows = [f",{v}\n" for v in events.names]
+    _write_text(sink, "".join([f"{t}{rows[i]}" for t, i in zip(
+        events.times.tolist(), events.ids.tolist())]))
 
 
 def discretize(series: np.ndarray, theta_up: float, theta_down: float,

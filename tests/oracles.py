@@ -8,7 +8,8 @@ replay validator for generated spike trains; none of that calls into the
 package's own evaluation paths.  The tick-by-tick chain builder is the
 reference for the array build in ``tlcausal.dtmc``, and the tick-by-tick
 simulator, one ``Generator`` call per draw, the reference for the raw-word
-replay in ``tlcausal.synthgen``.
+replay in ``tlcausal.synthgen``.  The line-by-line event-csv parser over
+sorted ``(time, variable)`` tuples is the reference for ``load_events``.
 The per-pair scoring functions at the end evaluate one hypothesis or one
 rival at a time through the package's trace counting (itself checked
 against the rational counter); they are the reference for the batched
@@ -29,11 +30,11 @@ from tlcausal.causal import Hypothesis
 from tlcausal.checker import (FrequencyEstimate, eval_on_trace,
                               trace_leads_to, window_hits)
 from tlcausal.dtmc import Dtmc, encode_labels
-from tlcausal.errors import CheckError, EmptyWindowError
+from tlcausal.errors import CheckError, DataError, EmptyWindowError
 from tlcausal.pctl import (INFINITY, And, Atom, Formula, Implies, Not, Or,
                            ProbBound, Unless, print_formula)
 from tlcausal.synthgen import GenConfig, GroundTruth
-from tlcausal.traces import EventList, TraceSet
+from tlcausal.traces import EventList, TraceSet, _open_lines
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +246,35 @@ def check_triggering(events, parent, child, delay_min, delay_max, refractory):
         if not any(t + delay_min <= u <= t + delay_max for t in parents):
             problems.append(f"child firing at {u} outside every parent window")
     return problems
+
+
+# ---------------------------------------------------------------------------
+# Event-csv loading: one line at a time, over sorted tuples
+
+def load_events(source, horizon=None) -> tuple:
+    """Parse event-csv line by line into sorted ``(time, variable)``
+    records with Python ints; returns ``(records, horizon)``."""
+    records = []
+    for lineno, line in enumerate(_open_lines(source), start=1):
+        if line.strip() == "":
+            continue
+        parts = [c.strip() for c in line.split(",")]
+        if len(parts) != 2 or not parts[0].isdecimal():
+            raise DataError(f"malformed row at line {lineno}: {line!r}")
+        records.append((int(parts[0]), parts[1]))
+    if not records:
+        raise DataError("empty event-csv input")
+    if horizon is None:
+        horizon = max(records)[0] + 1
+    recs = sorted(records)
+    for t, v in recs[:1] + recs[-1:]:  # the earliest and the latest
+        if not 0 <= t < horizon:
+            raise DataError(f"event time out of range: ({t}, {v}) "
+                            f"with horizon {horizon}")
+    for a, b in zip(recs, recs[1:]):
+        if a == b:
+            raise DataError(f"duplicate event: {a}")
+    return tuple(recs), horizon
 
 
 # ---------------------------------------------------------------------------

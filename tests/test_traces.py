@@ -6,9 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
+from tlcausal import traces
 from tlcausal.dtmc import build_dtmc, export_text
 from tlcausal.errors import DataError
 from tlcausal.pipeline import load_data
+from tlcausal.synthgen import GenConfig, StructureSpec, generate
 from tlcausal.traces import (EventList, Trace, TraceSet, discretize,
                              events_of, load_events, write_events)
 
@@ -82,14 +85,155 @@ class TestEventCsv:
         data = load_data([io.StringIO(text)], "event-csv", 10)
         events = events_of(data.traces[0])
         sink = io.StringIO()
-        write_events(EventList(events.records, events.horizon), sink)
+        write_events(EventList.from_records(events.records, events.horizon),
+                     sink)
         assert sink.getvalue() == text
+
+    @pytest.mark.parametrize("text, line", [
+        ("9223372036854775808,a\n", 1), ("0,a\n9223372036854775808,b\n", 2),
+        ("0,a\n 99999999999999999999 , b\n", 2)])
+    def test_time_beyond_int64_names_its_line(self, text, line):
+        message = f"event time above 2^63 - 1 at line {line}"
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_events(io.StringIO(text))
+
+    def test_largest_int64_time_is_read(self):
+        events = load_events(io.StringIO("9223372036854775807,a\n"),
+                             2 ** 63)
+        assert events.records == ((2 ** 63 - 1, "a"),)
+        with pytest.raises(DataError, match="must fit in int64"):
+            EventList.from_records([(2 ** 63, "a")], 2 ** 64)
+
+
+# Line-by-line triggers: each makes load_events leave the whole-text path.
+_DIRTY = ["0,a\r\n", " 3,a\n", "3 ,a\n", "3, a\n", "3,a\t\n", "+3,a\n",
+          "3_0,a\n", "²,a\n", "٣,a\n", "3,é\n", "3,a\x1f\n", "3,a\x0b1,b\n",
+          "\n3,a\n", "3,a\n\n", "3,a\n\n4,a\n", "3\n", "3,a,b\n", ",a\n",
+          "1234567890123456789,a\n", ""]
+
+
+class TestWholeTextPath:
+    @pytest.mark.parametrize("text", ["3,a\n", "3,a", "0,a\n2,b\n1,\n",
+                                      "123456789012345678,a\n"])
+    def test_clean_text_is_read_whole(self, text):
+        assert traces._CLEAN_EVENTS.fullmatch(text) and text.isascii()
+
+    @pytest.mark.parametrize("text", _DIRTY)
+    def test_other_text_goes_line_by_line(self, text):
+        assert not (traces._CLEAN_EVENTS.fullmatch(text) and text.isascii())
+
+
+# Pieces of event-csv rows, clean and not: every line-by-line trigger above
+_CLEAN_TIMES = st.one_of(st.integers(0, 12).map(str),
+                         st.integers(10 ** 16, 10 ** 18 - 1).map(str))
+_DECIMAL_TIMES = st.one_of(_CLEAN_TIMES,
+                           st.integers(10 ** 17, 10 ** 20).map(str),
+                           st.integers(2 ** 63 - 2, 2 ** 63 + 2).map(str))
+_TIMES = st.one_of(
+    _DECIMAL_TIMES,
+    st.sampled_from(["+3", " 3", "3 ", "3_0", "²", "٣", "", "-1", "0x3",
+                     "03"]))
+_CLEAN_NAMES = st.sampled_from(["a", "b", "B", "b10", "b2", ""])
+_NAMES = st.one_of(_CLEAN_NAMES,
+                   st.sampled_from([" a", "a ", "a\t", "\x1fa", "é", "a b"]))
+_ROWS = st.one_of(
+    st.tuples(_TIMES, _NAMES).map(",".join),
+    st.sampled_from(["", " ", "\t", "\x1f", "3", "3,a,b", ",", "a,3"]))
+_ENDINGS = st.sampled_from(["\n", "\r\n", "\r", "\x1c", "\n\n"])
+
+
+@st.composite
+def _event_texts(draw):
+    """Event-csv text of one of four kinds: clean enough for the whole-text
+    path; laid out as clean but with times of any length; clean times but
+    any names and line ends; anything."""
+    kind = draw(st.integers(0, 3))
+    times = _DECIMAL_TIMES if kind == 1 else _CLEAN_TIMES
+    names = _NAMES if kind == 2 else _CLEAN_NAMES
+    row = _ROWS if kind == 3 else st.tuples(times, names).map(",".join)
+    rows = draw(st.lists(row, min_size=0 if kind == 3 else 1, max_size=8))
+    ending = _ENDINGS if kind >= 2 else st.just("\n")
+    endings = [draw(ending) for _ in rows]
+    if rows and draw(st.booleans()):
+        endings[-1] = ""
+    return "".join(row + end for row, end in zip(rows, endings))
+
+
+def _outcome(load, text, horizon):
+    """What a loader makes of ``text``: its records and horizon, or the
+    message of its data error."""
+    try:
+        return load(io.StringIO(text), horizon)
+    except DataError as exc:
+        return str(exc)
+
+
+def _load(source, horizon):
+    events = load_events(source, horizon)
+    return events.records, events.horizon
+
+
+def _loop_time(line):
+    """The time the line loop reads on ``line`` alone, or -1 for none."""
+    out = _outcome(oracles.load_events, line, None)
+    return out[0][0][0] if isinstance(out, tuple) else -1
+
+
+class TestLoaderParity:
+    @settings(max_examples=600, deadline=None)
+    @given(text=_event_texts(), horizon=st.none() | st.integers(1, 14))
+    def test_same_records_or_message_as_line_loop(self, text, horizon):
+        want = _outcome(oracles.load_events, text, horizon)
+        lines = text.splitlines()
+        # int64 holds no time of 2^63 or more: the first row the line
+        # loop reads as one is refused, unless an earlier row is malformed
+        huge = next((n for n, line in enumerate(lines, start=1)
+                     if _loop_time(line) >= 2 ** 63), None)
+        if huge is not None:
+            before = _outcome(oracles.load_events,
+                              "\n".join(lines[:huge - 1]), None)
+            want = before if str(before).startswith("malformed") else (
+                f"event time above 2^63 - 1 at line {huge}: "
+                f"{lines[huge - 1]!r}")
+        assert _outcome(_load, text, horizon) == want
+
+
+class TestNameOrder:
+    """Names whose first-appearance order (b10, b2, B, a) is not their
+    ``str`` order (B, a, b10, b2), all at one tick."""
+
+    NAMES = ("b10", "b2", "B", "a")
+    SORTED = ((0, "B"), (0, "a"), (0, "b10"), (0, "b2"))
+    TEXT = "0,B\n0,a\n0,b10\n0,b2\n"
+
+    @pytest.fixture(params=["load_events", "events_of", "generate"])
+    def events(self, request):
+        if request.param == "load_events":
+            text = "".join(f"0,{v}\n" for v in self.NAMES)
+            return load_events(io.StringIO(text))
+        if request.param == "events_of":
+            return events_of(Trace(self.NAMES, np.ones((4, 1), bool)))
+        events, _ = generate(GenConfig(StructureSpec(self.NAMES, ()), 1.0,
+                                       target_firings=4, seed=1))
+        return events
+
+    def test_records_sorted_by_name(self, events):
+        assert events.records == self.SORTED
+        assert events == EventList.from_records(reversed(self.SORTED), 1)
+        assert events.variables() == ("B", "a", "b10", "b2")
+
+    def test_written_in_name_order(self, events):
+        sink = io.StringIO()
+        write_events(events, sink)
+        assert sink.getvalue() == self.TEXT
 
 
 @st.composite
 def _traces(draw):
-    """A trace of 1-4 variables over 1-30 ticks."""
-    names = tuple(f"v{i}" for i in range(draw(st.integers(1, 4))))
+    """A trace of 1-4 variables over 1-30 ticks, named so that their order
+    is often not ``str`` order."""
+    names = tuple(draw(st.lists(st.sampled_from(["b10", "b2", "B", "a", "v0"]),
+                                min_size=1, max_size=4, unique=True)))
     length = draw(st.integers(1, 30))
     cells = draw(st.lists(st.booleans(), min_size=len(names) * length,
                           max_size=len(names) * length))
@@ -130,6 +274,19 @@ class TestEventProperties:
         events = load_events(io.StringIO(sink.getvalue()), trace.length)
         back = events.to_trace(trace.variables)
         assert np.array_equal(back.values, trace.values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), trace=_traces(), silent=st.integers(1, 3))
+    def test_densify_with_silent_declared_variables(self, data, trace,
+                                                    silent):
+        declared = data.draw(st.permutations(
+            trace.variables + tuple(f"quiet{i}" for i in range(silent))))
+        back = events_of(trace).to_trace(declared)
+        assert back.variables == tuple(declared)
+        for v in declared:
+            want = trace.column(v) if v in trace.variables else \
+                np.zeros(trace.length, bool)
+            assert np.array_equal(back.column(v), want)
 
     @settings(max_examples=200, deadline=None)
     @given(records=st.lists(st.tuples(st.integers(-2, 12),
