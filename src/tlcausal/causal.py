@@ -139,22 +139,34 @@ class ScoreTable:
 # Batched scoring over a whole hypothesis family
 #
 # The pipeline evaluates every ordered pair at once.  Counts come from 0/1
-# matrix products over the qualifying ticks of each trace, in float32 over
+# matrix products over the qualifying ticks of all traces, in float32 over
 # chunks of at most _CHUNK ticks: a partial sum is an integer no larger than
 # the chunk length, and float32 holds every integer up to 2**24 exactly, in
 # any summation order.  Chunk results add up in int64, so the counts match
-# the per-pair definitions exactly at any trace length.
-_CHUNK = 2 ** 16
+# the per-pair definitions exactly at any trace length, and the float32
+# copies stay at 64 KiB per formula however long the traces are.
+#
+# The rival counts of a cause's passers (ticks where it and a rival hold
+# and the effect hits) take one product over the ticks where that cause
+# holds, which are few next to the ticks where an effect hits.  Each
+# passer's terms form one row, padded to the largest rival set with the
+# sentinel cause: a padding term is never defined (the sentinel never
+# holds), so it adds +0.0, which leaves the left-to-right sum unchanged
+# because a defined term is never -0.0.
+_CHUNK = 2 ** 14
 
 
 def _products(left, right):
     """Exact counts ``left @ right.T`` of two boolean matrices whose rows
     run over the same ticks."""
-    total = np.zeros((len(left), len(right)), dtype=np.int64)
-    for t in range(0, left.shape[1], _CHUNK):
+    def chunk(t):
         lf = left[:, t:t + _CHUNK].astype(np.float32)
         rf = lf if right is left else right[:, t:t + _CHUNK].astype(np.float32)
-        total += (lf @ rf.T).astype(np.int64)
+        return (lf @ rf.T).astype(np.int64)
+
+    total = chunk(0)  # a matrix without ticks still gives its zero counts
+    for t in range(_CHUNK, left.shape[1], _CHUNK):
+        total += chunk(t)
     return total
 
 
@@ -176,29 +188,26 @@ def score_hypotheses(data: TraceSet, hypotheses: Sequence[Hypothesis],
     causes, effects = family.causes, family.effects
     nc, ne = len(causes), len(effects)
 
-    cooc = np.zeros((nc, nc), dtype=np.int64)      # qualifying co-occurrence
-    cond_num = np.zeros((nc, ne), dtype=np.int64)  # cause tick & effect in window
-    cause_qual = np.zeros(nc, dtype=np.int64)
-    marg_num = np.zeros(ne, dtype=np.int64)
-    qual_total = 0
-    kept = []  # per trace: cause rows, effect hits, ticks two causes hold
-
+    # the qualifying ticks of all traces side by side: one row per cause,
+    # plus a last, sentinel cause that never holds, and one row of window
+    # hits per effect
+    qual_total = sum(max(trace.length - tmax, 0) for trace in data)
+    rq = np.zeros((nc + 1, qual_total), dtype=bool)
+    hits = np.empty((ne, qual_total), dtype=bool)
+    at = 0
     for trace in data:
-        rows = np.array([eval_on_trace(trace, c) for c in causes],
-                        dtype=bool).reshape(nc, trace.length)
-        nq = trace.length - tmax
-        if nq <= 0:
-            continue
-        rq = rows[:, :nq]
-        hits = np.empty((ne, nq), dtype=bool)
-        for j, e in enumerate(effects):
-            hits[j] = window_hits(eval_on_trace(trace, e), tmin, tmax)
-        qual_total += nq
-        cause_qual += rq.sum(axis=1)
-        marg_num += hits.sum(axis=1)
-        cooc += _products(rq, rq)
-        cond_num += _products(rq, hits)
-        kept.append((rq, hits, np.flatnonzero(rq.sum(axis=0) >= 2)))
+        nq = max(trace.length - tmax, 0)
+        for i, c in enumerate(causes):
+            rq[i, at:at + nq] = eval_on_trace(trace, c)[:nq]
+        if nq:
+            for j, e in enumerate(effects):
+                hits[j, at:at + nq] = window_hits(eval_on_trace(trace, e),
+                                                  tmin, tmax)
+        at += nq
+    cooc = _products(rq, rq)        # qualifying co-occurrence
+    cond_num = _products(rq, hits)  # cause tick & effect in window
+    cause_qual = rq.sum(axis=1)
+    marg_num = hits.sum(axis=1)
 
     cause_ix, effect_ix = family.cause_ix, family.effect_ix
     num = cond_num[cause_ix, effect_ix]
@@ -209,49 +218,56 @@ def score_hypotheses(data: TraceSet, hypotheses: Sequence[Hypothesis],
     # cause occurred
     passed = (den > 0) & (num * qual_total > marg * den)
 
-    eps = np.full(len(family), np.nan)  # a lone passer has no average
     passers = np.flatnonzero(passed)
-    passer_effects = effect_ix[passers]
-    _, first = np.unique(passer_effects, return_index=True)
-    for ej in passer_effects[np.sort(first)]:  # in first-passer order
-        members = passers[passer_effects == ej]
-        if len(members) == 1:
-            continue  # no rival to compare against
-        rivals = cause_ix[members]
-        num_x = cond_num[rivals, ej]
+    group_effect, group, size, rivals = _rival_rows(
+        cause_ix[passers], effect_ix[passers], nc)
+    eps = np.full(len(family), np.nan)
+    x_total = cause_qual[rivals]
+    num_x = cond_num[rivals, group_effect[:, None]]
+    rated = np.flatnonzero(size[group] > 1)  # a lone passer has no average
+    rated_cause = cause_ix[passers[rated]]
+    for c in np.unique(rated_cause):
+        # the counts of ticks where c and a rival hold and the effect hits
+        # are all taken over the ticks where c holds
+        slots = rated[rated_cause == c]
+        g = group[slots]
+        cols = rivals[g]
+        ticks = np.flatnonzero(rq[c])
+        both_hit = _products(hits[:, ticks][group_effect[g]], rq[:, ticks])
         values, defined = _impact_terms(
-            both=cooc[np.ix_(rivals, rivals)],
-            x_total=cause_qual[rivals],
-            num_both=_pair_counts(kept, rivals, ej, num_x),
-            num_x=num_x,
+            both=cooc[c][cols],
+            x_total=x_total[g],
+            num_both=both_hit[np.arange(len(g))[:, None], cols],
+            num_x=num_x[g],
             min_support=min_support)
-        eps[members] = np.array(_average(values, defined, divisor),
-                                dtype=float)  # None reads as NaN
+        eps[passers[slots]] = _average(values, defined, divisor, size[g])
     return ScoreTable(family, num, den, marg, qual_total, passed, eps)
 
 
-def _pair_counts(kept, rivals, ej, own):
-    """Ticks where two rivals both hold and effect ``ej`` hits its window,
-    summed over the traces.  Only hit ticks where two causes hold can add
-    to a pair; the diagonal, each rival's own hit count, is ``own``."""
-    total = np.zeros((len(rivals), len(rivals)), dtype=np.int64)
-    for rq, hits, multi in kept:
-        # index arrays, not a filtered copy of rq: faster than np.ix_ too
-        sub = rq[rivals][:, multi[hits[ej, multi]]]
-        total += _products(sub, sub)
-    np.fill_diagonal(total, own)
-    return total
+def _rival_rows(causes, effects, sentinel):
+    """The passers grouped by effect: passer ``i`` is in group ``group[i]``
+    of ``size`` passers, whose effect is ``group_effect[group[i]]``.  Row g
+    of ``rivals`` lists group g's causes in passer order, padded with
+    ``sentinel`` to the largest group."""
+    group_effect, group, size = np.unique(effects, return_inverse=True,
+                                          return_counts=True)
+    order = np.argsort(group, kind="stable")
+    place = np.arange(len(order)) - (np.cumsum(size) - size)[group[order]]
+    rivals = np.full((len(size), size.max(initial=0)), sentinel)
+    rivals[group[order], place] = causes[order]
+    return group_effect, group, size, rivals
 
 
 def _impact_terms(both, x_total, num_both, num_x, min_support):
-    """Impact of each passer (row) against each rival passer (column) of one
-    effect: ``P(e | c and x) - P(e | not-c and x)`` from the counts of ticks
-    where both hold (``both``, ``num_both`` of them with the effect in
+    """Impact of each passer (row) against each rival passer (column) of
+    its effect: ``P(e | c and x) - P(e | not-c and x)`` from the counts of
+    ticks where both hold (``both``, ``num_both`` of them with the effect in
     window) and where the rival holds (``x_total``, ``num_x``).
 
     Returns ``(values, defined)``; a term is defined when both conditioning
-    denominators reach ``min_support`` (and at least 1), so the diagonal,
-    whose not-c side is empty, never is.  Undefined values are 0.0.
+    denominators reach ``min_support`` (and at least 1), so the term against
+    the cause itself, whose not-c side is empty, never is.  Undefined values
+    are 0.0.
     """
     x_only = x_total - both
     floor = max(min_support, 1)
@@ -261,13 +277,12 @@ def _impact_terms(both, x_total, num_both, num_x, min_support):
     return np.where(defined, values, 0.0), defined
 
 
-def _average(values, defined, divisor):
-    """Each row's defined terms summed left to right, as a plain loop over
-    the rivals would (``np.sum`` sums pairwise and may change the last
-    bits), divided by the defined-term count or, for ``strict``, by the
-    rival-set size (the column count)."""
-    total = np.cumsum(values, axis=1)[:, -1].tolist()
-    if divisor == "strict":
-        return [t / values.shape[1] for t in total]
-    return [t / k if k else None
-            for t, k in zip(total, defined.sum(axis=1).tolist())]
+def _average(values, defined, divisor, n_rivals):
+    """Each row's terms summed left to right, as a plain loop over the
+    rivals would (``np.sum`` sums pairwise and may change the last bits),
+    divided by the row's defined-term count (NaN for none) or, for
+    ``strict``, by its rival-set size ``n_rivals``."""
+    total = np.cumsum(values, axis=1)[:, -1]
+    count = n_rivals if divisor == "strict" else defined.sum(axis=1)
+    with np.errstate(invalid="ignore"):
+        return total / count

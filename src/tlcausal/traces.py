@@ -210,14 +210,19 @@ Source = Union[str, Path, io.IOBase]
 
 
 def _read_text(source) -> str:
-    if isinstance(source, (str, Path)):
-        try:
-            with open(source, "r", encoding="utf-8", newline="") as fh:
-                return fh.read()
-        except OSError as exc:
-            raise DataError(f"cannot read {source}: {exc}") from exc
-    data = source.read()
-    return data.decode("utf-8") if isinstance(data, bytes) else data
+    """The whole text of a path or an open stream, bytes read as UTF-8
+    with line endings as they are.  A path that cannot be read, or bytes
+    that are not UTF-8, are a data error naming the source."""
+    is_path = isinstance(source, (str, Path))
+    name = source if is_path else getattr(source, "name", "<stream>")
+    try:
+        data = Path(source).read_bytes() if is_path else source.read()
+        return data.decode("utf-8") if isinstance(data, bytes) else data
+    except OSError as exc:
+        raise DataError(f"cannot read {name}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {name}: not valid UTF-8 "
+                        f"(byte {exc.start})") from exc
 
 
 def _open_lines(source):

@@ -14,8 +14,11 @@ The per-pair scoring functions at the end evaluate one hypothesis or one
 rival at a time through the package's trace counting (itself checked
 against the rational counter); they are the reference for the batched
 scorer, and through them the hypothesis-table rows are the reference for
-the pipeline's columnar table.  ``scipy.stats.norm.pdf`` is
-the reference for the null density ``tlcausal.fdr.NullModel.pdf``.
+the pipeline's columnar table.  The batched scorer that takes rival
+counts one effect at a time, over that effect's hit ticks, is the
+bit-for-bit reference for the one that takes them one cause at a time.
+``scipy.stats.norm.pdf`` is the reference for the null density
+``tlcausal.fdr.NullModel.pdf``.
 """
 
 from dataclasses import dataclass
@@ -26,7 +29,8 @@ import numpy as np
 from scipy import sparse
 from scipy.stats import norm
 
-from tlcausal.causal import Hypothesis
+from tlcausal import causal
+from tlcausal.causal import Hypothesis, HypothesisFamily, ScoreTable
 from tlcausal.checker import (FrequencyEstimate, eval_on_trace,
                               trace_leads_to, window_hits)
 from tlcausal.dtmc import Dtmc, encode_labels
@@ -512,6 +516,93 @@ def _reduce_terms(terms, divisor, n_rivals):
     if not defined:
         return None
     return total / len(defined)
+
+
+# ---------------------------------------------------------------------------
+# Batched scoring one effect at a time
+
+def per_effect_scores(data, hypotheses, divisor="defined", min_support=1):
+    """``causal.score_hypotheses`` taking each effect's rival-pair counts
+    over its hit ticks where two causes hold, one product per effect and
+    trace, with every trace's rows kept until all effects are done."""
+    family = HypothesisFamily.of(hypotheses)
+    tmin, tmax = family.tmin, family.tmax
+    causes, effects = family.causes, family.effects
+    nc, ne = len(causes), len(effects)
+
+    cooc = np.zeros((nc, nc), dtype=np.int64)      # qualifying co-occurrence
+    cond_num = np.zeros((nc, ne), dtype=np.int64)  # cause tick & effect in window
+    cause_qual = np.zeros(nc, dtype=np.int64)
+    marg_num = np.zeros(ne, dtype=np.int64)
+    qual_total = 0
+    kept = []  # per trace: cause rows, effect hits, ticks two causes hold
+
+    for trace in data:
+        rows = np.array([eval_on_trace(trace, c) for c in causes],
+                        dtype=bool).reshape(nc, trace.length)
+        nq = trace.length - tmax
+        if nq <= 0:
+            continue
+        rq = rows[:, :nq]
+        hits = np.empty((ne, nq), dtype=bool)
+        for j, e in enumerate(effects):
+            hits[j] = window_hits(eval_on_trace(trace, e), tmin, tmax)
+        qual_total += nq
+        cause_qual += rq.sum(axis=1)
+        marg_num += hits.sum(axis=1)
+        cooc += causal._products(rq, rq)
+        cond_num += causal._products(rq, hits)
+        kept.append((rq, hits, np.flatnonzero(rq.sum(axis=0) >= 2)))
+
+    cause_ix, effect_ix = family.cause_ix, family.effect_ix
+    num = cond_num[cause_ix, effect_ix]
+    den = cause_qual[cause_ix]
+    marg = marg_num[effect_ix]
+    passed = (den > 0) & (num * qual_total > marg * den)
+
+    eps = np.full(len(family), np.nan)  # a lone passer has no average
+    passers = np.flatnonzero(passed)
+    passer_effects = effect_ix[passers]
+    _, first = np.unique(passer_effects, return_index=True)
+    for ej in passer_effects[np.sort(first)]:  # in first-passer order
+        members = passers[passer_effects == ej]
+        if len(members) == 1:
+            continue  # no rival to compare against
+        rivals = cause_ix[members]
+        num_x = cond_num[rivals, ej]
+        values, defined = causal._impact_terms(
+            both=cooc[np.ix_(rivals, rivals)],
+            x_total=cause_qual[rivals],
+            num_both=_pair_counts(kept, rivals, ej, num_x),
+            num_x=num_x,
+            min_support=min_support)
+        eps[members] = np.array(_average(values, defined, divisor),
+                                dtype=float)  # None reads as NaN
+    return ScoreTable(family, num, den, marg, qual_total, passed, eps)
+
+
+def _pair_counts(kept, rivals, ej, own):
+    """Ticks where two rivals both hold and effect ``ej`` hits its window,
+    summed over the traces.  Only hit ticks where two causes hold can add
+    to a pair; the diagonal, each rival's own hit count, is ``own``."""
+    total = np.zeros((len(rivals), len(rivals)), dtype=np.int64)
+    for rq, hits, multi in kept:
+        # index arrays, not a filtered copy of rq: faster than np.ix_ too
+        sub = rq[rivals][:, multi[hits[ej, multi]]]
+        total += causal._products(sub, sub)
+    np.fill_diagonal(total, own)
+    return total
+
+
+def _average(values, defined, divisor):
+    """Each row's defined terms summed left to right, divided by the
+    defined-term count or, for ``strict``, by the rival-set size (the
+    column count)."""
+    total = np.cumsum(values, axis=1)[:, -1].tolist()
+    if divisor == "strict":
+        return [t / values.shape[1] for t in total]
+    return [t / k if k else None
+            for t, k in zip(total, defined.sum(axis=1).tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from tlcausal import causal
 from tlcausal.causal import (Hypothesis, HypothesisFamily, enumerate_pairwise,
                              score_hypotheses)
 from tlcausal.errors import CheckError
-from tlcausal.pctl import And, Atom, Not
+from tlcausal.pctl import And, Atom, Not, Or
 from tlcausal.traces import Trace, TraceSet
 
 
@@ -205,8 +205,8 @@ def _three_rival_data():
 
 
 def _score_with_terms(monkeypatch, data, hyps):
-    """Score, keeping each effect's (values, defined) term arrays in the
-    order the scorer computes them."""
+    """Score, keeping the (values, defined) term rows of the passers with
+    rivals in the order the scorer computes them, one block per cause."""
     captured = []
     impact_terms = causal._impact_terms
 
@@ -219,17 +219,18 @@ def _score_with_terms(monkeypatch, data, hyps):
     return score_hypotheses(data, hyps), captured
 
 
-def _row_terms(terms, by_effect, h):
-    """The scorer's (value, defined) terms of ``h`` in rival order, value
-    None where undefined, as the per-pair functions report them."""
-    rivals = by_effect[h.effect]
-    if len(rivals) == 1:
-        return []
-    values, defined = terms[h.effect]
-    i = rivals.index(h.cause)
-    return [(float(values[i, k]) if defined[i, k] else None,
-             bool(defined[i, k]))
-            for k in range(len(rivals)) if k != i]
+def _row_terms(row, rivals, cause):
+    """The scorer's (value, defined) terms in one padded row, in rival
+    order, value None where undefined, as the per-pair functions report
+    them.  The terms against the cause itself (a repeated hypothesis
+    repeats it) and the padding past the rivals must be undefined +0.0."""
+    values, defined = row
+    own = np.array([x == cause for x in rivals] +
+                   [True] * (len(values) - len(rivals)))
+    assert not defined[own].any()
+    assert (values[own] == 0.0).all() and not np.signbit(values[own]).any()
+    return [(float(values[k]) if defined[k] else None, bool(defined[k]))
+            for k in np.flatnonzero(~own)]
 
 
 def _eps(scores, i):
@@ -254,11 +255,16 @@ def _replicate_sets(draw):
     return TraceSet(tuple(traces))
 
 
-def _assert_matches_per_pair_functions(monkeypatch, data, tmin, tmax):
-    """Counts, terms and impact averages of every pairwise hypothesis
-    against the per-pair oracle functions."""
-    hyps = enumerate_pairwise(data.variables, tmin, tmax)
-    want = oracles.pairwise_hypotheses(data.variables, tmin, tmax)
+def _assert_matches_per_pair_functions(monkeypatch, data, tmin, tmax,
+                                       want=None):
+    """Counts, terms and impact averages of every pairwise hypothesis, or
+    of the hypothesis list ``want``, against the per-pair oracle
+    functions."""
+    if want is None:
+        hyps = enumerate_pairwise(data.variables, tmin, tmax)
+        want = oracles.pairwise_hypotheses(data.variables, tmin, tmax)
+    else:
+        hyps = HypothesisFamily.of(want)
     scores, terms = _score_with_terms(monkeypatch, data, hyps)
     by_effect = {}
     for i, h in enumerate(want):
@@ -271,17 +277,24 @@ def _assert_matches_per_pair_functions(monkeypatch, data, tmin, tmax):
              single.p_marginal.denominator)
         if single.passed:
             by_effect.setdefault(h.effect, []).append(h.cause)
-    # the scorer visits the effects with rivals in first-passer order
-    with_rivals = [e for e, cs in by_effect.items() if len(cs) > 1]
-    assert len(terms) == len(with_rivals)
-    terms = dict(zip(with_rivals, terms))
+    # the scorer visits the causes in id order, each cause's passers with
+    # rivals in hypothesis order, one row each, padded to the largest
+    # rival set
+    rated = sorted((i for i in np.flatnonzero(scores.passed)
+                    if len(by_effect[want[i].effect]) > 1),
+                   key=lambda i: (hyps.cause_ix[i], i))
+    width = max(map(len, by_effect.values()), default=0)
+    rows = [row for values, defined in terms for row in zip(values, defined)]
+    assert len(rows) == len(rated)
+    assert all(len(values) == width for values, _ in rows)
+    rows = dict(zip(rated, rows))
     for i in np.flatnonzero(scores.passed):
         h = want[i]
-        single = epsilon_avg(data, h.cause, h.effect,
-                             by_effect[h.effect], tmin, tmax)
+        rivals = by_effect[h.effect]
+        single = epsilon_avg(data, h.cause, h.effect, rivals, tmin, tmax)
         assert _eps(scores, i) == single.eps_avg
-        assert _row_terms(terms, by_effect, h) == \
-               [(t.value, t.defined) for t in single.eps_terms]
+        got = _row_terms(rows[i], rivals, h.cause) if i in rows else []
+        assert got == [(t.value, t.defined) for t in single.eps_terms]
     return by_effect
 
 
@@ -421,6 +434,95 @@ class TestBatchedScoring:
         assert scores.passed[0] == single.passed
 
 
+@st.composite
+def _scoring_cases(draw):
+    """Replicates, a window and hypotheses at it: the pairwise family or
+    a hand-built list whose causes are atoms, negations and conjunctions
+    or disjunctions of two atoms, in any order and with repeats, so that
+    an effect's rivals need not come in cause-id order."""
+    data = draw(_replicate_sets())
+    tmin = draw(st.integers(1, 3))
+    tmax = tmin + draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        return data, enumerate_pairwise(data.variables, tmin, tmax,
+                                        include_negations=draw(st.booleans()))
+    atom = st.sampled_from([Atom(v) for v in data.variables])
+    cause = st.one_of(atom, st.builds(Not, atom), st.builds(And, atom, atom),
+                      st.builds(Or, atom, atom))
+    effect = st.one_of(atom, st.builds(Not, atom))
+    pairs = draw(st.lists(st.tuples(cause, effect), max_size=16))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=4))
+    return data, [Hypothesis(c, e, tmin, tmax)
+                  for c, e in draw(st.permutations(pairs))]
+
+
+def _assert_same_scores(got, want):
+    """Every array of two score tables equal; ``eps`` bit for bit, with
+    NaN in the same places."""
+    for name in ("num", "den", "marg", "passed"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.qual_total == want.qual_total
+    nan = np.isnan(want.eps)
+    assert np.array_equal(np.isnan(got.eps), nan)
+    assert np.array_equal(got.eps[~nan].view(np.int64),
+                          want.eps[~nan].view(np.int64))
+
+
+class TestCauseSideScoring:
+    """The scorer against the per-effect scorer it replaced."""
+
+    @pytest.mark.parametrize("chunk", [None, 1, 7])
+    @settings(max_examples=150, deadline=None)
+    @given(case=_scoring_cases(), min_support=st.sampled_from([1, 2, 3]),
+           divisor=st.sampled_from(["defined", "strict"]))
+    def test_matches_per_effect_scorer(self, chunk, case, min_support,
+                                       divisor):
+        data, hyps = case
+        with pytest.MonkeyPatch.context() as patch:
+            if chunk is not None:
+                patch.setattr(causal, "_CHUNK", chunk)
+            _assert_same_scores(
+                score_hypotheses(data, hyps, divisor, min_support),
+                oracles.per_effect_scores(data, hyps, divisor, min_support))
+
+    def test_rivals_out_of_cause_order_and_repeated(self):
+        rng = np.random.default_rng(4)
+        atoms = ("a", "b", "c", "e")
+        values = rng.random((4, 200)) < 0.3
+        values[3, 1:] |= values[0, :-1] | values[1, :-1]  # a and b raise e
+        data = TraceSet((Trace(atoms, values),
+                         Trace(atoms, np.ones((4, 2), dtype=bool))))
+        a, b, c, e = map(Atom, atoms)
+        hyps = [Hypothesis(f, g, 1, 2) for f, g in [
+            (c, a), (Or(a, b), e), (b, e), (Not(c), e), (a, e), (b, e),
+            (And(a, b), e), (a, c)]]
+        family = HypothesisFamily.of(hyps)
+        for divisor in ("defined", "strict"):
+            got = score_hypotheses(data, hyps, divisor)
+            _assert_same_scores(got, oracles.per_effect_scores(data, hyps,
+                                                               divisor))
+        # e's rivals come out of cause-id order, and b's passer repeats
+        rivals = family.cause_ix[got.passed & (family.effect_ix == 1)]
+        assert len(rivals) >= 4 and (np.diff(rivals) < 0).any()
+        assert list(rivals).count(family.cause_ix[2]) == 2
+        assert not np.isnan(got.eps[got.passed]).all()
+        for chunk in (None, 1, 7):
+            with pytest.MonkeyPatch.context() as patch:
+                if chunk is not None:
+                    patch.setattr(causal, "_CHUNK", chunk)
+                _assert_matches_per_pair_functions(patch, data, 1, 2, hyps)
+
+    def test_every_replicate_shorter_than_tmax(self):
+        data = TraceSet((Trace(("a", "e"), np.ones((2, 3), dtype=bool)),
+                         Trace(("a", "e"), np.zeros((2, 4), dtype=bool))))
+        hyps = enumerate_pairwise(data.variables, 2, 4)
+        got = score_hypotheses(data, hyps)
+        _assert_same_scores(got, oracles.per_effect_scores(data, hyps))
+        assert got.qual_total == 0 and not got.passed.any()
+
+
 class TestDivisorArithmetic:
     def test_reduce_rule(self):
         from oracles import EpsilonTerm, _reduce_terms
@@ -437,13 +539,18 @@ class TestDivisorArithmetic:
 
     def test_package_average_rule(self):
         # the same cases through the scorer's own rule; each row's first
-        # column is the passer itself, whose term is never defined
-        def average(values, defined, divisor):
-            return causal._average(np.array([values]), np.array([defined]),
-                                   divisor)[0]
+        # column is the passer itself, whose term is never defined, and
+        # padding past the rivals is undefined +0.0
+        def average(values, defined, divisor, pad=0):
+            row = np.array([values + [0.0] * pad])
+            mask = np.array([defined + [False] * pad])
+            eps = float(causal._average(row, mask, divisor,
+                                        np.array([len(values)]))[0])
+            return None if np.isnan(eps) else eps
         two = ([0.0, 0.4, 0.2], [False, True, True])
-        assert average(*two, "defined") == pytest.approx(0.3)
-        assert average(*two, "strict") == pytest.approx(0.2)
+        for pad in (0, 2):
+            assert average(*two, "defined", pad) == pytest.approx(0.3)
+            assert average(*two, "strict", pad) == pytest.approx(0.2)
         assert average([0.0, 0.7], [False, True], "defined") == \
             pytest.approx(0.7)
         undefined = ([0.0, 0.0], [False, False])

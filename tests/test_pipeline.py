@@ -474,6 +474,21 @@ class TestCli:
                          "--path", str(path)]) == 2
         assert message in capsys.readouterr().err
 
+    def test_latin1_input_is_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"0,\xe9\n")
+        message = f"cannot read {path}: not valid UTF-8 (byte 2)"
+        out = tmp_path / "out"
+        assert cli.main(["infer", "--path", str(path), "--tmin", "1",
+                         "--tmax", "1", "--outdir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and message in err
+        assert not out.exists()
+        assert cli.main(["check", "--formula", "a", "--model",
+                         str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and message in err
+
     @pytest.mark.parametrize("command", ["generate", "infer", "fdr",
                                          "report"])
     def test_unwritable_outdir_is_a_data_error(self, tmp_path, capsys,

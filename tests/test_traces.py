@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 import oracles
 from tlcausal import traces
-from tlcausal.dtmc import build_dtmc, export_text
+from tlcausal.dtmc import build_dtmc, export_text, load_text
 from tlcausal.errors import DataError
-from tlcausal.pipeline import load_data
+from tlcausal.pipeline import load_data, read_hypotheses_tsv
 from tlcausal.synthgen import GenConfig, StructureSpec, generate
 from tlcausal.traces import (EventList, Trace, TraceSet, discretize,
                              events_of, load_events, write_events)
@@ -262,6 +262,37 @@ class TestWriters:
         blocker.write_text("")
         with pytest.raises(DataError, match=re.escape(f"cannot write {blocker}")):
             write(blocker / "out.txt")
+
+
+class TestReaders:
+    LATIN = b"0,a\n1,caf\xe9\n"  # Latin-1, not UTF-8
+
+    @pytest.fixture(params=["events", "model", "hypotheses"])
+    def read(self, request):
+        return {"events": load_events, "model": load_text,
+                "hypotheses": read_hypotheses_tsv}[request.param]
+
+    def test_not_utf8_is_a_data_error(self, tmp_path, read):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(self.LATIN)
+        for source in (path, str(path)):
+            with pytest.raises(DataError, match=re.escape(
+                    f"cannot read {path}: not valid UTF-8 (byte 9)")):
+                read(source)
+        with pytest.raises(DataError, match="not valid UTF-8"):
+            read(io.BytesIO(self.LATIN))
+
+    def test_missing_path_is_a_data_error(self, tmp_path, read):
+        with pytest.raises(DataError, match="cannot read"):
+            read(tmp_path / "missing.csv")
+
+    def test_bytes_and_text_read_alike(self, tmp_path):
+        text = "0,a\r\n2,caf\u00e9\n"
+        path = tmp_path / "events.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert traces._read_text(path) == text
+        assert traces._read_text(io.BytesIO(text.encode("utf-8"))) == text
+        assert traces._read_text(io.StringIO(text)) == text
 
 
 class TestEventProperties:
