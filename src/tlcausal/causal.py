@@ -25,32 +25,20 @@ import numpy as np
 
 from .checker import _check_window, eval_on_trace, window_hits
 from .errors import CheckError
-from .pctl import Atom, Formula, Not, print_formula
+from .pctl import Atom, Not
+from .pctl import print_formula  # noqa: F401  (perfbench wraps this name)
 from .traces import TraceSet
 
-__all__ = [
-    "Hypothesis", "HypothesisFamily", "ScoreTable", "enumerate_pairwise",
-    "score_hypotheses",
-]
-
-
-@dataclass(frozen=True)
-class Hypothesis:
-    """Cause-effect pair with a tick window ``[tmin, tmax]``, ``tmin >= 1``."""
-
-    cause: Formula
-    effect: Formula
-    tmin: int
-    tmax: int
-
-    def __post_init__(self):
-        _check_window(self.tmin, self.tmax)
+__all__ = ["HypothesisFamily", "ScoreTable", "enumerate_pairwise",
+           "score_hypotheses"]
 
 
 @dataclass(frozen=True, eq=False)
 class HypothesisFamily:
     """Hypotheses at one window as indices: hypothesis ``i`` pairs
-    ``causes[cause_ix[i]]`` with ``effects[effect_ix[i]]``."""
+    ``causes[cause_ix[i]]`` with ``effects[effect_ix[i]]``.  The index
+    arrays must be one-dimensional integer arrays of one length, each
+    index inside its formulas."""
 
     causes: tuple
     effects: tuple
@@ -61,38 +49,20 @@ class HypothesisFamily:
 
     def __post_init__(self):
         _check_window(self.tmin, self.tmax)
-
-    @classmethod
-    def of(cls, hypotheses: Sequence[Hypothesis]) -> "HypothesisFamily":
-        """The family of a hypothesis list at one window (a family is
-        returned as is); formulas printing alike share one index.  An
-        empty list has no window of its own and is given ``[1, 1]``, so
-        it still scores to an empty table."""
-        if isinstance(hypotheses, HypothesisFamily):
-            return hypotheses
-        hypotheses = list(hypotheses)
-        windows = {(h.tmin, h.tmax) for h in hypotheses} or {(1, 1)}
-        if len(windows) > 1:
-            raise CheckError("batched scoring requires a single shared window")
-        cause_ix, causes = _index(h.cause for h in hypotheses)
-        effect_ix, effects = _index(h.effect for h in hypotheses)
-        return cls(causes, effects, cause_ix, effect_ix, *windows.pop())
+        for ix, formulas in ((self.cause_ix, self.causes),
+                             (self.effect_ix, self.effects)):
+            if not (isinstance(ix, np.ndarray) and ix.ndim == 1
+                    and ix.dtype.kind in "iu"):
+                raise CheckError("cause_ix and effect_ix must be "
+                                 "one-dimensional integer arrays")
+            if not ((ix >= 0) & (ix < len(formulas))).all():
+                raise CheckError("a hypothesis index falls outside its "
+                                 "formulas")
+        if len(self.cause_ix) != len(self.effect_ix):
+            raise CheckError("cause_ix and effect_ix differ in length")
 
     def __len__(self):
         return len(self.cause_ix)
-
-
-def _index(formulas):
-    """Index array of the formulas (formulas printing alike share one id)
-    and the distinct formulas in first-seen order."""
-    ids: dict = {}
-    distinct, out = [], []
-    for f in formulas:
-        i = ids.setdefault(print_formula(f), len(ids))
-        if i == len(distinct):
-            distinct.append(f)
-        out.append(i)
-    return np.array(out, dtype=np.int64), tuple(distinct)
 
 
 def enumerate_pairwise(atoms: Sequence[str], tmin: int, tmax: int,
@@ -126,7 +96,6 @@ class ScoreTable:
     of all ``qual_total`` qualifying ticks; ``eps`` is the impact average,
     NaN for none."""
 
-    family: HypothesisFamily
     num: np.ndarray
     den: np.ndarray
     marg: np.ndarray
@@ -170,20 +139,16 @@ def _products(left, right):
     return total
 
 
-def score_hypotheses(data: TraceSet, hypotheses: Sequence[Hypothesis],
+def score_hypotheses(data: TraceSet, family: HypothesisFamily,
                      divisor: str = "defined",
                      min_support: int = 1) -> ScoreTable:
-    """Scores in input order: the prima facie test of every hypothesis
+    """Scores in family order: the prima facie test of every hypothesis
     and, for passers, the impact average over the rival passers of the
-    same effect at the shared window.
-
-    ``hypotheses`` is a :class:`HypothesisFamily` or any hypothesis list
-    at one window; causes/effects are evaluated per tick (atoms,
-    negations, or any propositional formula).
+    same effect at the family's window.  Causes and effects are
+    evaluated per tick (atoms, negations, or any propositional formula).
     """
     if divisor not in ("defined", "strict"):
         raise CheckError(f"unknown divisor mode {divisor!r}")
-    family = HypothesisFamily.of(hypotheses)
     tmin, tmax = family.tmin, family.tmax
     causes, effects = family.causes, family.effects
     nc, ne = len(causes), len(effects)
@@ -241,7 +206,7 @@ def score_hypotheses(data: TraceSet, hypotheses: Sequence[Hypothesis],
             num_x=num_x[g],
             min_support=min_support)
         eps[passers[slots]] = _average(values, defined, divisor, size[g])
-    return ScoreTable(family, num, den, marg, qual_total, passed, eps)
+    return ScoreTable(num, den, marg, qual_total, passed, eps)
 
 
 def _rival_rows(causes, effects, sentinel):

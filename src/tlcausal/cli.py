@@ -23,7 +23,7 @@ from .errors import (ConvergenceError, DataError, FitError, TlcausalError,
                      UsageError)
 from .pctl import INFINITY, LeadsTo, ProbBound, parse, validate
 from .synthgen import GenConfig, generate, preset
-from .traces import _check_writable, _write_text, write_events
+from .traces import _check_writable, _open_lines, _write_text, write_events
 
 __all__ = ["main"]
 
@@ -133,26 +133,26 @@ def load_config_file(path) -> dict:
     is part of the value."""
     out: dict = {}
     try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = _COMMENT.split(raw, maxsplit=1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _CONFIG_KEYS:
-                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in out:
-                raise UsageError(f"{path}:{lineno}: duplicate key {key!r}")
-            out[key] = value
+        lines = _open_lines(path)
+    except DataError as exc:  # caused by an OSError or a decode error
+        raise UsageError(
+            f"cannot read config {path}: {exc.__cause__}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = _COMMENT.split(raw, maxsplit=1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in _CONFIG_KEYS:
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in out:
+            raise UsageError(f"{path}:{lineno}: duplicate key {key!r}")
+        out[key] = value
     return out
 
 

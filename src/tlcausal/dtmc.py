@@ -53,12 +53,18 @@ class Dtmc:
                            sparse.csr_matrix(self.transitions))
         if self.transitions.shape != (n, n):
             raise DataError("transition matrix shape does not match states")
-        if n and (worst := self.row_sum_deviation()) > ROW_SUM_TOL:
+        if not _finite_non_negative(self.transitions.data):
+            raise DataError("transition probabilities must be finite and "
+                            "non-negative")
+        if n and not (worst := self.row_sum_deviation()) <= ROW_SUM_TOL:
             raise DataError(f"transition rows must sum to 1 "
                             f"(worst deviation {worst:.3e})")
         freq = np.asarray(self.frequency, dtype=float)
         if freq.shape != (n,):
             raise DataError("frequency vector shape does not match states")
+        if not _finite_non_negative(freq):
+            raise DataError("state frequencies must be finite and "
+                            "non-negative")
         if not 0 <= self.initial < n:
             raise DataError("initial state index out of range")
         object.__setattr__(self, "frequency", freq)
@@ -81,6 +87,10 @@ class Dtmc:
     def row_sum_deviation(self) -> float:
         rows = np.asarray(self.transitions.sum(axis=1)).ravel()
         return float(np.abs(rows - 1.0).max())
+
+
+def _finite_non_negative(values) -> bool:
+    return bool(((values >= 0) & (values < np.inf)).all())  # NaN fails both
 
 
 def encode_labels(atoms, labels) -> np.ndarray:

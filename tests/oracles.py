@@ -30,7 +30,7 @@ from scipy import sparse
 from scipy.stats import norm
 
 from tlcausal import causal
-from tlcausal.causal import Hypothesis, HypothesisFamily, ScoreTable
+from tlcausal.causal import ScoreTable
 from tlcausal.checker import (FrequencyEstimate, eval_on_trace,
                               trace_leads_to, window_hits)
 from tlcausal.dtmc import Dtmc, encode_labels
@@ -417,7 +417,7 @@ def marginal_window_prob(data: TraceSet, e: Formula,
 class PrimaFacieRecord:
     """One hypothesis's prima facie test."""
 
-    hypothesis: Hypothesis
+    hypothesis: tuple  # (cause, effect, tmin, tmax)
     occurred: bool
     p_cond: FrequencyEstimate
     p_marginal: FrequencyEstimate
@@ -426,15 +426,17 @@ class PrimaFacieRecord:
 
 def prima_facie_test(data, h):
     """Occurrence, probability raising, and the strictness check for one
-    hypothesis.  Empty denominators make the test fail, not raise."""
-    occurred = any(eval_on_trace(tr, h.cause).any() for tr in data)
+    hypothesis ``h = (cause, effect, tmin, tmax)``.  Empty denominators
+    make the test fail, not raise."""
+    cause, effect, tmin, tmax = h
+    occurred = any(eval_on_trace(tr, cause).any() for tr in data)
     try:
-        p_cond = trace_leads_to(data, h.cause, h.effect, h.tmin, h.tmax)
+        p_cond = trace_leads_to(data, cause, effect, tmin, tmax)
     except EmptyWindowError:
         p_cond = _ZERO
     try:
-        p_marginal = marginal_window_prob(
-            data, h.effect, h.tmax - h.tmin + 1, h.tmin)
+        p_marginal = marginal_window_prob(data, effect, tmax - tmin + 1,
+                                          tmin)
     except EmptyWindowError:
         p_marginal = _ZERO
     passed = (occurred and p_cond.denominator > 0
@@ -455,9 +457,10 @@ class EpsilonTerm:
 
 @dataclass
 class EpsilonRecord:
-    """A hypothesis, its rival terms in rival order, and their average."""
+    """A hypothesis ``(cause, effect, tmin, tmax)``, its rival terms in
+    rival order, and their average."""
 
-    hypothesis: Hypothesis
+    hypothesis: tuple
     eps_terms: List[EpsilonTerm]
     eps_avg: Optional[float]
 
@@ -500,7 +503,7 @@ def epsilon_avg(data, c, e, rivals, tmin, tmax, divisor="defined",
             continue
         value, defined = epsilon_x(data, c, x, e, tmin, tmax, min_support)
         terms.append(EpsilonTerm(x, value, defined))
-    return EpsilonRecord(Hypothesis(c, e, tmin, tmax), terms,
+    return EpsilonRecord((c, e, tmin, tmax), terms,
                          _reduce_terms(terms, divisor, len(rivals)))
 
 
@@ -521,11 +524,10 @@ def _reduce_terms(terms, divisor, n_rivals):
 # ---------------------------------------------------------------------------
 # Batched scoring one effect at a time
 
-def per_effect_scores(data, hypotheses, divisor="defined", min_support=1):
+def per_effect_scores(data, family, divisor="defined", min_support=1):
     """``causal.score_hypotheses`` taking each effect's rival-pair counts
     over its hit ticks where two causes hold, one product per effect and
     trace, with every trace's rows kept until all effects are done."""
-    family = HypothesisFamily.of(hypotheses)
     tmin, tmax = family.tmin, family.tmax
     causes, effects = family.causes, family.effects
     nc, ne = len(causes), len(effects)
@@ -578,7 +580,7 @@ def per_effect_scores(data, hypotheses, divisor="defined", min_support=1):
             min_support=min_support)
         eps[members] = np.array(_average(values, defined, divisor),
                                 dtype=float)  # None reads as NaN
-    return ScoreTable(family, num, den, marg, qual_total, passed, eps)
+    return ScoreTable(num, den, marg, qual_total, passed, eps)
 
 
 def _pair_counts(kept, rivals, ej, own):
@@ -606,16 +608,23 @@ def _average(values, defined, divisor):
 
 
 # ---------------------------------------------------------------------------
-# Hypothesis-table rows: one Hypothesis object at a time
+# Hypothesis-table rows: one hypothesis at a time
 
 def pairwise_hypotheses(atoms, tmin, tmax, include_negations=False):
-    """Every ordered atom pair (cause != effect), positive causes first,
-    then negated ones, each crossed with the effects in atom order."""
+    """Every ordered atom pair (cause != effect) as ``(cause, effect,
+    tmin, tmax)``, positive causes first, then negated ones, each crossed
+    with the effects in atom order."""
     causes = [(Atom(a), a) for a in atoms]
     if include_negations:
         causes += [(Not(Atom(a)), a) for a in atoms]
-    return [Hypothesis(cause, Atom(e), tmin, tmax)
+    return [(cause, Atom(e), tmin, tmax)
             for cause, base in causes for e in atoms if e != base]
+
+
+def family_hypotheses(family):
+    """The hypotheses of a family as ``(cause, effect, tmin, tmax)``."""
+    return [(family.causes[c], family.effects[e], family.tmin, family.tmax)
+            for c, e in zip(family.cause_ix, family.effect_ix)]
 
 
 def hypothesis_rows(data, tmin, tmax, negations=False, divisor="defined",
@@ -629,15 +638,15 @@ def hypothesis_rows(data, tmin, tmax, negations=False, divisor="defined",
     rivals = {}
     for test in tests:
         if test.passed:
-            rivals.setdefault(test.hypothesis.effect, []).append(
-                test.hypothesis.cause)
+            cause, effect, _, _ = test.hypothesis
+            rivals.setdefault(effect, []).append(cause)
     rows = []
     for test in tests:
-        h = test.hypothesis
-        eps = (epsilon_avg(data, h.cause, h.effect, rivals[h.effect], tmin,
-                           tmax, divisor, min_support).eps_avg
+        cause, effect, _, _ = test.hypothesis
+        eps = (epsilon_avg(data, cause, effect, rivals[effect], tmin, tmax,
+                           divisor, min_support).eps_avg
                if test.passed else None)
-        rows.append((print_formula(h.cause), print_formula(h.effect),
+        rows.append((print_formula(cause), print_formula(effect),
                      str(tmin), str(tmax), _cell(test.p_cond),
                      _cell(test.p_marginal), "1" if test.passed else "0",
                      "" if eps is None else format(eps, ".10g")))

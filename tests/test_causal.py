@@ -9,7 +9,7 @@ import oracles
 from conftest import random_traceset, trace_from_marks, traceset_from_marks
 from oracles import epsilon_avg, epsilon_x, prima_facie_test
 from tlcausal import causal
-from tlcausal.causal import (Hypothesis, HypothesisFamily, enumerate_pairwise,
+from tlcausal.causal import (HypothesisFamily, enumerate_pairwise,
                              score_hypotheses)
 from tlcausal.errors import CheckError
 from tlcausal.pctl import And, Atom, Not, Or
@@ -33,7 +33,7 @@ class TestEnumerate:
 
     def test_invalid_window(self):
         with pytest.raises(CheckError):
-            Hypothesis(Atom("a"), Atom("b"), 0, 4)
+            _single(Atom("a"), Atom("b"), 0, 4)
         with pytest.raises(CheckError):
             enumerate_pairwise(["a", "b"], 3, 2)
 
@@ -44,42 +44,70 @@ class TestEnumerate:
         family = enumerate_pairwise(atoms, 2, 4, include_negations=negations)
         want = oracles.pairwise_hypotheses(atoms, 2, 4, negations)
         assert len(family) == len(want)
-        for fam in (family, HypothesisFamily.of(want)):
-            assert [(fam.causes[c], fam.effects[e], fam.tmin, fam.tmax)
-                    for c, e in zip(fam.cause_ix, fam.effect_ix)] == \
-                [(h.cause, h.effect, h.tmin, h.tmax) for h in want]
-        assert HypothesisFamily.of(family) is family
+        assert oracles.family_hypotheses(family) == want
 
     def test_duplicate_atoms(self):
         with pytest.raises(CheckError, match="duplicate"):
             enumerate_pairwise(["a", "b", "a"], 1, 1)
 
 
+def _single(cause, effect, tmin, tmax):
+    """The family of the one hypothesis ``cause ~> effect``."""
+    ix = np.zeros(1, dtype=np.int64)
+    return HypothesisFamily((cause,), (effect,), ix, ix, tmin, tmax)
+
+
+class TestFamilyIndices:
+    @pytest.mark.parametrize("cause_ix, effect_ix", [
+        (np.array([-1, 0]), np.array([0, 0])),  # before the causes
+        (np.array([0, 2]), np.array([0, 0])),   # past the causes
+        (np.array([0, 1]), np.array([0, 2])),   # past the effects
+        (np.array([0, 1]), np.array([0])),      # lengths differ
+        (np.array([[0, 1]]), np.array([[0, 1]])),
+        (np.array([0.0, 1.0]), np.array([0, 1])),
+        (np.array([True, False]), np.array([0, 1])),
+        ([0, 1], [0, 1]),
+    ])
+    def test_refuses_indices_that_do_not_describe_it(self, cause_ix,
+                                                      effect_ix):
+        a, b = Atom("a"), Atom("b")
+        with pytest.raises(CheckError, match="cause_ix|index"):
+            HypothesisFamily((a, b), (b, a), cause_ix, effect_ix, 1, 1)
+
+    def test_empty_family_scores_to_an_empty_table(self):
+        data = traceset_from_marks(("a", "b"), 10, {"a": [0], "b": [1]})
+        none = np.zeros(0, dtype=np.uint8)
+        scores = score_hypotheses(data, HypothesisFamily((), (), none, none,
+                                                         1, 1))
+        assert len(scores.passed) == len(scores.eps) == 0
+        assert scores.qual_total == 9
+
+
 class TestPrimaFacie:
     def test_periodic_example(self):
         data = traceset_from_marks(("c", "e"), 20,
                                    {"c": [0, 5, 10, 15], "e": [1, 6, 11, 16]})
-        res = prima_facie_test(data, Hypothesis(Atom("c"), Atom("e"), 1, 1))
+        res = prima_facie_test(data, (Atom("c"), Atom("e"), 1, 1))
         assert res.p_cond.probability == 1.0
         assert (res.p_marginal.numerator, res.p_marginal.denominator) == (4, 19)
         assert res.passed
 
     def test_cause_never_occurs(self):
         data = traceset_from_marks(("c", "e"), 10, {"e": [1]})
-        res = prima_facie_test(data, Hypothesis(Atom("c"), Atom("e"), 1, 1))
+        res = prima_facie_test(data, (Atom("c"), Atom("e"), 1, 1))
         assert not res.occurred and not res.passed
 
     def test_exact_tie_fails(self):
         # e holds everywhere: conditional and marginal are both 1
         data = traceset_from_marks(("c", "e"), 10,
                                    {"c": [2, 4], "e": list(range(10))})
-        res = prima_facie_test(data, Hypothesis(Atom("c"), Atom("e"), 1, 2))
+        res = prima_facie_test(data, (Atom("c"), Atom("e"), 1, 2))
         assert res.p_cond.probability == res.p_marginal.probability == 1.0
         assert not res.passed
 
     def test_censored_window_is_not_a_fault(self):
         data = traceset_from_marks(("c", "e"), 5, {"c": [4], "e": [1]})
-        res = prima_facie_test(data, Hypothesis(Atom("c"), Atom("e"), 1, 2))
+        res = prima_facie_test(data, (Atom("c"), Atom("e"), 1, 2))
         assert res.occurred and not res.passed
         assert res.p_cond.denominator == 0
 
@@ -89,7 +117,7 @@ class TestPrimaFacie:
         marks2 = dict(marks)
         marks2["w"] = marks2.pop("z")
         d2 = traceset_from_marks(("c", "e", "w"), 15, marks2)
-        h = Hypothesis(Atom("c"), Atom("e"), 1, 1)
+        h = (Atom("c"), Atom("e"), 1, 1)
         r1 = prima_facie_test(d1, h)
         r2 = prima_facie_test(d2, h)
         assert r1.p_cond == r2.p_cond
@@ -256,18 +284,18 @@ def _replicate_sets(draw):
 
 
 def _assert_matches_per_pair_functions(monkeypatch, data, tmin, tmax,
-                                       want=None):
+                                       hyps=None):
     """Counts, terms and impact averages of every pairwise hypothesis, or
-    of the hypothesis list ``want``, against the per-pair oracle
-    functions."""
-    if want is None:
+    of the family ``hyps``, against the per-pair oracle functions."""
+    if hyps is None:
         hyps = enumerate_pairwise(data.variables, tmin, tmax)
         want = oracles.pairwise_hypotheses(data.variables, tmin, tmax)
     else:
-        hyps = HypothesisFamily.of(want)
+        want = oracles.family_hypotheses(hyps)
     scores, terms = _score_with_terms(monkeypatch, data, hyps)
     by_effect = {}
     for i, h in enumerate(want):
+        cause, effect, _, _ = h
         single = prima_facie_test(data, h)
         assert scores.passed[i] == single.passed
         assert (scores.num[i], scores.den[i]) == \
@@ -276,12 +304,12 @@ def _assert_matches_per_pair_functions(monkeypatch, data, tmin, tmax,
             (single.p_marginal.numerator,
              single.p_marginal.denominator)
         if single.passed:
-            by_effect.setdefault(h.effect, []).append(h.cause)
+            by_effect.setdefault(effect, []).append(cause)
     # the scorer visits the causes in id order, each cause's passers with
     # rivals in hypothesis order, one row each, padded to the largest
     # rival set
     rated = sorted((i for i in np.flatnonzero(scores.passed)
-                    if len(by_effect[want[i].effect]) > 1),
+                    if len(by_effect[want[i][1]]) > 1),
                    key=lambda i: (hyps.cause_ix[i], i))
     width = max(map(len, by_effect.values()), default=0)
     rows = [row for values, defined in terms for row in zip(values, defined)]
@@ -289,11 +317,11 @@ def _assert_matches_per_pair_functions(monkeypatch, data, tmin, tmax,
     assert all(len(values) == width for values, _ in rows)
     rows = dict(zip(rated, rows))
     for i in np.flatnonzero(scores.passed):
-        h = want[i]
-        rivals = by_effect[h.effect]
-        single = epsilon_avg(data, h.cause, h.effect, rivals, tmin, tmax)
+        cause, effect, _, _ = want[i]
+        rivals = by_effect[effect]
+        single = epsilon_avg(data, cause, effect, rivals, tmin, tmax)
         assert _eps(scores, i) == single.eps_avg
-        got = _row_terms(rows[i], rivals, h.cause) if i in rows else []
+        got = _row_terms(rows[i], rivals, cause) if i in rows else []
         assert got == [(t.value, t.defined) for t in single.eps_terms]
     return by_effect
 
@@ -315,6 +343,7 @@ def _assert_matches_oracles(data, tmin, tmax, negations, min_support,
                               min_support=min_support)
     by_effect = {}
     for i, h in enumerate(want):
+        cause, effect, _, _ = h
         single = prima_facie_test(data, h)
         assert (scores.num[i], scores.den[i]) == \
             (single.p_cond.numerator, single.p_cond.denominator)
@@ -322,11 +351,11 @@ def _assert_matches_oracles(data, tmin, tmax, negations, min_support,
             (single.p_marginal.numerator, single.p_marginal.denominator)
         assert scores.passed[i] == single.passed
         if single.passed:
-            by_effect.setdefault(h.effect, []).append(h.cause)
+            by_effect.setdefault(effect, []).append(cause)
     assert scores.passed.sum() == sum(map(len, by_effect.values()))
     for i in np.flatnonzero(scores.passed):
-        h = want[i]
-        single = epsilon_avg(data, h.cause, h.effect, by_effect[h.effect],
+        cause, effect, _, _ = want[i]
+        single = epsilon_avg(data, cause, effect, by_effect[effect],
                              tmin, tmax, divisor=divisor,
                              min_support=min_support)
         assert _eps(scores, i) == single.eps_avg
@@ -418,16 +447,15 @@ class TestBatchedScoring:
         data = random_traceset(rng, 4, max_len=80)
         hyps = enumerate_pairwise(data.variables, 1, 1)
         scores = score_hypotheses(data, hyps)
-        assert scores.family is hyps
-        assert len(score_hypotheses(data, []).family) == 0
+        assert len(scores.passed) == len(scores.eps) == len(hyps)
         assert np.isnan(scores.eps[~scores.passed]).all()
 
     def test_compound_cause_formulas(self):
         data = traceset_from_marks(
             ("a", "b", "e"), 30,
             {"a": [0, 6, 12, 18], "b": [0, 12, 24], "e": [1, 13]})
-        h = Hypothesis(And(Atom("a"), Atom("b")), Atom("e"), 1, 1)
-        scores = score_hypotheses(data, [h])
+        h = (And(Atom("a"), Atom("b")), Atom("e"), 1, 1)
+        scores = score_hypotheses(data, _single(*h))
         single = prima_facie_test(data, h)
         assert (scores.num[0], scores.den[0]) == \
             (single.p_cond.numerator, single.p_cond.denominator)
@@ -436,10 +464,11 @@ class TestBatchedScoring:
 
 @st.composite
 def _scoring_cases(draw):
-    """Replicates, a window and hypotheses at it: the pairwise family or
-    a hand-built list whose causes are atoms, negations and conjunctions
-    or disjunctions of two atoms, in any order and with repeats, so that
-    an effect's rivals need not come in cause-id order."""
+    """Replicates, a window and a family at it: the pairwise family or a
+    hand-built one whose causes are atoms, negations and conjunctions or
+    disjunctions of two atoms, with its index pairs in any order and with
+    repeats, so that an effect's rivals need not come in cause-id
+    order."""
     data = draw(_replicate_sets())
     tmin = draw(st.integers(1, 3))
     tmax = tmin + draw(st.integers(0, 3))
@@ -450,11 +479,17 @@ def _scoring_cases(draw):
     cause = st.one_of(atom, st.builds(Not, atom), st.builds(And, atom, atom),
                       st.builds(Or, atom, atom))
     effect = st.one_of(atom, st.builds(Not, atom))
-    pairs = draw(st.lists(st.tuples(cause, effect), max_size=16))
+    causes = draw(st.lists(cause, min_size=1, max_size=8, unique=True))
+    effects = draw(st.lists(effect, min_size=1, max_size=4, unique=True))
+    pairs = draw(st.lists(st.tuples(st.integers(0, len(causes) - 1),
+                                    st.integers(0, len(effects) - 1)),
+                          max_size=16))
     if pairs:
         pairs += draw(st.lists(st.sampled_from(pairs), max_size=4))
-    return data, [Hypothesis(c, e, tmin, tmax)
-                  for c, e in draw(st.permutations(pairs))]
+    cause_ix, effect_ix = np.array(draw(st.permutations(pairs)),
+                                   dtype=np.int64).reshape(-1, 2).T
+    return data, HypothesisFamily(tuple(causes), tuple(effects), cause_ix,
+                                  effect_ix, tmin, tmax)
 
 
 def _assert_same_scores(got, want):
@@ -495,13 +530,15 @@ class TestCauseSideScoring:
         data = TraceSet((Trace(atoms, values),
                          Trace(atoms, np.ones((4, 2), dtype=bool))))
         a, b, c, e = map(Atom, atoms)
-        hyps = [Hypothesis(f, g, 1, 2) for f, g in [
-            (c, a), (Or(a, b), e), (b, e), (Not(c), e), (a, e), (b, e),
-            (And(a, b), e), (a, c)]]
-        family = HypothesisFamily.of(hyps)
+        # c ~> a, a | b ~> e, b ~> e, !c ~> e, a ~> e, b ~> e, a & b ~> e,
+        # a ~> c
+        family = HypothesisFamily(
+            (c, Or(a, b), b, Not(c), a, And(a, b)), (a, e, c),
+            np.array([0, 1, 2, 3, 4, 2, 5, 4]),
+            np.array([0, 1, 1, 1, 1, 1, 1, 2]), 1, 2)
         for divisor in ("defined", "strict"):
-            got = score_hypotheses(data, hyps, divisor)
-            _assert_same_scores(got, oracles.per_effect_scores(data, hyps,
+            got = score_hypotheses(data, family, divisor)
+            _assert_same_scores(got, oracles.per_effect_scores(data, family,
                                                                divisor))
         # e's rivals come out of cause-id order, and b's passer repeats
         rivals = family.cause_ix[got.passed & (family.effect_ix == 1)]
@@ -512,7 +549,7 @@ class TestCauseSideScoring:
             with pytest.MonkeyPatch.context() as patch:
                 if chunk is not None:
                     patch.setattr(causal, "_CHUNK", chunk)
-                _assert_matches_per_pair_functions(patch, data, 1, 2, hyps)
+                _assert_matches_per_pair_functions(patch, data, 1, 2, family)
 
     def test_every_replicate_shorter_than_tmax(self):
         data = TraceSet((Trace(("a", "e"), np.ones((2, 3), dtype=bool)),

@@ -236,6 +236,18 @@ outdir = out
         with pytest.raises(Exception, match="duplicate"):
             load_config_file(cfg)
 
+    @pytest.mark.parametrize("content", [b"path = caf\xe9.csv\n", None],
+                             ids=["latin-1", "directory"])
+    def test_unreadable_config_is_a_usage_error(self, tmp_path, capsys,
+                                                content):
+        cfg = tmp_path / "run.cfg"
+        if content is None:
+            cfg.mkdir()
+        else:
+            cfg.write_bytes(content)
+        assert cli.main(["infer", "--config", str(cfg)]) == 1
+        assert f"cannot read config {cfg}: " in capsys.readouterr().err
+
     def test_hash_starts_comment_only_after_whitespace(self, tmp_path):
         data = tmp_path / "d#1"
         data.mkdir()
@@ -332,6 +344,31 @@ class TestCli:
         assert cli.main(["check", "--formula", "a",
                          "--model", str(listing)]) == 2
         assert "names a state outside" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("records, reason", [
+        ("trans 0 1 1.5\ntrans 0 2 -0.5", "transition probabilities"),
+        ("trans 0 1 nan", "transition probabilities"),
+        ("trans 0 1 inf", "transition probabilities"),
+        ("trans 0 1 1.0\nfreq 0 nan", "state frequencies"),
+        ("trans 0 1 1.0\nfreq 1 -1", "state frequencies"),
+        ("trans 0 1 1.0\nfreq 2 inf", "state frequencies"),
+        ("trans 0 1 0.5", "rows must sum to 1")])
+    def test_check_model_with_bad_numbers(self, tmp_path, capsys, records,
+                                          reason):
+        listing = tmp_path / "model.txt"
+        listing.write_text("atoms c e\ninitial 0\nstate 0: {c}\n"
+                           "state 1: {e}\nstate 2: {}\ntrans 1 1 1.0\n"
+                           f"trans 2 2 1.0\n{records}\n")
+        assert cli.main(["check", "--formula", "c ~>{>=1,<=1}{>=0.5} e",
+                         "--model", str(listing)]) == 2
+        assert reason in capsys.readouterr().err
+        # a frequency of 0 is a state never observed, not an error
+        listing.write_text(listing.read_text().replace(records,
+                                                       "trans 0 1 1.0\n"
+                                                       "freq 2 0"))
+        assert cli.main(["check", "--formula", "c ~>{>=1,<=1}{>=0.5} e",
+                         "--model", str(listing)]) == 0
+        assert "probability: 1" in capsys.readouterr().out
 
     def test_check_model_verdict_at_a_bound_of_one(self, tmp_path, capsys):
         # state 0 goes to ten {b} states with probability 0.1 each: the
