@@ -13,14 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DataError
 from .traces import TraceSet, _open_lines, _reject_reserved, _write_text
 
 __all__ = ["Dtmc", "build_dtmc", "encode_labels", "export_text", "load_text"]
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 ROW_SUM_TOL = 1e-9
 
@@ -49,8 +52,7 @@ class Dtmc:
         marks.flags.writeable = False
         object.__setattr__(self, "label_matrix", marks)
         n = len(marks)
-        object.__setattr__(self, "transitions",
-                           sparse.csr_matrix(self.transitions))
+        object.__setattr__(self, "transitions", _csr(self.transitions))
         if self.transitions.shape != (n, n):
             raise DataError("transition matrix shape does not match states")
         if not _finite_non_negative(self.transitions.data):
@@ -89,6 +91,14 @@ class Dtmc:
         return float(np.abs(rows - 1.0).max())
 
 
+def _csr(*args, **kwargs):
+    """A scipy csr matrix.  ``scipy.sparse`` loads here, on the first chain
+    built, loaded or constructed, so ``import tlcausal`` and the chain-free
+    commands (infer, fdr, report, generate) never load scipy."""
+    from scipy import sparse
+    return sparse.csr_matrix(*args, **kwargs)
+
+
 def _finite_non_negative(values) -> bool:
     return bool(((values >= 0) & (values < np.inf)).all())  # NaN fails both
 
@@ -122,7 +132,7 @@ def build_dtmc(data: TraceSet) -> Dtmc:
     src, dst = np.divmod(pairs, n)
     out_total = np.bincount(a, minlength=n)
     terminal = np.flatnonzero(out_total == 0)  # keep every row stochastic
-    trans = sparse.csr_matrix(
+    trans = _csr(
         (np.concatenate([counts / out_total[src], np.ones(len(terminal))]),
          (np.concatenate([src, terminal]), np.concatenate([dst, terminal]))),
         shape=(n, n))
@@ -150,9 +160,12 @@ def export_text(model: Dtmc, sink) -> None:
 
 
 def load_text(source) -> Dtmc:
-    """Parse a listing produced by :func:`export_text`."""
+    """Parse a listing produced by :func:`export_text`.  A ``state``,
+    ``freq`` or ``trans`` record repeated for the same state or pair is
+    refused, naming both lines."""
     lines = _open_lines(source)
-    atoms, initial, states, freqs, triples = None, 0, [], [], []
+    atoms, initial = None, 0
+    states, freqs, trans = {}, {}, {}  # key -> (line number, value)
     for lineno, line in enumerate(map(str.strip, lines), start=1):
         if not line:
             continue
@@ -160,33 +173,41 @@ def load_text(source) -> Dtmc:
         try:
             if head == "atoms":
                 atoms = tuple(rest.split())
-            elif head == "initial":
+                continue
+            if head == "initial":
                 initial = int(rest)
-            elif head == "state":
+                continue
+            if head == "state":
                 sid, _, labpart = rest.partition(":")
-                inner = set(labpart.strip()[1:-1].split(",")) - {""}
-                states.append((lineno, int(sid), inner))
+                table, key = states, (int(sid),)
+                value = set(labpart.strip()[1:-1].split(",")) - {""}
             elif head == "freq":
                 sid, value = rest.split()
-                freqs.append((lineno, int(sid), float(value)))
+                table, key, value = freqs, (int(sid),), float(value)
             elif head == "trans":
                 a, b, p = rest.split()
-                triples.append((lineno, int(a), int(b), float(p)))
+                table, key, value = trans, (int(a), int(b)), float(p)
             else:
                 raise ValueError(f"unknown record {head!r}")
         except (ValueError, IndexError) as exc:
             raise DataError(f"malformed model line {lineno}: {line!r}") from exc
+        if key in table:
+            raise DataError(f"model line {lineno} repeats {head} "
+                            f"{' '.join(map(str, key))} "
+                            f"(first at line {table[key][0]})")
+        table[key] = (lineno, value)
     if atoms is None or not states:
         raise DataError("model listing missing atoms or states")
-    n = max(sid for _, sid, _ in states) + 1
-    for lineno, *ids, _ in states + freqs + triples:
-        if not all(0 <= i < n for i in ids):
-            raise DataError(f"model line {lineno} names a state outside "
-                            f"[0, {n}): {lines[lineno - 1].strip()!r}")
-    labels = {sid: lab for _, sid, lab in states}
-    given = {sid: value for _, sid, value in freqs}
-    freq = np.array([given.get(i, 1.0) for i in range(n)])
-    marks = encode_labels(atoms, [labels.get(i, ()) for i in range(n)])
-    rows, cols, vals = ([t[k] for t in triples] for k in (1, 2, 3))
-    trans = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return Dtmc(atoms, marks, trans, initial, freq)
+    n = max(states)[0] + 1
+    for table in (states, freqs, trans):
+        for ids, (lineno, _) in table.items():
+            if not all(0 <= i < n for i in ids):
+                raise DataError(f"model line {lineno} names a state outside "
+                                f"[0, {n}): {lines[lineno - 1].strip()!r}")
+    freq = np.array([freqs.get((i,), (0, 1.0))[1] for i in range(n)])
+    marks = encode_labels(atoms, [states.get((i,), (0, ()))[1]
+                                  for i in range(n)])
+    pairs = np.array(list(trans), dtype=np.intp).reshape(-1, 2)
+    probs = [p for _, p in trans.values()]
+    return Dtmc(atoms, marks, _csr((probs, (pairs[:, 0], pairs[:, 1])),
+                                   shape=(n, n)), initial, freq)

@@ -209,14 +209,17 @@ class TraceSet:
 Source = Union[str, Path, io.IOBase]
 
 
-def _read_text(source) -> str:
+def _read_text(source, ascii_bytes: bool = False):
     """The whole text of a path or an open stream, bytes read as UTF-8
-    with line endings as they are.  A path that cannot be read, or bytes
+    with line endings as they are; with ``ascii_bytes``, an ASCII text is
+    returned as its bytes instead.  A path that cannot be read, or bytes
     that are not UTF-8, are a data error naming the source."""
     is_path = isinstance(source, (str, Path))
     name = source if is_path else getattr(source, "name", "<stream>")
     try:
         data = Path(source).read_bytes() if is_path else source.read()
+        if ascii_bytes and data.isascii():
+            return data.encode("ascii") if isinstance(data, str) else data
         return data.decode("utf-8") if isinstance(data, bytes) else data
     except OSError as exc:
         raise DataError(f"cannot read {name}: {exc}") from exc
@@ -255,25 +258,33 @@ def _check_writable(directory) -> None:
                         f"writable directory")
 
 
-# An ASCII text that matches is read as a whole: each line one time of
-# 1-18 decimal digits (so below 2^63), a comma and a name without comma or
-# whitespace; no empty line; the last line's LF optional.
-_CLEAN_EVENTS = re.compile(r"(?:[0-9]{1,18},[^,\s]*(?:\n|\Z))+")
+# An ASCII text that matches is parsed from its bytes: each line one time
+# of 1-18 decimal digits (so below 2^63), a comma and a name without comma
+# or whitespace (\x1c-\x1f are whitespace to str but not to a bytes
+# pattern); no empty line; the last line's LF optional.
+_CLEAN_LINE = r"[0-9]{1,18},[^,\s\x1c-\x1f]*"
+_CLEAN_EVENTS = re.compile(rf"(?:{_CLEAN_LINE}(?:\n|\Z))+")
+# The loader runs the same rule as a search for a line start that no clean
+# line follows; fullmatch's repeated group keeps state per line (25 MB on
+# 100k lines), so the whole-text form above only states the rule.
+_UNCLEAN_LINE = re.compile(rf"(?m)^(?!{_CLEAN_LINE}$)".encode("ascii"))
+_BLOCK = 1 << 18  # bytes of clean text parsed at a time
 
 
 def load_events(source: Source, horizon: Optional[int] = None) -> EventList:
     """Parse an event-csv stream, headerless ``<time>,<variable>`` rows,
     without densifying (replicate loaders can then share one variable
     universe across files).  ``horizon`` defaults to the last event time
-    + 1.  A clean text is split as a whole; any other goes line by line,
-    stripping cells and skipping blank lines, and a syntax error names its
-    line.  :meth:`EventList.from_arrays` checks range and duplicates.
+    + 1.  A clean text is parsed from its bytes; any other goes line by
+    line, stripping cells and skipping blank lines, and a syntax error
+    names its line.  :meth:`EventList.from_arrays` checks range and
+    duplicates.
     """
-    text = _read_text(source)
-    if text.isascii() and _CLEAN_EVENTS.fullmatch(text):
-        cells = text.removesuffix("\n").replace("\n", ",").split(",")
-        times, names = cells[0::2], cells[1::2]
+    data = _read_text(source, ascii_bytes=True)
+    if isinstance(data, bytes) and _is_clean(data):
+        times, ids, names = _parse_clean(data)
     else:
+        text = data.decode("ascii") if isinstance(data, bytes) else data
         times, names = [], []
         for lineno, line in enumerate(text.splitlines(), start=1):
             if line.strip() == "":
@@ -286,12 +297,82 @@ def load_events(source: Source, horizon: Optional[int] = None) -> EventList:
                                 f"{lineno}: {line!r}")
             times.append(parts[0])
             names.append(parts[1])
-    if not times:
-        raise DataError("empty event-csv input")
-    times = np.fromiter(map(int, times), np.int64, len(times))
+        if not times:
+            raise DataError("empty event-csv input")
+        times = np.fromiter(map(int, times), np.int64, len(times))
+        ids, names = _index(names)
     if horizon is None:
         horizon = int(times.max()) + 1
-    return EventList.from_arrays(times, *_index(names), horizon)
+    return EventList.from_arrays(times, ids, names, horizon)
+
+
+def _is_clean(data: bytes) -> bool:
+    """Whether ASCII ``data`` is a text ``_CLEAN_EVENTS`` matches."""
+    return bool(data) and not _UNCLEAN_LINE.search(
+        data, 0, len(data) - data.endswith(b"\n"))
+
+
+def _parse_clean(data: bytes) -> tuple:
+    """Times, name ids and names (in first-appearance order) of a text that
+    ``_CLEAN_EVENTS`` matches, parsed in blocks of whole lines so that no
+    temporary grows with the file.  Every line holds exactly one comma."""
+    buf = np.frombuffer(data, np.uint8)
+    n = data.count(b"\n") + (not data.endswith(b"\n"))
+    times, ids = np.empty(n, np.int64), np.empty(n, np.intp)
+    index = {}  # name -> id, in order of first appearance
+    start = done = 0
+    while start < len(buf):
+        stop = data.find(b"\n", start + _BLOCK) + 1 or len(buf)
+        block = buf[start:stop]
+        commas = np.flatnonzero(block == ord(","))
+        ends = np.flatnonzero(block == ord("\n"))
+        if len(ends) < len(commas):  # the last line has no LF
+            ends = np.append(ends, len(block))
+        digits = commas - np.append(0, ends[:-1] + 1)
+        rows = slice(done, done + len(commas))
+        times[rows] = _decimal(block, commas, digits)
+        ids[rows] = _name_ids(block, commas, ends - commas - 1, index)
+        start, done = stop, rows.stop
+    return times, ids, tuple(index)
+
+
+def _decimal(block, commas, digits) -> np.ndarray:
+    """The int64 value of the ``digits`` decimal digits before each comma,
+    one pass per digit place, units first."""
+    value, scale = np.zeros(len(commas), np.int64), 1
+    for place in range(1, int(digits.max()) + 1):
+        # the index reads another line's byte (possibly wrapping to the
+        # block's end) where the time is shorter; that byte is masked
+        digit = block[commas - place].astype(np.int64) - ord("0")
+        value += np.where(digits >= place, digit, 0) * scale
+        scale *= 10
+    return value
+
+
+def _name_ids(block, commas, lengths, index) -> np.ndarray:
+    """Each line's name id in ``index``, adding new names in order of first
+    appearance.  Names of one length are keyed by their bytes through one
+    ``np.unique``: zero-padded to a uint64 when they fit in 8 bytes (no
+    two names of one length pad alike), else as fixed-width void keys."""
+    local = np.empty(len(commas), np.intp)  # codes of the block's names
+    firsts, names = [], []
+    for length in np.unique(lengths).tolist():
+        rows = np.flatnonzero(lengths == length)
+        keys = np.zeros((len(rows), max(length, 8)), np.uint8)
+        if length:
+            keys[:, :length] = np.lib.stride_tricks.sliding_window_view(
+                block, length)[commas[rows] + 1]
+        kind = np.uint64 if length <= 8 else np.dtype((np.void, length))
+        _, first, inverse = np.unique(keys.view(kind).ravel(),
+                                      return_index=True, return_inverse=True)
+        local[rows] = inverse + len(names)
+        firsts += rows[first].tolist()
+        names += [keys[f, :length].tobytes().decode("ascii")
+                  for f in first.tolist()]
+    known = np.empty(len(names), np.intp)
+    for code in np.argsort(firsts).tolist():  # by each name's first row
+        known[code] = index.setdefault(names[code], len(index))
+    return known[local]
 
 
 def _load_wide(lines):

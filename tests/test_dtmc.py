@@ -1,4 +1,8 @@
 import io
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +138,19 @@ class TestExport:
         with pytest.raises(DataError):
             load_text(io.StringIO("state zero: {}\n"))
 
+    @pytest.mark.parametrize("records, message", [
+        ("state 0: {c}\nstate 1: {e}\nstate 0: {e}\ntrans 0 1 1.0",
+         "model line 5 repeats state 0 (first at line 3)"),
+        ("state 0: {c}\nstate 1: {e}\ntrans 0 1 0.5\ntrans 0 1 0.5",
+         "model line 6 repeats trans 0 1 (first at line 5)"),
+        ("state 0: {c}\nstate 1: {e}\ntrans 0 1 1.0\nfreq 1 3\nfreq 1 7",
+         "model line 7 repeats freq 1 (first at line 6)")],
+        ids=["state", "trans", "freq"])
+    def test_repeated_record_is_refused(self, records, message):
+        text = f"atoms c e\ninitial 0\n{records}\ntrans 1 1 1.0\n"
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_text(io.StringIO(text))
+
     @pytest.mark.parametrize("text", [
         "atoms a\nstate 0: {a}\ntrans 0 5 1.0\n",
         "atoms a\nstate 0: {zz}\ntrans 0 0 1.0\n",
@@ -146,3 +163,37 @@ class TestExport:
     def test_malformed_listing(self, text):
         with pytest.raises(DataError):
             load_text(io.StringIO(text))
+
+
+def _fresh(code):
+    """What a fresh interpreter prints after running ``code``."""
+    src = Path(__import__("tlcausal").__file__).parents[1]
+    return subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                          capture_output=True, text=True).stdout.split()
+
+
+def test_chain_free_run_loads_no_scipy_sparse(tmp_path):
+    events = tmp_path / "events.csv"
+    events.write_text("".join(f"{t},{'ab'[t % 2]}\n" for t in range(40)))
+    code = ("import sys\n"
+            "from tlcausal import PipelineConfig, run_pipeline\n"
+            f"run_pipeline(PipelineConfig(paths=({str(events)!r},), "
+            f"format='event-csv', tmin=1, tmax=2, "
+            f"outdir={str(tmp_path / 'out')!r}))\n"
+            "print('scipy.sparse' in sys.modules)")
+    assert _fresh(code) == ["False"]
+
+
+def test_chains_hold_csr_matrices():
+    code = ("import io, numpy as np\n"
+            "from tlcausal.dtmc import Dtmc, build_dtmc, export_text, "
+            "load_text\n"
+            "from tlcausal.traces import Trace, TraceSet\n"
+            "built = build_dtmc(TraceSet((Trace(('a',), "
+            "np.array([[1, 0, 1]], bool)),)))\n"
+            "sink = io.StringIO(); export_text(built, sink)\n"
+            "loaded = load_text(io.StringIO(sink.getvalue()))\n"
+            "dense = Dtmc(('a',), [[True], [False]], "
+            "np.array([[0.0, 1.0], [1.0, 0.0]]), 0, [1.0, 1.0])\n"
+            "print(*(m.transitions.format for m in (built, loaded, dense)))")
+    assert _fresh(code) == ["csr", "csr", "csr"]

@@ -1,5 +1,6 @@
 import io
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -123,6 +124,13 @@ class TestWholeTextPath:
         assert not (traces._CLEAN_EVENTS.fullmatch(text) and text.isascii())
 
 
+@pytest.mark.parametrize("text", _DIRTY + ["3,a\n", "3,a", "0,a\n2,b\n1,\n",
+                                          "123456789012345678,a\n"])
+def test_loader_rule_is_the_whole_text_rule(text):
+    clean = bool(text.isascii() and traces._CLEAN_EVENTS.fullmatch(text))
+    assert clean == (text.isascii() and traces._is_clean(text.encode()))
+
+
 # Pieces of event-csv rows, clean and not: every line-by-line trigger above
 _CLEAN_TIMES = st.one_of(st.integers(0, 12).map(str),
                          st.integers(10 ** 16, 10 ** 18 - 1).map(str))
@@ -133,7 +141,11 @@ _TIMES = st.one_of(
     _DECIMAL_TIMES,
     st.sampled_from(["+3", " 3", "3 ", "3_0", "²", "٣", "", "-1", "0x3",
                      "03"]))
-_CLEAN_NAMES = st.sampled_from(["a", "b", "B", "b10", "b2", ""])
+# prefixes of each other, empty, ending in NUL (clean: not whitespace) and
+# longer than the 8 bytes a name key packs into one integer
+_CLEAN_NAMES = st.sampled_from(["a", "b", "B", "b10", "b2", "", "n1", "n10",
+                                "a\x00", "\x00", "abcdefgh", "abcdefgh\x00",
+                                "abcdefghij", "abcdefghik"])
 _NAMES = st.one_of(_CLEAN_NAMES,
                    st.sampled_from([" a", "a ", "a\t", "\x1fa", "é", "a b"]))
 _ROWS = st.one_of(
@@ -159,11 +171,14 @@ def _event_texts(draw):
     return "".join(row + end for row, end in zip(rows, endings))
 
 
-def _outcome(load, text, horizon):
-    """What a loader makes of ``text``: its records and horizon, or the
-    message of its data error."""
+def _outcome(load, text, horizon, as_bytes=False):
+    """What a loader makes of ``text``, read from a text stream or a UTF-8
+    byte stream: its records and horizon, or the message of its data
+    error."""
+    source = io.BytesIO(text.encode("utf-8")) if as_bytes else \
+        io.StringIO(text)
     try:
-        return load(io.StringIO(text), horizon)
+        return load(source, horizon)
     except DataError as exc:
         return str(exc)
 
@@ -181,8 +196,11 @@ def _loop_time(line):
 
 class TestLoaderParity:
     @settings(max_examples=600, deadline=None)
-    @given(text=_event_texts(), horizon=st.none() | st.integers(1, 14))
-    def test_same_records_or_message_as_line_loop(self, text, horizon):
+    @given(text=_event_texts(), horizon=st.none() | st.integers(1, 14),
+           block=st.sampled_from([1, 5, traces._BLOCK]),
+           as_bytes=st.booleans())
+    def test_same_records_or_message_as_line_loop(self, text, horizon, block,
+                                                  as_bytes):
         want = _outcome(oracles.load_events, text, horizon)
         lines = text.splitlines()
         # int64 holds no time of 2^63 or more: the first row the line
@@ -195,7 +213,44 @@ class TestLoaderParity:
             want = before if str(before).startswith("malformed") else (
                 f"event time above 2^63 - 1 at line {huge}: "
                 f"{lines[huge - 1]!r}")
-        assert _outcome(_load, text, horizon) == want
+        clean = bool(text.isascii() and traces._CLEAN_EVENTS.fullmatch(text))
+        assert clean == (text.isascii() and traces._is_clean(text.encode()))
+        with mock.patch.object(traces, "_BLOCK", block):
+            assert _outcome(_load, text, horizon, as_bytes) == want
+            if clean and isinstance(want, tuple):
+                _assert_first_appearance(text, horizon)
+
+    @pytest.mark.parametrize("text", [
+        "0,n1\n0,n10\n1,n10\n1,n1\n", "3,", "3,\n0,\n", "0,a\x00\n0,a\n1,a\n",
+        "2,abcdefgh\x00\n2,abcdefgh\n", "123456789012345678,a\n1,b\n",
+        "5,a\n7,b", "4,a"],
+        ids=["prefix-names", "empty-name", "empty-name-twice", "nul-ending",
+             "nul-ending-long", "18-digit-time", "no-final-lf",
+             "single-event"])
+    @pytest.mark.parametrize("block", [1, traces._BLOCK])
+    def test_clean_cases_match_line_loop(self, text, block):
+        assert traces._CLEAN_EVENTS.fullmatch(text)
+        want = _outcome(oracles.load_events, text, None)
+        with mock.patch.object(traces, "_BLOCK", block):
+            for as_bytes in (False, True):
+                assert _outcome(_load, text, None, as_bytes) == want
+            _assert_first_appearance(text, None)
+
+    @pytest.mark.parametrize("text, horizon, message", [
+        ("3,a\n3,a\n", None, "duplicate event: (3, 'a')"),
+        ("3,a\n1,b\n", 2, "event time out of range: (3, a) with horizon 2"),
+        ("0,a\n2,b", 2, "event time out of range: (2, b) with horizon 2")])
+    def test_clean_text_keeps_from_arrays_messages(self, text, horizon,
+                                                   message):
+        assert traces._CLEAN_EVENTS.fullmatch(text)
+        assert _outcome(_load, text, horizon) == message
+
+
+def _assert_first_appearance(text, horizon):
+    """A clean text's names are listed in order of first appearance."""
+    names = [line.split(",")[1] for line in text.splitlines()]
+    events = load_events(io.StringIO(text), horizon)
+    assert events.names == tuple(dict.fromkeys(names))
 
 
 class TestNameOrder:
