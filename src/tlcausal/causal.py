@@ -113,7 +113,7 @@ class ScoreTable:
 # the chunk length, and float32 holds every integer up to 2**24 exactly, in
 # any summation order.  Chunk results add up in int64, so the counts match
 # the per-pair definitions exactly at any trace length, and the float32
-# copies stay at 64 KiB per formula however long the traces are.
+# copy stays at 16 KiB per column however long the traces are.
 #
 # The rival counts of a cause's passers (ticks where it and a rival hold
 # and the effect hits) take one product over the ticks where that cause
@@ -122,19 +122,18 @@ class ScoreTable:
 # sentinel cause: a padding term is never defined (the sentinel never
 # holds), so it adds +0.0, which leaves the left-to-right sum unchanged
 # because a defined term is never -0.0.
-_CHUNK = 2 ** 14
+_CHUNK = 2 ** 12
 
 
-def _products(left, right):
-    """Exact counts ``left @ right.T`` of two boolean matrices whose rows
-    run over the same ticks."""
+def _counts(m, left, right):
+    """Exact counts ``m[:, left].T @ m[:, right]`` of a tick-major boolean
+    matrix ``m``; ``left`` and ``right`` select its columns."""
     def chunk(t):
-        lf = left[:, t:t + _CHUNK].astype(np.float32)
-        rf = lf if right is left else right[:, t:t + _CHUNK].astype(np.float32)
-        return (lf @ rf.T).astype(np.int64)
+        f = m[t:t + _CHUNK].astype(np.float32)
+        return (f[:, left].T @ f[:, right]).astype(np.int64)
 
     total = chunk(0)  # a matrix without ticks still gives its zero counts
-    for t in range(_CHUNK, left.shape[1], _CHUNK):
+    for t in range(_CHUNK, len(m), _CHUNK):
         total += chunk(t)
     return total
 
@@ -153,26 +152,29 @@ def score_hypotheses(data: TraceSet, family: HypothesisFamily,
     causes, effects = family.causes, family.effects
     nc, ne = len(causes), len(effects)
 
-    # the qualifying ticks of all traces side by side: one row per cause,
-    # plus a last, sentinel cause that never holds, and one row of window
-    # hits per effect
-    qual_total = sum(max(trace.length - tmax, 0) for trace in data)
-    rq = np.zeros((nc + 1, qual_total), dtype=bool)
+    # the qualifying ticks of all traces side by side, tick-major: causes, a
+    # sentinel cause that never holds, then effect window hits.  Cause rows
+    # (for a cause's ticks) are made once the hit rows are copied and freed
+    nqs = [max(trace.length - tmax, 0) for trace in data]
+    spans = list(zip(data, np.cumsum([0] + nqs), nqs))
+    qual_total = sum(nqs)
     hits = np.empty((ne, qual_total), dtype=bool)
-    at = 0
-    for trace in data:
-        nq = max(trace.length - tmax, 0)
-        for i, c in enumerate(causes):
-            rq[i, at:at + nq] = eval_on_trace(trace, c)[:nq]
-        if nq:
-            for j, e in enumerate(effects):
-                hits[j, at:at + nq] = window_hits(eval_on_trace(trace, e),
-                                                  tmin, tmax)
-        at += nq
-    cooc = _products(rq, rq)        # qualifying co-occurrence
-    cond_num = _products(rq, hits)  # cause tick & effect in window
-    cause_qual = rq.sum(axis=1)
+    for trace, at, nq in spans:
+        for j, e in enumerate(effects):
+            hits[j, at:at + nq] = window_hits(eval_on_trace(trace, e),
+                                              tmin, tmax)
+    m = np.empty((qual_total, nc + 1 + ne), dtype=bool)
+    m[:, nc + 1:] = hits.T
     marg_num = hits.sum(axis=1)
+    del hits
+    rows = np.zeros((nc + 1, qual_total), dtype=bool)
+    for trace, at, nq in spans:
+        for i, c in enumerate(causes):
+            rows[i, at:at + nq] = eval_on_trace(trace, c)[:nq]
+    m[:, :nc + 1] = rows.T
+    both = _counts(m, slice(nc + 1), slice(None))
+    cooc, cond_num = both[:, :nc + 1], both[:, nc + 1:]  # cond: in window
+    cause_qual = np.diagonal(cooc)
 
     cause_ix, effect_ix = family.cause_ix, family.effect_ix
     num = cond_num[cause_ix, effect_ix]
@@ -197,8 +199,8 @@ def score_hypotheses(data: TraceSet, family: HypothesisFamily,
         slots = rated[rated_cause == c]
         g = group[slots]
         cols = rivals[g]
-        ticks = np.flatnonzero(rq[c])
-        both_hit = _products(hits[:, ticks][group_effect[g]], rq[:, ticks])
+        both_hit = _counts(np.take(m, np.flatnonzero(rows[c]), axis=0),
+                           nc + 1 + group_effect[g], slice(nc + 1))
         values, defined = _impact_terms(
             both=cooc[c][cols],
             x_total=x_total[g],

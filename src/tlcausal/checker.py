@@ -249,12 +249,14 @@ def window_hits(marks: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """For each tick ``t`` with the full window in range, whether ``marks``
     is set anywhere in ``[t+lo, t+hi]``.  Result has length ``len - hi``
     (empty when the trace is shorter than the window)."""
-    n = len(marks)
-    nq = n - hi
+    nq = len(marks) - hi
     if nq <= 0:
         return np.zeros(0, dtype=bool)
-    cs = np.concatenate(([0], np.cumsum(marks.astype(np.int64))))
-    return (cs[hi + 1: hi + 1 + nq] - cs[lo: lo + nq]) > 0
+    # seg[t] ORs the s marks from t + lo; two spans of s cover the window
+    seg, s = np.asarray(marks, dtype=bool)[lo:], 1
+    while 2 * s <= hi - lo + 1:
+        seg, s = seg[:-s] | seg[s:], 2 * s
+    return seg[:nq] | seg[hi - lo + 1 - s:][:nq]
 
 
 def _check_window(tmin, tmax):

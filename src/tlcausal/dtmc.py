@@ -160,24 +160,23 @@ def export_text(model: Dtmc, sink) -> None:
 
 
 def load_text(source) -> Dtmc:
-    """Parse a listing produced by :func:`export_text`.  A ``state``,
-    ``freq`` or ``trans`` record repeated for the same state or pair is
-    refused, naming both lines."""
+    """Parse a listing produced by :func:`export_text`.  A repeated
+    ``atoms`` or ``initial`` line, or a ``state``, ``freq`` or ``trans``
+    record repeated for the same state or pair, is refused, naming both
+    lines."""
     lines = _open_lines(source)
-    atoms, initial = None, 0
-    states, freqs, trans = {}, {}, {}  # key -> (line number, value)
+    atoms, initial, states, freqs, trans = {}, {}, {}, {}, {}
+    # each record's key -> (line number, value); atoms and initial: key ()
     for lineno, line in enumerate(map(str.strip, lines), start=1):
         if not line:
             continue
         head, _, rest = line.partition(" ")
         try:
             if head == "atoms":
-                atoms = tuple(rest.split())
-                continue
-            if head == "initial":
-                initial = int(rest)
-                continue
-            if head == "state":
+                table, key, value = atoms, (), tuple(rest.split())
+            elif head == "initial":
+                table, key, value = initial, (), int(rest)
+            elif head == "state":
                 sid, _, labpart = rest.partition(":")
                 table, key = states, (int(sid),)
                 value = set(labpart.strip()[1:-1].split(",")) - {""}
@@ -192,12 +191,13 @@ def load_text(source) -> Dtmc:
         except (ValueError, IndexError) as exc:
             raise DataError(f"malformed model line {lineno}: {line!r}") from exc
         if key in table:
-            raise DataError(f"model line {lineno} repeats {head} "
-                            f"{' '.join(map(str, key))} "
+            raise DataError(f"model line {lineno} repeats "
+                            f"{' '.join(map(str, (head, *key)))} "
                             f"(first at line {table[key][0]})")
         table[key] = (lineno, value)
-    if atoms is None or not states:
+    if not atoms or not states:
         raise DataError("model listing missing atoms or states")
+    atoms, initial = atoms[()][1], initial.get((), (0, 0))[1]
     n = max(states)[0] + 1
     for table in (states, freqs, trans):
         for ids, (lineno, _) in table.items():

@@ -17,6 +17,8 @@ scorer, and through them the hypothesis-table rows are the reference for
 the pipeline's columnar table.  The batched scorer that takes rival
 counts one effect at a time, over that effect's hit ticks, is the
 bit-for-bit reference for the one that takes them one cause at a time.
+The running-count window is the reference for the doubled ORs of
+``tlcausal.checker.window_hits``.
 ``scipy.stats.norm.pdf`` is the reference for the null density
 ``tlcausal.fdr.NullModel.pdf``.
 """
@@ -387,6 +389,16 @@ def build_dtmc(data: TraceSet) -> Dtmc:
 _ZERO = FrequencyEstimate(0.0, 0, 0)
 
 
+def window_hits_cumsum(marks, lo, hi):
+    """``checker.window_hits`` from a running count: tick ``t`` hits when
+    the count over ``[t+lo, t+hi]`` is positive."""
+    nq = len(marks) - hi
+    if nq <= 0:
+        return np.zeros(0, dtype=bool)
+    cs = np.concatenate(([0], np.cumsum(marks.astype(np.int64))))
+    return (cs[hi + 1: hi + 1 + nq] - cs[lo: lo + nq]) > 0
+
+
 def marginal_window_prob(data: TraceSet, e: Formula,
                          width: int, offset: int) -> FrequencyEstimate:
     """Baseline frequency of ``e`` in a sliding window of ``width`` ticks
@@ -552,8 +564,8 @@ def per_effect_scores(data, family, divisor="defined", min_support=1):
         qual_total += nq
         cause_qual += rq.sum(axis=1)
         marg_num += hits.sum(axis=1)
-        cooc += causal._products(rq, rq)
-        cond_num += causal._products(rq, hits)
+        cooc += _products(rq, rq)
+        cond_num += _products(rq, hits)
         kept.append((rq, hits, np.flatnonzero(rq.sum(axis=0) >= 2)))
 
     cause_ix, effect_ix = family.cause_ix, family.effect_ix
@@ -591,9 +603,15 @@ def _pair_counts(kept, rivals, ej, own):
     for rq, hits, multi in kept:
         # index arrays, not a filtered copy of rq: faster than np.ix_ too
         sub = rq[rivals][:, multi[hits[ej, multi]]]
-        total += causal._products(sub, sub)
+        total += _products(sub, sub)
     np.fill_diagonal(total, own)
     return total
+
+
+def _products(left, right):
+    """Exact counts ``left @ right.T`` of two boolean matrices whose rows
+    run over the same ticks, in int64."""
+    return left.astype(np.int64) @ right.astype(np.int64).T
 
 
 def _average(values, defined, divisor):

@@ -413,11 +413,13 @@ class TestBatchedScoring:
 
     def test_products_exact_across_a_chunk_boundary(self):
         ticks = causal._CHUNK + 3
-        ones = np.ones((2, ticks), dtype=bool)
-        counts = causal._products(ones, ones[:1])
+        m = np.ones((ticks, 3), dtype=bool)
+        m[:, 1] = False
+        counts = causal._counts(m, [2, 0], slice(1, 3))
         assert counts.dtype == np.int64
-        assert counts.tolist() == [[ticks], [ticks]]
-        assert causal._products(ones, ones).tolist() == [[ticks] * 2] * 2
+        assert counts.tolist() == [[0, ticks], [0, ticks]]
+        assert causal._counts(m, slice(None), slice(None)).tolist() == [
+            [ticks, 0, ticks], [0, 0, 0], [ticks, 0, ticks]]
 
     def test_min_support_below_one_acts_as_one(self):
         # a and b never co-occur: their mutual terms have no ticks at all

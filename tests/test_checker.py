@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -280,6 +280,29 @@ def test_window_hits_matches_naive_loop(marks, lo, width):
     got = window_hits(np.array(marks, dtype=bool), lo, hi)
     assert got.dtype == bool
     assert got.tolist() == naive
+
+
+@settings(max_examples=300, deadline=None)
+@given(marks=st.lists(st.booleans(), max_size=300).map(
+           lambda m: np.array(m, dtype=bool)),
+       density=st.floats(0.0, 1.0), lo=st.integers(0, 40),
+       width=st.integers(1, 70))
+@example(marks=np.zeros(0, dtype=bool), density=1.0, lo=0, width=1)
+@example(marks=np.zeros(0, dtype=bool), density=1.0, lo=3, width=5)
+@example(marks=np.ones(10, dtype=bool), density=0.5, lo=4, width=1)
+@example(marks=np.ones(10, dtype=bool), density=0.5, lo=0, width=8)
+@example(marks=np.ones(10, dtype=bool), density=1.0, lo=2, width=8)
+@example(marks=np.ones(10, dtype=bool), density=1.0, lo=2, width=9)
+@example(marks=np.ones(10, dtype=bool), density=1.0, lo=9, width=3)
+def test_window_hits_matches_running_count(marks, density, lo, width):
+    # density thins the marks, so long windows also see misses
+    rng = np.random.default_rng(len(marks))
+    marks = marks & (rng.random(len(marks)) < density)
+    hi = lo + width - 1
+    got = window_hits(marks, lo, hi)
+    want = oracles.window_hits_cumsum(marks, lo, hi)
+    assert got.dtype == bool and len(got) == max(len(marks) - hi, 0)
+    assert np.array_equal(got, want)
 
 
 _TRACE_ATOMS = st.sampled_from([Atom(n) for n in ("a", "b", "true", "false")])

@@ -144,8 +144,12 @@ class TestExport:
         ("state 0: {c}\nstate 1: {e}\ntrans 0 1 0.5\ntrans 0 1 0.5",
          "model line 6 repeats trans 0 1 (first at line 5)"),
         ("state 0: {c}\nstate 1: {e}\ntrans 0 1 1.0\nfreq 1 3\nfreq 1 7",
-         "model line 7 repeats freq 1 (first at line 6)")],
-        ids=["state", "trans", "freq"])
+         "model line 7 repeats freq 1 (first at line 6)"),
+        ("state 0: {c}\nstate 1: {e}\ntrans 0 1 1.0\ninitial 1",
+         "model line 6 repeats initial (first at line 2)"),
+        ("state 0: {c}\natoms c\nstate 1: {e}\ntrans 0 1 1.0",
+         "model line 4 repeats atoms (first at line 1)")],
+        ids=["state", "trans", "freq", "initial", "atoms"])
     def test_repeated_record_is_refused(self, records, message):
         text = f"atoms c e\ninitial 0\n{records}\ntrans 1 1 1.0\n"
         with pytest.raises(DataError, match=re.escape(message)):
