@@ -12,6 +12,8 @@ local fdr, and keep what survives the threshold.
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from tlcausal import (GenConfig, PipelineConfig, generate, preset,
                       run_pipeline, write_events)
 
@@ -52,12 +54,13 @@ print("precision:", f"{len(tp) / max(len(found), 1):.3f}",
 
 # The score separation is what makes the decision easy: true edges sit
 # far in the right tail of the z-value distribution.
-scored = sorted((r for r in report.rows if r.z is not None),
-                key=lambda r: r.z, reverse=True)
+rows = report.rows
+scored = np.flatnonzero(~np.isnan(rows.z))
 print("\ntop ten hypotheses by z-value:")
-for r in scored[:10]:
-    mark = "*" if (r.cause, r.effect) in true_edges else " "
-    print(f" {mark} {r.cause}->{r.effect}: eps_avg={r.eps_avg:.3f} "
-          f"z={r.z:.2f} fdr={r.fdr:.3g}")
+for i in scored[np.argsort(-rows.z[scored], kind="stable")][:10]:
+    mark = "*" if (rows.cause[i], rows.effect[i]) in true_edges else " "
+    print(f" {mark} {rows.cause[i]}->{rows.effect[i]}: "
+          f"eps_avg={rows.eps_avg[i]:.3f} z={rows.z[i]:.2f} "
+          f"fdr={rows.fdr[i]:.3g}")
 print(f"\noutputs written (then removed with the scratch directory): "
       f"{', '.join(written)}")

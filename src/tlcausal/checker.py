@@ -133,7 +133,7 @@ def _window_reach_vector(model, target_mask, tmin, tmax):
     horizon = INFINITY if tmax == INFINITY else int(tmax) - int(tmin)
     v = until_prob(model, np.ones(model.n_states, bool), target_mask, horizon)
     for _ in range(int(tmin)):
-        v = model.transitions @ v
+        v = model._push(v)
     return v
 
 
@@ -166,13 +166,22 @@ def unless_prob(model: Dtmc, f1m: np.ndarray, f2m: np.ndarray,
 
 
 def _iterate(model, current, f2v, cont, tmax):
-    trans = model.transitions
+    # Each step is f2v + cont * (T @ current) set by index: where cont
+    # holds, f2v is 0.0 and the sum is T @ current; where it fails, f2v.
+    stop = np.flatnonzero(~cont)
+    pinned = f2v[stop]
+
+    def step(v):
+        out = model._push(v)
+        out[stop] = pinned
+        return out
+
     if tmax != INFINITY:
         for _ in range(int(tmax)):
-            current = f2v + cont * (trans @ current)
+            current = step(current)
         return current
     for _ in range(FIXPOINT_CAP):
-        nxt = f2v + cont * (trans @ current)
+        nxt = step(current)
         delta = float(np.abs(nxt - current).max()) if current.size else 0.0
         current = nxt
         if delta < FIXPOINT_TOL:

@@ -81,6 +81,39 @@ class Dtmc:
         return tuple(frozenset(compress(self.atoms, row))
                      for row in self.label_matrix)
 
+    @cached_property
+    def _shift_split(self):
+        """The rows of ``transitions`` that are not shift rows, with their
+        csr, when shift rows are at least half the rows; else ``None``.  A
+        shift row has one entry, 1.0 at column ``i + 1``: a state always
+        followed by the next one first seen, common when states are
+        numbered by first appearance."""
+        trans, n = self.transitions, self.n_states
+        single = np.flatnonzero(np.diff(trans.indptr) == 1)
+        at = trans.indptr[single]
+        shift = np.zeros(n, bool)
+        shift[single] = ((trans.indices[at] == single + 1)
+                         & (trans.data[at] == 1.0))
+        if 2 * np.count_nonzero(shift) < n:
+            return None
+        rest = np.flatnonzero(~shift)
+        return rest, trans[rest]
+
+    def _push(self, v: np.ndarray) -> np.ndarray:
+        """``transitions @ v`` to the bit, for a finite float vector with no
+        negative entry and no -0.0, which is every vector the checker
+        pushes.  Shift rows are one slice copy and the other rows one csr
+        product: scipy's csr row sum starts from +0.0, and ``0.0 + 1.0 * x``
+        is ``x`` on such values."""
+        split = self._shift_split
+        if split is None:
+            return self.transitions @ v
+        rest, sub = split
+        out = np.empty_like(v)
+        out[:-1] = v[1:]  # the last row is never a shift row
+        out[rest] = sub @ v
+        return out
+
     def states_with(self, atom: str) -> np.ndarray:
         """Read-only boolean mask of states labeled with ``atom``."""
         return (self.label_matrix[:, self.atoms.index(atom)]
@@ -154,9 +187,16 @@ def export_text(model: Dtmc, sink) -> None:
         f"atoms {' '.join(model.atoms)}\ninitial {model.initial}\n",
         *(f"state {i}: {{{','.join(sorted(lab))}}}\n"
           for i, lab in enumerate(model.labels)),
-        *(f"freq {i} {f:g}\n" for i, f in enumerate(model.frequency)),
+        *(f"freq {i} {_exact(f)}\n" for i, f in enumerate(model.frequency)),
         *(f"trans {coo.row[k]} {coo.col[k]} {float(coo.data[k])!r}\n"
           for k in np.lexsort((coo.col, coo.row)))]))
+
+
+def _exact(value) -> str:
+    """A float as text that ``float`` reads back to the same value: plain
+    digits when it is integral, else its ``repr``."""
+    value = float(value)
+    return str(int(value)) if value.is_integer() else repr(value)
 
 
 def load_text(source) -> Dtmc:

@@ -18,7 +18,8 @@ the pipeline's columnar table.  The batched scorer that takes rival
 counts one effect at a time, over that effect's hit ticks, is the
 bit-for-bit reference for the one that takes them one cause at a time.
 The running-count window is the reference for the doubled ORs of
-``tlcausal.checker.window_hits``.
+``tlcausal.checker.window_hits``.  Value iteration by full csr products is
+the bit-for-bit reference for the chain checker's shift-row push.
 ``scipy.stats.norm.pdf`` is the reference for the null density
 ``tlcausal.fdr.NullModel.pdf``.
 """
@@ -31,12 +32,13 @@ import numpy as np
 from scipy import sparse
 from scipy.stats import norm
 
-from tlcausal import causal
+from tlcausal import causal, checker
 from tlcausal.causal import ScoreTable
 from tlcausal.checker import (FrequencyEstimate, eval_on_trace,
                               trace_leads_to, window_hits)
 from tlcausal.dtmc import Dtmc, encode_labels
-from tlcausal.errors import CheckError, DataError, EmptyWindowError
+from tlcausal.errors import (CheckError, ConvergenceError, DataError,
+                             EmptyWindowError)
 from tlcausal.pctl import (INFINITY, And, Atom, Formula, Implies, Not, Or,
                            ProbBound, Unless, print_formula)
 from tlcausal.synthgen import GenConfig, GroundTruth
@@ -107,6 +109,65 @@ def enum_leads_to(T, freq, cset, eset, tmin, tmax):
         num += w * enum_window_reach(T, eset, tmin, tmax, s)
         den += w
     return num / den
+
+
+# ---------------------------------------------------------------------------
+# Value iteration on a chain by full products: each step is
+# ``f2v + cont * (T @ current)`` and the window's ``tmin`` pushes are
+# ``T @ v``.  This is the bit-for-bit reference for the shift-row push
+# ``Dtmc._push`` and the stop states ``checker._iterate`` pins by index.
+
+def iterate_full(model, current, f2v, cont, tmax):
+    trans = model.transitions
+    if tmax != INFINITY:
+        for _ in range(int(tmax)):
+            current = f2v + cont * (trans @ current)
+        return current
+    for _ in range(checker.FIXPOINT_CAP):
+        nxt = f2v + cont * (trans @ current)
+        delta = float(np.abs(nxt - current).max()) if current.size else 0.0
+        current = nxt
+        if delta < checker.FIXPOINT_TOL:
+            return current
+    raise ConvergenceError(
+        f"fixed point not reached within {checker.FIXPOINT_CAP} iterations "
+        f"(last delta {delta:.3e})")
+
+
+def until_full(model, f1m, f2m, tmax):
+    f2v = f2m.astype(float)
+    return iterate_full(model, f2v.copy(), f2v, f1m & ~f2m, tmax)
+
+
+def unless_full(model, f1m, f2m, tmax):
+    return iterate_full(model, (f1m | f2m).astype(float), f2m.astype(float),
+                        f1m & ~f2m, tmax)
+
+
+def window_reach_full(model, target, tmin, tmax):
+    horizon = INFINITY if tmax == INFINITY else int(tmax) - int(tmin)
+    v = until_full(model, np.ones(model.n_states, bool), target, horizon)
+    for _ in range(int(tmin)):
+        v = model.transitions @ v
+    return v
+
+
+def leads_to_full(model, cmask, emask, tmin, tmax):
+    """(numerator, denominator) of the chain leads-to probability."""
+    u = window_reach_full(model, emask, tmin, tmax)
+    weights = model.frequency[cmask]
+    return float((weights * u[cmask]).sum()), float(weights.sum())
+
+
+def leads_to_sat_full(model, cmask, emask, tmin, tmax, cmp, p):
+    """States satisfying ``c ~>{>=tmin,<=tmax}{cmp p} e`` read as
+    AG[c -> window reach of e within the bound]."""
+    reach = checker.meets_bound(window_reach_full(model, emask, tmin, tmax),
+                                cmp, p)
+    vec = unless_full(model, reach | ~cmask, np.zeros(model.n_states, bool),
+                      INFINITY)
+    return frozenset(int(i) for i in
+                     np.flatnonzero(checker.meets_bound(vec, ">=", 1.0)))
 
 
 # ---------------------------------------------------------------------------

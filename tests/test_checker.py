@@ -9,12 +9,14 @@ import oracles
 from conftest import (random_dtmc, random_traceset, trace_from_marks,
                       traceset_from_marks)
 from oracles import marginal_window_prob
-from tlcausal.checker import (eval_on_trace, leads_to_prob, sat_set,
-                              trace_leads_to, unless_prob, until_prob,
-                              window_hits)
+from scipy import sparse
+from tlcausal.checker import (_window_reach_vector, eval_on_trace,
+                              leads_to_prob, sat_set, trace_leads_to,
+                              unless_prob, until_prob, window_hits)
+from tlcausal.dtmc import Dtmc, build_dtmc
 from tlcausal.errors import CheckError, DataError, EmptyWindowError
-from tlcausal.pctl import (INFINITY, And, Atom, Not, ProbBound, Unless, Until,
-                           parse)
+from tlcausal.pctl import (INFINITY, And, Atom, LeadsTo, Not, ProbBound,
+                           Unless, Until, parse)
 
 
 class TestSatSet:
@@ -156,6 +158,114 @@ class TestLeadsToProb:
         est = leads_to_prob(model, Atom("a"), Atom("b"), 2, 4)
         want = oracles.enum_leads_to(T, model.frequency, cset, eset, 2, 4)
         assert est.probability == pytest.approx(want, abs=1e-10)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@st.composite
+def _built_chains(draw):
+    """``build_dtmc`` on random traces: many atoms make nearly every state
+    new on its first visit (mostly shift rows), few atoms make few."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return build_dtmc(random_traceset(
+        rng, n_atoms=draw(st.sampled_from([2, 3, 8, 12])), max_len=40,
+        n_traces=draw(st.integers(1, 3)),
+        density=draw(st.sampled_from([0.1, 0.3, 0.5]))))
+
+
+@st.composite
+def _hand_chains(draw):
+    """A csr made entry by entry: shift rows (one 1.0 at column ``i + 1``)
+    on just under, at or just over half of the rows, and the other rows one
+    of: a lone entry just under 1.0 at ``i + 1``, a lone 1.0 elsewhere (a
+    self-loop included), 1.0 at ``i + 1`` beside an explicit 0.0 or -0.0,
+    or a spread of weights in unsorted column order with explicit 0.0 and
+    -0.0 entries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 14))
+    half = (n + 1) // 2
+    k = min(n - 1, max(0, half + draw(st.sampled_from([-1, 0, 1]))))
+    shift = set(rng.permutation(n - 1)[:k].tolist())
+    data, indices, indptr = [], [], [0]
+    for i in range(n):
+        kind = rng.integers(4)
+        if i in shift:
+            row = [(i + 1, 1.0)]
+        elif kind == 0 and i + 1 < n:
+            row = [(i + 1, 1.0 - 2.0**-45)]
+        elif kind == 1 and i + 1 < n:
+            row = [(i + 1, 1.0),
+                   (int(rng.integers(n)), float(rng.choice([0.0, -0.0])))]
+            rng.shuffle(row)
+        elif kind <= 2:
+            row = [(int(rng.choice([j for j in range(n) if j != i + 1])),
+                    1.0)]
+        else:
+            cols = rng.permutation(n)[:rng.integers(1, n + 1)]
+            weights = rng.integers(1, 10, len(cols)).astype(float)
+            row = list(zip(cols.tolist(), (weights / weights.sum()).tolist()))
+            row += [(int(j), z) for j, z in
+                    zip(rng.integers(0, n, 2), (0.0, -0.0))
+                    if rng.random() < 0.5]
+            rng.shuffle(row)
+        indices += [j for j, _ in row]
+        data += [p for _, p in row]
+        indptr.append(len(indices))
+    trans = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+    marks = rng.random((n, 2)) < 0.5
+    return Dtmc(("a", "b"), marks, trans, 0,
+                rng.integers(0, 6, n).astype(float))
+
+
+class TestShiftRowPush:
+    """The chain checks equal, bit for bit, value iteration by full csr
+    products (``oracles.iterate_full``), with and without the shift split."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(model=st.one_of(_built_chains(), _hand_chains()), data=st.data())
+    def test_matches_full_product_recurrence(self, model, data):
+        n = model.n_states
+        masks = st.lists(st.booleans(), min_size=n, max_size=n).map(
+            lambda m: np.array(m, dtype=bool))
+        f1m, f2m = data.draw(masks), data.draw(masks)
+        tmax = data.draw(st.one_of(st.integers(0, 12), st.just(INFINITY)))
+        for got, want in ((until_prob, oracles.until_full),
+                          (unless_prob, oracles.unless_full)):
+            assert np.array_equal(_bits(got(model, f1m, f2m, tmax)),
+                                  _bits(want(model, f1m, f2m, tmax)))
+        tmin = data.draw(st.integers(1, 6))
+        hi = data.draw(st.one_of(st.integers(tmin, tmin + 10),
+                                 st.just(INFINITY)))
+        assert np.array_equal(
+            _bits(_window_reach_vector(model, f2m, tmin, hi)),
+            _bits(oracles.window_reach_full(model, f2m, tmin, hi)))
+        c, e = (data.draw(st.sampled_from(model.atoms)) for _ in range(2))
+        cmask, emask = model.states_with(c), model.states_with(e)
+        if model.frequency[cmask].sum() > 0:
+            est = leads_to_prob(model, Atom(c), Atom(e), tmin, hi)
+            assert np.array_equal(
+                _bits([est.numerator, est.denominator]),
+                _bits(oracles.leads_to_full(model, cmask, emask, tmin, hi)))
+        cmp = data.draw(st.sampled_from([">=", ">"]))
+        p = data.draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+        assert sat_set(model, ProbBound(LeadsTo(Atom(c), Atom(e), tmin, hi),
+                                        cmp, p)) == \
+            oracles.leads_to_sat_full(model, cmask, emask, tmin, hi, cmp, p)
+
+    def test_split_only_when_shift_rows_are_half(self):
+        # rows 0 and 1 are shift rows; row 2 loops back to 0
+        trans = np.array([[0.0, 1.0, 0.0, 0.0],
+                          [0.0, 0.0, 1.0, 0.0],
+                          [1.0, 0.0, 0.0, 0.0],
+                          [0.0, 0.0, 0.0, 1.0]])
+        model = Dtmc(("a",), np.zeros((4, 1), bool), trans, 0, np.ones(4))
+        rest, sub = model._shift_split
+        assert rest.tolist() == [2, 3] and sub.shape == (2, 4)
+        trans[1] = [0.0, 0.0, 0.5, 0.5]  # one shift row of four
+        assert Dtmc(("a",), np.zeros((4, 1), bool), trans, 0,
+                    np.ones(4))._shift_split is None
 
 
 class TestTraceSemantics:

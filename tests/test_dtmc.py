@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import random_traceset, traceset_from_marks
-from tlcausal.dtmc import build_dtmc, export_text, load_text
+from tlcausal.dtmc import Dtmc, build_dtmc, export_text, load_text
 from tlcausal.errors import DataError
 from tlcausal.traces import Trace, TraceSet
 
@@ -133,6 +133,15 @@ class TestExport:
         assert np.allclose(back.transitions.toarray(),
                            model.transitions.toarray())
         assert np.array_equal(back.frequency, model.frequency)
+
+    def test_frequencies_read_back_exactly(self):
+        # six significant digits would write 1.23457e+06 and 0.123457
+        freq = [1234567.0, 0.1234567, 3.0, 2.0**60, 0.0]
+        model = Dtmc(("a",), np.zeros((5, 1), bool), np.eye(5), 0, freq)
+        text = listing(model)
+        assert "freq 0 1234567\n" in text and "freq 2 3\n" in text
+        back = load_text(io.StringIO(text))
+        assert back.frequency.tolist() == freq
 
     def test_malformed(self):
         with pytest.raises(DataError):

@@ -726,7 +726,7 @@ outdir = {tmp_path / 'cfgout'}
         report = run_pipeline(_config(path, None, horizon=horizon,
                                       negations=True))
         assert report.counts["enumerated"] == 15 * 14 * 2
-        assert any(r.cause.startswith("!") for r in report.rows)
+        assert any(c.startswith("!") for c in report.rows.cause)
 
     def test_check_leads_to_against_model(self, tmp_path, capsys):
         from tlcausal.dtmc import build_dtmc, export_text
