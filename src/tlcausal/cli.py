@@ -5,7 +5,8 @@ Subcommands: ``generate`` (synthetic spike trains plus ground truth),
 or an exported chain), ``fdr`` (re-run the control stages over a saved
 hypothesis table), ``report`` (re-render tables from a saved run).
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 fit error.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 fit or convergence
+error.
 """
 
 from __future__ import annotations
@@ -280,8 +281,11 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except (FitError, ConvergenceError) as exc:
+    except FitError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
+        return 3
+    except ConvergenceError as exc:
+        print(f"convergence error: {exc}", file=sys.stderr)
         return 3
     except TlcausalError as exc:  # anything uncategorized
         print(f"error: {exc}", file=sys.stderr)

@@ -149,17 +149,10 @@ def build_dtmc(data: TraceSet) -> Dtmc:
     """Infer the chain from observed label vectors and their transitions."""
     if not isinstance(data, TraceSet):
         data = TraceSet(tuple(data))
-    ticks = np.concatenate([trace.values.T for trace in data])  # tick x atom
-    # A constant column keeps every key non-empty when there are no atoms;
-    # the void view below needs C-contiguous rows.
-    packed = np.ascontiguousarray(np.packbits(
-        np.column_stack([ticks, np.ones(len(ticks), bool)]), axis=1))
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)  # state ids by first appearance
-    ids, n = np.argsort(order)[inverse], len(first)
     lengths = [trace.length for trace in data]
     ends = np.cumsum(lengths)
+    ids, labels, frequency = _states(data, ends)
+    n = len(labels)
     a, b = np.delete(ids, ends - 1), np.delete(ids, ends - lengths)
     pairs, counts = np.unique(a * n + b, return_counts=True)  # (a, b) order
     src, dst = np.divmod(pairs, n)
@@ -169,8 +162,41 @@ def build_dtmc(data: TraceSet) -> Dtmc:
         (np.concatenate([counts / out_total[src], np.ones(len(terminal))]),
          (np.concatenate([src, terminal]), np.concatenate([dst, terminal]))),
         shape=(n, n))
-    return Dtmc(data.variables, ticks[first[order]], trans, 0,
-                np.bincount(ids))
+    return Dtmc(data.variables, labels, trans, 0, frequency)
+
+
+def _states(data: TraceSet, ends) -> tuple:
+    """Each tick's state id, the state x atom label matrix and each state's
+    tick count, with states numbered by first appearance.
+
+    A tick's label is keyed as little-endian bits in zero-padded uint64
+    words, ``atoms // 64 + 1`` of them, so a zero-atom label still has
+    one.  A stable sort keeps each label's ticks in tick order, so the
+    first of each run of equal keys is that label's first appearance; the
+    states are numbered by it, whatever order the sort put the labels
+    in."""
+    atoms = len(data.variables)
+    packed = np.zeros((ends[-1], atoms // 64 + 1), "<u8")
+    rows = packed.view(np.uint8)  # tick x byte
+    for trace, stop in zip(data, ends.tolist()):
+        block = rows[stop - trace.length:stop]
+        for a, values in enumerate(trace.values):
+            block[:, a >> 3] |= values.view(np.uint8) << (a & 7)
+    order = np.lexsort(packed.T)
+    starts = np.zeros(len(order), bool)
+    starts[0] = True
+    for word in packed.T:
+        word = word[order]
+        starts[1:] |= word[1:] != word[:-1]
+    heads = np.flatnonzero(starts)  # each label's first place in the sort
+    sizes = np.diff(heads, append=len(order))
+    first = order[heads]  # each label's first tick
+    by_first = np.argsort(first)  # labels in order of first appearance
+    ids = np.empty_like(order)
+    ids[order] = np.argsort(by_first).repeat(sizes)  # each label's state
+    labels = np.unpackbits(rows[first[by_first]], axis=1, count=atoms,
+                           bitorder="little").view(bool)
+    return ids, labels, sizes[by_first]
 
 
 # ---------------------------------------------------------------------------

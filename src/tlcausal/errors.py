@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: usage errors exit 1, data errors
-exit 2, fit errors exit 3.
+exit 2, fit and convergence errors exit 3.
 """
 
 

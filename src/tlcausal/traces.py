@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 import os
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
@@ -100,8 +99,11 @@ class EventList:
 
     def variables(self) -> tuple:
         """Variable names in order of first appearance."""
-        ids, first = np.unique(self.ids, return_index=True)
-        return tuple(self.names[i] for i in ids[np.argsort(first)].tolist())
+        first = np.full(len(self.names), len(self.ids))
+        np.minimum.at(first, self.ids, np.arange(len(self.ids)))
+        seen = np.flatnonzero(first < len(self.ids))
+        return tuple(self.names[i] for i in seen[np.argsort(first[seen])]
+                     .tolist())
 
     def to_trace(self, variables: Optional[Sequence[str]] = None) -> "Trace":
         """Densify into a boolean trace of length ``horizon``.
@@ -258,17 +260,10 @@ def _check_writable(directory) -> None:
                         f"writable directory")
 
 
-# An ASCII text that matches is parsed from its bytes: each line one time
-# of 1-18 decimal digits (so below 2^63), a comma and a name without comma
-# or whitespace (\x1c-\x1f are whitespace to str but not to a bytes
-# pattern); no empty line; the last line's LF optional.
-_CLEAN_LINE = r"[0-9]{1,18},[^,\s\x1c-\x1f]*"
-_CLEAN_EVENTS = re.compile(rf"(?:{_CLEAN_LINE}(?:\n|\Z))+")
-# The loader runs the same rule as a search for a line start that no clean
-# line follows; fullmatch's repeated group keeps state per line (25 MB on
-# 100k lines), so the whole-text form above only states the rule.
-_UNCLEAN_LINE = re.compile(rf"(?m)^(?!{_CLEAN_LINE}$)".encode("ascii"))
 _BLOCK = 1 << 18  # bytes of clean text parsed at a time
+# The ASCII bytes that no clean text holds: whitespace other than LF
+# (\x1c-\x1f are whitespace to str).
+_FORBIDDEN = b"\t\v\f\r \x1c\x1d\x1e\x1f"
 
 
 def load_events(source: Source, horizon: Optional[int] = None) -> EventList:
@@ -281,8 +276,9 @@ def load_events(source: Source, horizon: Optional[int] = None) -> EventList:
     duplicates.
     """
     data = _read_text(source, ascii_bytes=True)
-    if isinstance(data, bytes) and _is_clean(data):
-        times, ids, names = _parse_clean(data)
+    parsed = _parse_clean(data) if isinstance(data, bytes) else None
+    if parsed is not None:
+        times, ids, names = parsed
     else:
         text = data.decode("ascii") if isinstance(data, bytes) else data
         times, names = [], []
@@ -306,16 +302,17 @@ def load_events(source: Source, horizon: Optional[int] = None) -> EventList:
     return EventList.from_arrays(times, ids, names, horizon)
 
 
-def _is_clean(data: bytes) -> bool:
-    """Whether ASCII ``data`` is a text ``_CLEAN_EVENTS`` matches."""
-    return bool(data) and not _UNCLEAN_LINE.search(
-        data, 0, len(data) - data.endswith(b"\n"))
-
-
-def _parse_clean(data: bytes) -> tuple:
-    """Times, name ids and names (in first-appearance order) of a text that
-    ``_CLEAN_EVENTS`` matches, parsed in blocks of whole lines so that no
-    temporary grows with the file.  Every line holds exactly one comma."""
+def _parse_clean(data: bytes) -> Optional[tuple]:
+    """Times, name ids and names (in first-appearance order) of a clean
+    text, or ``None`` for any other.  A text is clean when it is not
+    empty and each line is a time of 1-18 decimal digits (so below 2^63),
+    a comma and a name without comma, whitespace or non-ASCII byte, ended
+    by LF (optional on the last line); so no line is empty.  The text is
+    parsed, and the rest of the rule checked, in blocks of whole lines so
+    that no temporary grows with the file; the bytes are checked first,
+    by one ``memchr`` scan per forbidden byte, which makes no temporary."""
+    if not data or not data.isascii() or any(b in data for b in _FORBIDDEN):
+        return None
     buf = np.frombuffer(data, np.uint8)
     n = data.count(b"\n") + (not data.endswith(b"\n"))
     times, ids = np.empty(n, np.int64), np.empty(n, np.intp)
@@ -326,27 +323,38 @@ def _parse_clean(data: bytes) -> tuple:
         block = buf[start:stop]
         commas = np.flatnonzero(block == ord(","))
         ends = np.flatnonzero(block == ord("\n"))
-        if len(ends) < len(commas):  # the last line has no LF
+        if block[-1] != ord("\n"):  # the last line has no LF
             ends = np.append(ends, len(block))
+        if len(commas) != len(ends):
+            return None
+        # as many commas as lines, each after 1-18 digits counted from a
+        # line start (so no LF in between): exactly one comma on each line
         digits = commas - np.append(0, ends[:-1] + 1)
+        if not ((digits >= 1) & (digits <= 18)).all():
+            return None
         rows = slice(done, done + len(commas))
-        times[rows] = _decimal(block, commas, digits)
+        if not _decimal(block, commas, digits, times[rows]):
+            return None
         ids[rows] = _name_ids(block, commas, ends - commas - 1, index)
         start, done = stop, rows.stop
     return times, ids, tuple(index)
 
 
-def _decimal(block, commas, digits) -> np.ndarray:
-    """The int64 value of the ``digits`` decimal digits before each comma,
-    one pass per digit place, units first."""
-    value, scale = np.zeros(len(commas), np.int64), 1
+def _decimal(block, commas, digits, value) -> bool:
+    """Sum into the int64 ``value`` the ``digits`` decimal digits before
+    each comma, one pass per digit place, units first; ``False`` if any of
+    those bytes is not a digit."""
+    value[:] = 0
+    scale = 1
     for place in range(1, int(digits.max()) + 1):
         # the index reads another line's byte (possibly wrapping to the
         # block's end) where the time is shorter; that byte is masked
-        digit = block[commas - place].astype(np.int64) - ord("0")
-        value += np.where(digits >= place, digit, 0) * scale
+        digit = np.where(digits >= place, block[commas - place] - ord("0"), 0)
+        if (digit > 9).any():  # a byte below "0" wraps around above 9
+            return False
+        value += digit * np.int64(scale)
         scale *= 10
-    return value
+    return True
 
 
 def _name_ids(block, commas, lengths, index) -> np.ndarray:

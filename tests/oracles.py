@@ -9,7 +9,9 @@ package's own evaluation paths.  The tick-by-tick chain builder is the
 reference for the array build in ``tlcausal.dtmc``, and the tick-by-tick
 simulator, one ``Generator`` call per draw, the reference for the raw-word
 replay in ``tlcausal.synthgen``.  The line-by-line event-csv parser over
-sorted ``(time, variable)`` tuples is the reference for ``load_events``.
+sorted ``(time, variable)`` tuples is the reference for ``load_events``,
+and one regular expression states the clean-text rule that
+``tlcausal.traces._parse_clean`` checks as it parses.
 The per-pair scoring functions at the end evaluate one hypothesis or one
 rival at a time through the package's trace counting (itself checked
 against the rational counter); they are the reference for the batched
@@ -24,6 +26,7 @@ the bit-for-bit reference for the chain checker's shift-row push.
 ``tlcausal.fdr.NullModel.pdf``.
 """
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
@@ -317,6 +320,19 @@ def check_triggering(events, parent, child, delay_min, delay_max, refractory):
 
 # ---------------------------------------------------------------------------
 # Event-csv loading: one line at a time, over sorted tuples
+
+# The texts load_events parses from their bytes: each line one time of 1-18
+# decimal digits (so below 2^63), a comma and a name without comma or
+# whitespace (\x1c-\x1f are whitespace to str); no empty line; the last
+# line's LF optional.
+_CLEAN_LINE = r"[0-9]{1,18},[^,\s\x1c-\x1f]*"
+CLEAN_EVENTS = re.compile(rf"(?:{_CLEAN_LINE}(?:\n|\Z))+")
+
+
+def is_clean(text: str) -> bool:
+    """Whether ``text`` is ASCII and matches :data:`CLEAN_EVENTS`."""
+    return text.isascii() and bool(CLEAN_EVENTS.fullmatch(text))
+
 
 def load_events(source, horizon=None) -> tuple:
     """Parse event-csv line by line into sorted ``(time, variable)``

@@ -44,13 +44,42 @@ def _tracesets(draw):
     return TraceSet(tuple(traces))
 
 
+# Atom counts at the edges of the 64-bit key words, and bits beside them.
+_WORD_EDGES = (0, 1, 7, 8, 63, 64, 65, 127, 128)
+
+
+@st.composite
+def _wide_tracesets(draw):
+    """1-3 traces of 1-40 ticks over a word-edge number of atoms, each tick
+    one of a few labels: the empty label, labels one bit off an earlier
+    one at a word edge, and random ones."""
+    n = draw(st.sampled_from(_WORD_EDGES))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pool = [np.zeros(n, bool)]
+    for _ in range(draw(st.integers(0, 4))):
+        if n and draw(st.booleans()):
+            label = pool[draw(st.integers(0, len(pool) - 1))].copy()
+            bit = draw(st.sampled_from([b for b in (*_WORD_EDGES, n - 1)
+                                        if b < n]))
+            label[bit] = not label[bit]
+        else:
+            label = rng.random(n) < draw(st.sampled_from([0.05, 0.5]))
+        pool.append(label)
+    pool = np.array(pool).reshape(len(pool), n)
+    atoms = tuple(f"v{i}" for i in range(n))
+    return TraceSet(tuple(
+        Trace(atoms, pool[rng.integers(len(pool),
+                                       size=draw(st.integers(1, 40)))].T)
+        for _ in range(draw(st.integers(1, 3)))))
+
+
 class TestBuild:
-    @settings(max_examples=300, deadline=None)
-    @given(data=_tracesets())
-    def test_matches_tick_by_tick_oracle(self, data):
+    @staticmethod
+    def assert_same_chain(data):
         got, want = build_dtmc(data), oracles.build_dtmc(data)
         assert listing(got) == listing(want)
         assert got.labels == want.labels
+        assert np.array_equal(got.label_matrix, want.label_matrix)
         for atom in data.variables:
             assert np.array_equal(got.states_with(atom),
                                   [atom in lab for lab in want.labels])
@@ -60,6 +89,16 @@ class TestBuild:
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got.transitions, part),
                                   getattr(want.transitions, part))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=_tracesets())
+    def test_matches_tick_by_tick_oracle(self, data):
+        self.assert_same_chain(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=_wide_tracesets())
+    def test_matches_oracle_at_key_word_edges(self, data):
+        self.assert_same_chain(data)
 
     def test_three_tick_worked_example(self):
         data = traceset_from_marks(("a", "b"), 3,

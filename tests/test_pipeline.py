@@ -345,6 +345,23 @@ class TestCli:
                          "--model", str(listing)]) == 2
         assert "names a state outside" in capsys.readouterr().err
 
+    def test_check_model_without_fixed_point(self, tmp_path, capsys,
+                                             monkeypatch):
+        # the rows leak 5e-10 around the {a} cycle, within the row-sum
+        # tolerance, so unless's value iteration never settles
+        from tlcausal import checker
+        monkeypatch.setattr(checker, "FIXPOINT_CAP", 50)
+        listing = tmp_path / "model.txt"
+        listing.write_text("atoms a b\ninitial 0\nstate 0: {a}\n"
+                           "state 1: {a}\nstate 2: {b}\n"
+                           "trans 0 1 0.9999999995\ntrans 1 0 1.0\n"
+                           "trans 2 2 1.0\n")
+        assert cli.main(["check", "--formula", "[a W{<=inf} b]{>=0.5}",
+                         "--model", str(listing)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("convergence error: fixed point not reached "
+                              "within 50 iterations")
+
     @pytest.mark.parametrize("records, reason", [
         ("trans 0 1 1.5\ntrans 0 2 -0.5", "transition probabilities"),
         ("trans 0 1 nan", "transition probabilities"),

@@ -106,29 +106,49 @@ class TestEventCsv:
             EventList.from_records([(2 ** 63, "a")], 2 ** 64)
 
 
+# Whitespace other than LF, \x1c-\x1f (whitespace to str) and a non-ASCII
+# character.
+_FORBIDDEN = "\t\v\f\r \x1c\x1d\x1e\x1f\x80"
 # Line-by-line triggers: each makes load_events leave the whole-text path.
 _DIRTY = ["0,a\r\n", " 3,a\n", "3 ,a\n", "3, a\n", "3,a\t\n", "+3,a\n",
           "3_0,a\n", "²,a\n", "٣,a\n", "3,é\n", "3,a\x1f\n", "3,a\x0b1,b\n",
           "\n3,a\n", "3,a\n\n", "3,a\n\n4,a\n", "3\n", "3,a,b\n", ",a\n",
-          "1234567890123456789,a\n", ""]
+          "1234567890123456789,a\n", "", "1a,b\n", "1,a\n,b\n",
+          "1\n2,a,b\n",  # as many commas as lines, none on the first
+          # each byte the clean parse forbids, inside a time and a name
+          *(f"3{c}0,a\n" for c in _FORBIDDEN),
+          *(f"30,a{c}b\n" for c in _FORBIDDEN)]
 
 
 class TestWholeTextPath:
     @pytest.mark.parametrize("text", ["3,a\n", "3,a", "0,a\n2,b\n1,\n",
                                       "123456789012345678,a\n"])
     def test_clean_text_is_read_whole(self, text):
-        assert traces._CLEAN_EVENTS.fullmatch(text) and text.isascii()
+        assert oracles.is_clean(text)
 
     @pytest.mark.parametrize("text", _DIRTY)
     def test_other_text_goes_line_by_line(self, text):
-        assert not (traces._CLEAN_EVENTS.fullmatch(text) and text.isascii())
+        assert not oracles.is_clean(text)
 
 
 @pytest.mark.parametrize("text", _DIRTY + ["3,a\n", "3,a", "0,a\n2,b\n1,\n",
                                           "123456789012345678,a\n"])
 def test_loader_rule_is_the_whole_text_rule(text):
-    clean = bool(text.isascii() and traces._CLEAN_EVENTS.fullmatch(text))
-    assert clean == (text.isascii() and traces._is_clean(text.encode()))
+    parsed = traces._parse_clean(text.encode())
+    assert oracles.is_clean(text) == (parsed is not None)
+
+
+@pytest.mark.parametrize("line", ["+2,c", " 2,c", "2 ,c", ",c", "c", "2,c,d",
+                                  "", "2,\x1fc", "1234567890123456789,c"])
+@pytest.mark.parametrize("block", [1, 5])
+def test_unclean_line_at_a_block_start(line, block):
+    # "0,a\n1,b\n" fills the first block of 5 bytes and more; with 1 byte
+    # blocks, each line is a block
+    text = f"0,a\n1,b\n{line}\n3,d\n"
+    with mock.patch.object(traces, "_BLOCK", block):
+        assert traces._parse_clean(text.encode()) is None
+        assert _outcome(_load, text, None) == \
+            _outcome(oracles.load_events, text, None)
 
 
 # Pieces of event-csv rows, clean and not: every line-by-line trigger above
@@ -213,9 +233,9 @@ class TestLoaderParity:
             want = before if str(before).startswith("malformed") else (
                 f"event time above 2^63 - 1 at line {huge}: "
                 f"{lines[huge - 1]!r}")
-        clean = bool(text.isascii() and traces._CLEAN_EVENTS.fullmatch(text))
-        assert clean == (text.isascii() and traces._is_clean(text.encode()))
+        clean = oracles.is_clean(text)
         with mock.patch.object(traces, "_BLOCK", block):
+            assert clean == (traces._parse_clean(text.encode()) is not None)
             assert _outcome(_load, text, horizon, as_bytes) == want
             if clean and isinstance(want, tuple):
                 _assert_first_appearance(text, horizon)
@@ -229,7 +249,7 @@ class TestLoaderParity:
              "single-event"])
     @pytest.mark.parametrize("block", [1, traces._BLOCK])
     def test_clean_cases_match_line_loop(self, text, block):
-        assert traces._CLEAN_EVENTS.fullmatch(text)
+        assert oracles.is_clean(text)
         want = _outcome(oracles.load_events, text, None)
         with mock.patch.object(traces, "_BLOCK", block):
             for as_bytes in (False, True):
@@ -242,7 +262,7 @@ class TestLoaderParity:
         ("0,a\n2,b", 2, "event time out of range: (2, b) with horizon 2")])
     def test_clean_text_keeps_from_arrays_messages(self, text, horizon,
                                                    message):
-        assert traces._CLEAN_EVENTS.fullmatch(text)
+        assert oracles.is_clean(text)
         assert _outcome(_load, text, horizon) == message
 
 
@@ -276,6 +296,20 @@ class TestNameOrder:
         assert events.records == self.SORTED
         assert events == EventList.from_records(reversed(self.SORTED), 1)
         assert events.variables() == ("B", "a", "b10", "b2")
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=st.lists(st.tuples(st.integers(0, 9),
+                                      st.sampled_from(NAMES + ("v0",))),
+                            unique=True, max_size=20),
+           unused=st.lists(st.sampled_from(["u", "w", "B0"]), unique=True))
+    def test_variables_in_first_appearance(self, records, unused):
+        # records in any order, and names that never occur listed first
+        events = EventList.from_records(records, 10)
+        events = EventList.from_arrays(events.times, events.ids + len(unused),
+                                       (*unused, *events.names), 10)
+        ids, first = np.unique(events.ids, return_index=True)
+        want = tuple(events.names[i] for i in ids[np.argsort(first)])
+        assert events.variables() == want
 
     def test_written_in_name_order(self, events):
         sink = io.StringIO()
