@@ -9,6 +9,7 @@ a run died.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import namedtuple
 from dataclasses import dataclass
@@ -292,28 +293,30 @@ def _fmt_float(x) -> str:
 
 
 def _cells(column: np.ndarray) -> list:
-    """One column of ``hypotheses.tsv``.  Numbers are formatted once per
-    distinct value (floats keyed by their bit pattern, NaN as the empty
-    cell): the window columns hold one value, most ``p_cond``,
-    ``p_marginal`` and ``fdr`` cells repeat one, and formatting dominates
-    the write.  Names go as they are; sorting objects would cost more."""
+    """One column of ``hypotheses.tsv``.  Numbers come from one ``%`` call
+    over the distinct values, told apart by their bits (``-0.0`` prints
+    ``-0``, NaN is the empty cell), as most cells repeat a value.  Names
+    go as they are; sorting objects would cost more."""
     if column.dtype == bool:
         return np.where(column, "1", "0").tolist()
     if column.dtype == object:
-        return [str(v) for v in column.tolist()]
-    floats = column.dtype == float
-    _, first, inverse = np.unique(column.view(np.int64) if floats else column,
-                                  return_index=True, return_inverse=True)
-    fmt = (lambda v: "" if v != v else format(v, ".10g")) if floats else str
-    cells = list(map(fmt, column[first].tolist()))
-    return [cells[i] for i in inverse.tolist()]
+        return list(map(str, column.tolist()))
+    keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    fmt = "%.10g\n" if column.dtype == float else "%d\n"
+    cells = fmt * len(keys) % tuple(keys.view(column.dtype).tolist())
+    return np.array(cells.replace("nan", "").split("\n"),
+                    object)[inverse].tolist()
 
 
 def render_outputs(report: Report, outdir) -> None:
     out = Path(outdir)
-    columns = [_cells(getattr(report.rows, name)) for name in TSV_COLUMNS]
-    _write_text(out / HYPOTHESES_FILE, "\n".join(
-        map("\t".join, [TSV_COLUMNS, *zip(*columns)])) + "\n")
+    step = 2 * len(TSV_COLUMNS)  # each cell, then a tab or the row's LF
+    parts = ["\t"] * (step * len(report.rows))
+    for j, name in enumerate(TSV_COLUMNS):  # by column: no row is made
+        parts[2 * j::step] = _cells(getattr(report.rows, name))
+    parts[step - 1::step] = ["\n"] * len(report.rows)
+    _write_text(out / HYPOTHESES_FILE,
+                "\t".join(TSV_COLUMNS) + "\n" + "".join(parts))
     _write_text(out / EDGES_FILE, "".join(
         [f"{cause}\t{effect}\n" for cause, effect in report.significant]))
     _write_text(out / PLOT_FILE, "".join(
@@ -334,26 +337,32 @@ def render_outputs(report: Report, outdir) -> None:
 
 
 def read_hypotheses_tsv(path) -> HypothesisTable:
-    """Parse a previously written hypothesis table."""
+    """Parse a previously written hypothesis table by column, reading each
+    distinct cell of a column once.  An error names the first bad line
+    and in it the leftmost bad cell, as a line-by-line read would."""
     lines = _open_lines(path)
     if not lines or tuple(lines[0].split("\t")) != TSV_COLUMNS:
         raise DataError(f"{path}: not a hypothesis table")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split("\t")
-        if len(cells) != len(TSV_COLUMNS):
-            raise DataError(f"{path}:{lineno}: expected "
-                            f"{len(TSV_COLUMNS)} columns")
-        values = []
-        for column, cell, (read, _) in zip(TSV_COLUMNS, cells, _READERS):
+    body, width = lines[1:], len(TSV_COLUMNS)
+    good = next((k for k, line in enumerate(body)
+                 if line.count("\t") != width - 1), len(body))
+    cells = "\t".join(body[:good]).split("\t") if good else []
+    first, columns = (good, None, None), []  # line, column, cell
+    for j, (read, _) in enumerate(_READERS):
+        column, values = cells[j::width], {}
+        for cell in dict.fromkeys(column):  # in order of first appearance
             try:
-                values.append(read(cell))
+                values[cell] = read(cell)
             except (KeyError, ValueError):
-                raise DataError(f"{path}:{lineno}: bad {column} "
-                                f"{cell!r}") from None
-        rows.append(values)
-    columns = list(zip(*rows)) or [()] * len(TSV_COLUMNS)
-    return HypothesisTable(*(np.array(column, dtype=dtype) for column,
+                first = min(first, (column.index(cell), j, cell))
+                break
+        columns.append(map(values.get, column))
+    line, j, cell = first
+    if line < len(body):
+        raise DataError(f"{path}:{line + 2}: " + (
+            f"expected {width} columns" if j is None
+            else f"bad {TSV_COLUMNS[j]} {cell!r}"))
+    return HypothesisTable(*(np.array(list(column), dtype) for column,
                              (_, dtype) in zip(columns, _READERS)))
 
 
@@ -361,7 +370,7 @@ def _opt_float(cell):
     if cell == "":
         return None
     value = float(cell)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError(f"non-finite number {cell!r}")
     return value
 

@@ -261,9 +261,8 @@ def _check_writable(directory) -> None:
 
 
 _BLOCK = 1 << 18  # bytes of clean text parsed at a time
-# The ASCII bytes that no clean text holds: whitespace other than LF
-# (\x1c-\x1f are whitespace to str).
-_FORBIDDEN = b"\t\v\f\r \x1c\x1d\x1e\x1f"
+# Unicode category Cc, which no name may hold (a tab would split its cell)
+_CONTROL = frozenset(map(chr, [*range(32), *range(127, 160)]))
 
 
 def load_events(source: Source, horizon: Optional[int] = None) -> EventList:
@@ -286,7 +285,8 @@ def load_events(source: Source, horizon: Optional[int] = None) -> EventList:
             if line.strip() == "":
                 continue
             parts = [c.strip() for c in line.split(",")]
-            if len(parts) != 2 or not parts[0].isdecimal():
+            if (len(parts) != 2 or not parts[0].isdecimal()
+                    or not _CONTROL.isdisjoint(parts[1])):
                 raise DataError(f"malformed row at line {lineno}: {line!r}")
             if int(parts[0]) >= 2 ** 63:
                 raise DataError(f"event time above 2^63 - 1 at line "
@@ -306,12 +306,11 @@ def _parse_clean(data: bytes) -> Optional[tuple]:
     """Times, name ids and names (in first-appearance order) of a clean
     text, or ``None`` for any other.  A text is clean when it is not
     empty and each line is a time of 1-18 decimal digits (so below 2^63),
-    a comma and a name without comma, whitespace or non-ASCII byte, ended
-    by LF (optional on the last line); so no line is empty.  The text is
-    parsed, and the rest of the rule checked, in blocks of whole lines so
-    that no temporary grows with the file; the bytes are checked first,
-    by one ``memchr`` scan per forbidden byte, which makes no temporary."""
-    if not data or not data.isascii() or any(b in data for b in _FORBIDDEN):
+    a comma and a name without comma, whitespace, control or non-ASCII
+    byte, ended by LF (optional on the last line); so no line is empty.
+    The text is parsed, and the rule checked, in blocks of whole lines so
+    that no temporary grows with the file."""
+    if not data or not data.isascii() or b"\x7f" in data:
         return None
     buf = np.frombuffer(data, np.uint8)
     n = data.count(b"\n") + (not data.endswith(b"\n"))
@@ -323,6 +322,9 @@ def _parse_clean(data: bytes) -> Optional[tuple]:
         block = buf[start:stop]
         commas = np.flatnonzero(block == ord(","))
         ends = np.flatnonzero(block == ord("\n"))
+        # LF is the one byte below "!": no other whitespace or control byte
+        if np.count_nonzero(block < ord("!")) != len(ends):
+            return None
         if block[-1] != ord("\n"):  # the last line has no LF
             ends = np.append(ends, len(block))
         if len(commas) != len(ends):
@@ -395,6 +397,9 @@ def _load_wide(lines):
     if len(header) < 2 or header[0] != "time":
         raise DataError("wide-csv header must be 'time,<var1>,...'")
     names = tuple(header[1:])
+    if any(not _CONTROL.isdisjoint(v) for v in names):
+        raise DataError(f"malformed header at line {rows[0][0]}: "
+                        f"{rows[0][1]!r}")
     length = len(rows) - 1
     if length < 1:
         raise DataError("wide-csv must contain at least one tick row")

@@ -19,6 +19,9 @@ scorer, and through them the hypothesis-table rows are the reference for
 the pipeline's columnar table.  The batched scorer that takes rival
 counts one effect at a time, over that effect's hit ticks, is the
 bit-for-bit reference for the one that takes them one cause at a time.
+The row-by-row writer and line-by-line reader of ``hypotheses.tsv`` are
+the reference for the pipeline's column writer and reader, down to the
+reader's error messages.
 The running-count window is the reference for the doubled ORs of
 ``tlcausal.checker.window_hits``.  Value iteration by full csr products is
 the bit-for-bit reference for the chain checker's shift-row push.
@@ -27,6 +30,7 @@ the bit-for-bit reference for the chain checker's shift-row push.
 """
 
 import re
+import unicodedata
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
@@ -44,6 +48,7 @@ from tlcausal.errors import (CheckError, ConvergenceError, DataError,
                              EmptyWindowError)
 from tlcausal.pctl import (INFINITY, And, Atom, Formula, Implies, Not, Or,
                            ProbBound, Unless, print_formula)
+from tlcausal.pipeline import TSV_COLUMNS, HypothesisTable
 from tlcausal.synthgen import GenConfig, GroundTruth
 from tlcausal.traces import EventList, TraceSet, _open_lines
 
@@ -322,10 +327,10 @@ def check_triggering(events, parent, child, delay_min, delay_max, refractory):
 # Event-csv loading: one line at a time, over sorted tuples
 
 # The texts load_events parses from their bytes: each line one time of 1-18
-# decimal digits (so below 2^63), a comma and a name without comma or
-# whitespace (\x1c-\x1f are whitespace to str); no empty line; the last
-# line's LF optional.
-_CLEAN_LINE = r"[0-9]{1,18},[^,\s\x1c-\x1f]*"
+# decimal digits (so below 2^63), a comma and a name without comma,
+# whitespace or control character (in ASCII, the bytes up to space and
+# DEL); no empty line; the last line's LF optional.
+_CLEAN_LINE = r"[0-9]{1,18},[^,\x00-\x20\x7f]*"
 CLEAN_EVENTS = re.compile(rf"(?:{_CLEAN_LINE}(?:\n|\Z))+")
 
 
@@ -336,13 +341,15 @@ def is_clean(text: str) -> bool:
 
 def load_events(source, horizon=None) -> tuple:
     """Parse event-csv line by line into sorted ``(time, variable)``
-    records with Python ints; returns ``(records, horizon)``."""
+    records with Python ints; returns ``(records, horizon)``.  A name may
+    hold no character of Unicode category Cc."""
     records = []
     for lineno, line in enumerate(_open_lines(source), start=1):
         if line.strip() == "":
             continue
         parts = [c.strip() for c in line.split(",")]
-        if len(parts) != 2 or not parts[0].isdecimal():
+        if (len(parts) != 2 or not parts[0].isdecimal()
+                or any(unicodedata.category(c) == "Cc" for c in parts[1])):
             raise DataError(f"malformed row at line {lineno}: {line!r}")
         records.append((int(parts[0]), parts[1]))
     if not records:
@@ -752,6 +759,72 @@ def _cell(estimate):
     if not estimate.denominator:
         return ""
     return format(estimate.probability, ".10g")
+
+
+# ---------------------------------------------------------------------------
+# hypotheses.tsv: one row, one cell at a time
+
+def hypotheses_text(table: HypothesisTable) -> str:
+    """The text of ``hypotheses.tsv`` written row by row, each cell
+    formatted by itself: ``.10g`` for a float, ``str`` for an int or a
+    name, 1/0 for the prima facie flag and the empty cell for NaN.  The
+    reference for the column writer of ``tlcausal.pipeline``."""
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "1" if value else "0"
+        return format(value, ".10g") if isinstance(value, float) \
+            else str(value)
+    return "".join(["\t".join(map(cell, row)) + "\n"
+                    for row in [TSV_COLUMNS, *table]])
+
+
+def read_hypotheses_tsv(path) -> HypothesisTable:
+    """Parse ``hypotheses.tsv`` line by line, each cell by itself, and stop
+    at the first line of the wrong width or the first bad cell: the
+    reference for the column reader of ``tlcausal.pipeline``, its arrays
+    and its error messages."""
+    lines = _open_lines(path)
+    if not lines or tuple(lines[0].split("\t")) != TSV_COLUMNS:
+        raise DataError(f"{path}: not a hypothesis table")
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        cells = line.split("\t")
+        if len(cells) != len(TSV_COLUMNS):
+            raise DataError(f"{path}:{lineno}: expected "
+                            f"{len(TSV_COLUMNS)} columns")
+        values = []
+        for column, cell, (read, _) in zip(TSV_COLUMNS, cells,
+                                           _TABLE_READERS):
+            try:
+                values.append(read(cell))
+            except (KeyError, ValueError):
+                raise DataError(f"{path}:{lineno}: bad {column} "
+                                f"{cell!r}") from None
+        rows.append(values)
+    columns = list(zip(*rows)) or [()] * len(TSV_COLUMNS)
+    return HypothesisTable(*(np.array(column, dtype=dtype) for column,
+                             (_, dtype) in zip(columns, _TABLE_READERS)))
+
+
+def _table_float(cell):
+    if cell == "":
+        return None
+    value = float(cell)
+    if not np.isfinite(value):
+        raise ValueError(f"non-finite number {cell!r}")
+    return value
+
+
+# per column: the cell reader and the table's dtype
+_TABLE_READERS = (
+    (str, object), (str, object), (int, np.int64), (int, np.int64),
+    (_table_float, float), (_table_float, float),
+    ({"1": True, "0": False}.__getitem__, bool),
+    (_table_float, float), (_table_float, float), (_table_float, float),
+    ({"significant": "significant",
+      "insignificant": "insignificant"}.__getitem__, object))
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,12 @@ import oracles
 from tlcausal import cli, pipeline
 from tlcausal.checker import sat_set
 from tlcausal.dtmc import load_text
-from tlcausal.errors import FitError, UsageError
+from tlcausal.errors import DataError, FitError, UsageError
 from tlcausal.pctl import parse
 from tlcausal.cli import load_config_file
-from tlcausal.pipeline import (TSV_COLUMNS, PipelineConfig, load_data,
-                               read_hypotheses_tsv, rerun_fdr, run_pipeline)
+from tlcausal.pipeline import (TSV_COLUMNS, HypothesisTable, PipelineConfig,
+                               Report, load_data, read_hypotheses_tsv,
+                               render_outputs, rerun_fdr, run_pipeline)
 from tlcausal.synthgen import GenConfig, generate, preset
 from tlcausal.traces import discretize, events_of, write_events
 
@@ -136,6 +137,10 @@ class TestRunPipeline:
             assert got.cause == want.cause and got.effect == want.effect
             assert got.prima_facie == want.prima_facie
             assert got.label == want.label
+        text = (out / "hypotheses.tsv").read_text()
+        assert text == oracles.hypotheses_text(report.rows)
+        _assert_same_table(
+            rows, oracles.read_hypotheses_tsv(out / "hypotheses.tsv"))
 
     def test_empty_prima_facie_is_valid(self, tmp_path):
         # one lonely firing per variable: nothing passes
@@ -201,6 +206,166 @@ class TestRunPipeline:
                              tmin=1, tmax=1)
         with pytest.raises(Exception, match="stage load"):
             run_pipeline(cfg)
+
+
+def _assert_same_table(got, want):
+    """Equal dtypes and shapes, and bit-equal arrays column by column."""
+    for name in TSV_COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        if a.dtype == float:
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+        else:
+            assert a.tolist() == b.tolist(), name
+
+
+def _float_bits(value):
+    return int(np.float64(value).view(np.uint64))
+
+
+# numbers whose cells are easy to get wrong: signed zeros, subnormals,
+# exponent forms on either side of ten digits, the int64 edges as floats,
+# and infinities, which the writer prints and the reader refuses
+_EDGE_FLOATS = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-05, 0.0001,
+    1e+16, 9999999999.0, 12345678901.0, 1 / 3, -2.5, 9.2233720368547758e18,
+    float("inf"), float("-inf")]).map(_float_bits)
+# NaN of either sign with any payload: every one is the empty cell
+_NAN_BITS = st.builds(lambda sign, payload: sign << 63 | 0x7FF << 52 | payload,
+                      st.integers(0, 1), st.integers(1, 2 ** 52 - 1))
+_FLOAT_BITS = st.one_of(_EDGE_FLOATS, _NAN_BITS,
+                        st.floats(allow_nan=False).map(_float_bits))
+# names hold no tab and nothing str.splitlines breaks at (Cc, Zl, Zp)
+_NAMES = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")),
+                 max_size=5)
+
+
+@st.composite
+def _hypothesis_tables(draw):
+    """A table of 0-8 rows whose columns draw each cell from a small pool
+    of values, as the real columns repeat theirs, or anew."""
+    n = draw(st.integers(0, 8))
+
+    def column(values):
+        pool = draw(st.lists(values, min_size=1, max_size=3))
+        return draw(st.lists(st.sampled_from(pool) | values, min_size=n,
+                             max_size=n))
+
+    def floats():
+        return np.array(column(_FLOAT_BITS), np.uint64).view(np.float64)
+
+    ints = st.integers(-2 ** 63, 2 ** 63 - 1)
+    return HypothesisTable(
+        np.array(column(_NAMES), object), np.array(column(_NAMES), object),
+        np.array(column(ints), np.int64), np.array(column(ints), np.int64),
+        floats(), floats(), np.array(column(st.booleans()), bool), floats(),
+        floats(), floats(),
+        np.array(column(st.sampled_from(["significant", "insignificant"])),
+                 object))
+
+
+def _read_outcome(read, path):
+    """The table a reader makes of ``path``, or the message of its data
+    error."""
+    try:
+        return read(path)
+    except DataError as exc:
+        return str(exc)
+
+
+def _assert_reads_like_oracle(path):
+    got = _read_outcome(read_hypotheses_tsv, path)
+    want = _read_outcome(oracles.read_hypotheses_tsv, path)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        _assert_same_table(got, want)
+
+
+class TestTableText:
+    """The column writer and reader of ``hypotheses.tsv`` against the
+    row-by-row writer and the line-by-line reader in ``oracles``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(table=_hypothesis_tables())
+    def test_writer_and_reader_match_oracles(self, table):
+        with tempfile.TemporaryDirectory() as tmp:
+            render_outputs(Report(table, None, [], {}), tmp)
+            path = Path(tmp) / "hypotheses.tsv"
+            assert path.read_bytes() == \
+                oracles.hypotheses_text(table).encode("utf-8")
+            _assert_reads_like_oracle(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(table=_hypothesis_tables(), data=st.data())
+    def test_damaged_table_reads_like_oracle(self, table, data):
+        lines = oracles.hypotheses_text(table).splitlines()
+        damage = st.sampled_from(["x", "", "nan", "inf", "2.5", "-", "1e999",
+                                  "\t", "\tx"])
+        for _ in range(data.draw(st.integers(1, 3))):
+            k = data.draw(st.integers(1, len(lines)))
+            cells = (lines[k].split("\t") if k < len(lines)
+                     else ["x"] * 11)
+            j = data.draw(st.integers(0, len(cells)))
+            cells[j:j + data.draw(st.integers(0, 1))] = [data.draw(damage)]
+            lines[k:k + 1] = ["\t".join(cells)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "h.tsv"
+            path.write_text("\n".join(lines) + "\n")
+            _assert_reads_like_oracle(path)
+
+    ROW = ("a", "b", "1", "1", "0.5", "0.25", "1", "0.1", "", "",
+           "insignificant")
+
+    def _table(self, tmp_path, *damaged):
+        """A table of five good rows, then ``damaged`` as (line, column,
+        cell) or (line, None, None) for a line one cell short; returns the
+        reader's message, which must be the oracle's."""
+        rows = [list(self.ROW) for _ in range(5)]
+        for line, column, cell in damaged:
+            row = rows[line - 2]
+            if column is None:
+                del row[-1]
+            else:
+                row[TSV_COLUMNS.index(column)] = cell
+        path = tmp_path / "h.tsv"
+        path.write_text("".join("\t".join(row) + "\n"
+                                for row in [TSV_COLUMNS, *rows]))
+        with pytest.raises(DataError) as got:
+            read_hypotheses_tsv(path)
+        with pytest.raises(DataError) as want:
+            oracles.read_hypotheses_tsv(path)
+        assert str(got.value) == str(want.value)
+        return str(got.value)
+
+    def test_bad_cell_before_a_short_line(self, tmp_path):
+        assert self._table(tmp_path, (3, "eps_avg", "x"),
+                           (5, None, None)).endswith("h.tsv:3: bad eps_avg "
+                                                     "'x'")
+
+    def test_short_line_before_a_bad_cell(self, tmp_path):
+        assert self._table(tmp_path, (2, None, None),
+                           (4, "tmin", "x")).endswith(
+            "h.tsv:2: expected 11 columns")
+
+    def test_leftmost_of_two_bad_cells(self, tmp_path):
+        assert self._table(tmp_path, (4, "label", "maybe"),
+                           (4, "p_cond", "nan")).endswith(
+            "h.tsv:4: bad p_cond 'nan'")
+
+    def test_earliest_bad_line_across_columns(self, tmp_path):
+        # the label's bad cell comes first in its column, but on a later
+        # line than the one in fdr
+        assert self._table(tmp_path, (6, "tmin", "?"), (3, "fdr", "?"),
+                           (4, "label", "?")).endswith("h.tsv:3: bad fdr "
+                                                       "'?'")
+
+    def test_header_only_is_an_empty_table(self, tmp_path):
+        path = tmp_path / "h.tsv"
+        path.write_text("\t".join(TSV_COLUMNS) + "\n")
+        table = read_hypotheses_tsv(path)
+        assert len(table) == 0
+        _assert_same_table(table, oracles.read_hypotheses_tsv(path))
 
 
 class TestConfigFile:
@@ -508,6 +673,23 @@ class TestCli:
                          "--format", format]) == 2
         assert f"variable {name!r} is a reserved name" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("format, text, line", [
+        ("event-csv", "0,a\n1,b\n2,a\tb\n", 3),
+        ("event-csv", "0,a\n1,b\x01\n", 2),
+        ("wide-csv", "time,a,b\tc\n0,1,0\n", 1)])
+    def test_control_character_in_a_name_is_a_data_error(
+            self, tmp_path, capsys, format, text, line):
+        # such a name used to reach hypotheses.tsv, whose row then had 12
+        # cells and which fdr and report refused
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["infer", "--path", str(path), "--format", format,
+                         "--tmin", "1", "--tmax", "1",
+                         "--outdir", str(out)]) == 2
+        assert f"at line {line}: " in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("time", ["1000000000000000",
                                       "99999999999999999999"])

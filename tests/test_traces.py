@@ -47,6 +47,43 @@ class TestWideCsv:
             load_data([io.StringIO(text)], "wide-csv", None)
 
 
+# names holding a control character (Unicode category Cc): a tab, NUL, the
+# ASCII controls that are not whitespace, DEL, and C1 controls
+_CONTROL_NAMES = ["a\tb", "a\x00", "\x01", "a\x1bb", "a\x7fb", "a\x9fb"]
+
+
+class TestControlCharacterNames:
+    """No loader takes a variable name with a control character in it: a
+    tab would add a cell to its rows in hypotheses.tsv."""
+
+    @pytest.mark.parametrize("name", _CONTROL_NAMES)
+    @pytest.mark.parametrize("as_bytes", [False, True])
+    def test_event_csv_names_the_line(self, name, as_bytes):
+        text = f"0,a\n1,{name}\n2,a\n"
+        if name.isascii():  # the byte parse takes no such text
+            assert traces._parse_clean(text.encode()) is None
+        message = f"malformed row at line 2: {f'1,{name}'!r}"
+        assert _outcome(_load, text, None, as_bytes) == message
+        assert _outcome(oracles.load_events, text, None) == message
+
+    @pytest.mark.parametrize("name", _CONTROL_NAMES)
+    def test_wide_csv_header_names_its_line(self, name):
+        text = f"\ntime,a,{name}\n0,1,0\n"
+        with pytest.raises(DataError, match=re.escape(
+                f"malformed header at line 2: {f'time,a,{name}'!r}")):
+            load_data([io.StringIO(text)], "wide-csv", None)
+
+    def test_padding_and_quotes_stay_allowed(self):
+        # a control character that strip() removes is not in the name, and
+        # `"` waits for a quoted-atom grammar
+        events = load_events(io.StringIO('0,a\t\n1,"b"\n'))
+        assert events.names == ("a", '"b"')
+        assert traces._parse_clean(b'0,"b"\n') is not None
+        data = load_data([io.StringIO('time,a\t,"b"\n0,1,0\n')],
+                         "wide-csv", None)
+        assert data.variables == ("a", '"b"')
+
+
 class TestEventCsv:
     def test_densify(self):
         data = load_data([io.StringIO("0,a\n5,a\n2,e\n")], "event-csv", 10)
@@ -106,9 +143,9 @@ class TestEventCsv:
             EventList.from_records([(2 ** 63, "a")], 2 ** 64)
 
 
-# Whitespace other than LF, \x1c-\x1f (whitespace to str) and a non-ASCII
-# character.
-_FORBIDDEN = "\t\v\f\r \x1c\x1d\x1e\x1f\x80"
+# Whitespace other than LF, \x1c-\x1f (whitespace to str), a non-ASCII
+# character, and the control characters that are not whitespace.
+_FORBIDDEN = "\t\v\f\r \x1c\x1d\x1e\x1f\x80\x00\x01\x1b\x7f"
 # Line-by-line triggers: each makes load_events leave the whole-text path.
 _DIRTY = ["0,a\r\n", " 3,a\n", "3 ,a\n", "3, a\n", "3,a\t\n", "+3,a\n",
           "3_0,a\n", "²,a\n", "٣,a\n", "3,é\n", "3,a\x1f\n", "3,a\x0b1,b\n",
@@ -161,13 +198,15 @@ _TIMES = st.one_of(
     _DECIMAL_TIMES,
     st.sampled_from(["+3", " 3", "3 ", "3_0", "²", "٣", "", "-1", "0x3",
                      "03"]))
-# prefixes of each other, empty, ending in NUL (clean: not whitespace) and
-# longer than the 8 bytes a name key packs into one integer
+# prefixes of each other, empty, ending in "!" (the lowest byte a clean
+# name holds) and longer than the 8 bytes a name key packs into one integer
 _CLEAN_NAMES = st.sampled_from(["a", "b", "B", "b10", "b2", "", "n1", "n10",
-                                "a\x00", "\x00", "abcdefgh", "abcdefgh\x00",
+                                "a!", "!", "abcdefgh", "abcdefgh!",
                                 "abcdefghij", "abcdefghik"])
 _NAMES = st.one_of(_CLEAN_NAMES,
-                   st.sampled_from([" a", "a ", "a\t", "\x1fa", "é", "a b"]))
+                   st.sampled_from([" a", "a ", "a\t", "\x1fa", "é", "a b",
+                                    "a\tb", "a\x00", "\x01", "a\x7fb",
+                                    "a\x85b", "a\x9fb"]))
 _ROWS = st.one_of(
     st.tuples(_TIMES, _NAMES).map(",".join),
     st.sampled_from(["", " ", "\t", "\x1f", "3", "3,a,b", ",", "a,3"]))
@@ -241,11 +280,11 @@ class TestLoaderParity:
                 _assert_first_appearance(text, horizon)
 
     @pytest.mark.parametrize("text", [
-        "0,n1\n0,n10\n1,n10\n1,n1\n", "3,", "3,\n0,\n", "0,a\x00\n0,a\n1,a\n",
-        "2,abcdefgh\x00\n2,abcdefgh\n", "123456789012345678,a\n1,b\n",
+        "0,n1\n0,n10\n1,n10\n1,n1\n", "3,", "3,\n0,\n", "0,a!\n0,a\n1,a\n",
+        "2,abcdefgh!\n2,abcdefgh\n", "123456789012345678,a\n1,b\n",
         "5,a\n7,b", "4,a"],
-        ids=["prefix-names", "empty-name", "empty-name-twice", "nul-ending",
-             "nul-ending-long", "18-digit-time", "no-final-lf",
+        ids=["prefix-names", "empty-name", "empty-name-twice", "bang-ending",
+             "bang-ending-long", "18-digit-time", "no-final-lf",
              "single-event"])
     @pytest.mark.parametrize("block", [1, traces._BLOCK])
     def test_clean_cases_match_line_loop(self, text, block):
