@@ -6,8 +6,7 @@ A tour of the formula language: atoms, boolean connectives, bounded
 until/unless, probability bounds, and the windowed leads-to operator.
 """
 
-from tlcausal import parse, print_formula, validate
-from tlcausal import Atom, LeadsTo, ProbBound
+from tlcausal import FormulaParseError, parse, print_formula
 
 # Atoms are plain identifiers; boolean structure looks like C.
 f = parse("a_up & !b_down -> c_up")
@@ -44,9 +43,12 @@ print("compound: ", f)
 # tree node for node.
 assert parse(print_formula(f)) == f
 
-# The validator reports structural problems as data rather than raising.
-bad = ProbBound(LeadsTo(Atom("a"), Atom("b"), 0, 4), ">=", 1.5)
+# Formulae are checked as they are built: a leads-to window needs
+# 1 <= tmin <= tmax, a probability lies in [0, 1], so parse refuses these.
 print()
-print("violations in a hand-built bad formula:")
-for v in validate(bad):
-    print("  -", v)
+for text in ("a ~>{>=0,<=4}{>=0.5} b", "a ~>{>=5,<=2}{>=0.5} b",
+             "[a U{<=3} b]{>=1.5}"):
+    try:
+        parse(text)
+    except FormulaParseError as exc:
+        print(f"refused {text!r}: {exc}")

@@ -12,14 +12,13 @@ from .causal import (HypothesisFamily, ScoreTable, enumerate_pairwise,
 from .checker import (FrequencyEstimate, eval_on_trace, leads_to_prob,
                       sat_set, trace_leads_to, unless_prob, until_prob)
 from .dtmc import Dtmc, build_dtmc, encode_labels
-from .errors import (CheckError, ConvergenceError, DataError,
-                     EmptyWindowError, FitError, FormulaParseError,
-                     TlcausalError, UsageError)
+from .errors import (CheckError, DataError, EmptyWindowError, FitError,
+                     FormulaParseError, TlcausalError, UsageError)
 from .fdr import (MixtureDensity, NullModel, ZScores, classify, fit_mixture,
                   fit_null, local_fdr, z_scores)
 from .pctl import (INFINITY, And, Atom, Formula, Implies, LeadsTo, Not, Or,
                    PathFormula, ProbBound, StateFormula, TimeBound, Unless,
-                   Until, Violation, parse, print_formula, validate)
+                   Until, parse, print_formula)
 from .pipeline import PipelineConfig, Report, run_pipeline
 from .synthgen import GenConfig, GroundTruth, StructureSpec, generate, preset
 from .traces import (EventList, Trace, TraceSet, discretize, events_of,

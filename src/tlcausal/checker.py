@@ -2,10 +2,10 @@
 on traces.
 
 On a :class:`~tlcausal.dtmc.Dtmc`, bounded until/unless probabilities follow
-the standard per-state recurrence (value iteration); infinite bounds iterate
-to a fixed point.  Probability-bounded leads-to is checked per state through
-the always-globally reading: every reachable state where the antecedent holds
-must reach the consequent within the window with the bounded probability.
+the standard per-state recurrence (value iteration); infinite bounds are
+exact, by graph search and one linear solve.  Probability-bounded leads-to
+is checked per state through the always-globally reading: no path may reach
+an antecedent state whose window misses the bound.
 
 On traces, formulæ are evaluated per tick, temporal operators along the trace
 suffix.  The decider of tick t for ``l U{<=k} r`` or ``l W{<=k} r`` is the
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dtmc import Dtmc
-from .errors import CheckError, ConvergenceError, EmptyWindowError
+from .errors import CheckError, EmptyWindowError
 from .pctl import (INFINITY, And, Atom, Formula, Implies, LeadsTo, Not, Or,
                    PathFormula, ProbBound, StateFormula, Unless, Until)
 from .traces import Trace, TraceSet
@@ -37,8 +37,6 @@ __all__ = [
     "meets_bound",
 ]
 
-FIXPOINT_TOL = 1e-12
-FIXPOINT_CAP = 100_000
 _SAT_ONE = 1.0 - 1e-9  # prob >= 1 test under float iteration
 
 
@@ -58,7 +56,7 @@ class FrequencyEstimate:
 
 def meets_bound(vec, cmp, p):
     """Threshold a probability or a probability vector.  Interior bounds
-    compare exactly; a >=1 bound allows for fixed-point tolerance."""
+    compare exactly; a >=1 bound allows for value iteration's rounding."""
     if cmp == ">=":
         return vec >= (_SAT_ONE if p >= 1.0 else p)
     return vec > p
@@ -116,17 +114,19 @@ def _probbound_mask(model: Dtmc, f: ProbBound) -> np.ndarray:
         reach = meets_bound(_window_reach_vector(
             model, _state_mask(model, inner.right), inner.tmin, inner.tmax),
             f.comparison, f.p)
-        good = reach | ~_state_mask(model, inner.left)
-        vec = unless_prob(model, good, np.zeros(model.n_states, bool), INFINITY)
-        return vec >= _SAT_ONE
+        bad = _state_mask(model, inner.left) & ~reach
+        return ~_reach(model, bad, np.ones(model.n_states, bool))
     if isinstance(inner, (Until, Unless)):
         prob = until_prob if isinstance(inner, Until) else unless_prob
         vec = prob(model, _state_mask(model, inner.left),
                    _state_mask(model, inner.right), inner.tmax)
+        if inner.tmax != INFINITY:
+            return meets_bound(vec, f.comparison, f.p)
     else:
         # degenerate zero-length path: indicator of the state formula
         vec = _state_mask(model, inner).astype(float)
-    return meets_bound(vec, f.comparison, f.p)
+    # exact values: only the graph's states hold 0.0 and 1.0
+    return vec >= f.p if f.comparison == ">=" else vec > f.p
 
 
 def _window_reach_vector(model, target_mask, tmin, tmax):
@@ -148,9 +148,12 @@ def until_prob(model: Dtmc, f1m: np.ndarray, f2m: np.ndarray,
     ``f2m`` are boolean state masks.
 
     Recurrence: P_0 = [s in f2]; P_k = 1 on f2, else T @ P_{k-1} on f1,
-    else 0.  An infinite bound iterates to the least fixed point within
-    ``FIXPOINT_TOL`` and raises :class:`ConvergenceError` at the cap.
+    else 0.  An infinite bound is exact: 0.0 where no path through f1
+    reaches f2, 1.0 where no path through ``f1 & ~f2`` reaches those, and
+    one solve, rows read as normalized, for the rest: 2**-53 inside (0, 1).
     """
+    if tmax == INFINITY:
+        return _until_unbounded(model, f1m, f2m)
     f2v = f2m.astype(float)
     return _iterate(model, f2v.copy(), f2v, f1m & ~f2m, tmax)
 
@@ -159,36 +162,59 @@ def unless_prob(model: Dtmc, f1m: np.ndarray, f2m: np.ndarray,
                 tmax) -> np.ndarray:
     """Per-state probability of the weak until ``f1 W{<=tmax} f2``, where
     ``f1m`` and ``f2m`` are boolean state masks: as until, except f1 may
-    persist through the whole bound."""
+    persist through the whole bound.  An infinite bound is until's dual,
+    ``1 - P((f1 & ~f2) U (~f1 & ~f2))``."""
+    if tmax == INFINITY:
+        return 1.0 - _until_unbounded(model, f1m & ~f2m, ~f1m & ~f2m)
     f2v = f2m.astype(float)
     start = (f1m | f2m).astype(float)
     return _iterate(model, start, f2v, f1m & ~f2m, tmax)
 
 
-def _iterate(model, current, f2v, cont, tmax):
+def _iterate(model, current, f2v, cont, steps):
     # Each step is f2v + cont * (T @ current) set by index: where cont
     # holds, f2v is 0.0 and the sum is T @ current; where it fails, f2v.
     stop = np.flatnonzero(~cont)
     pinned = f2v[stop]
+    for _ in range(int(steps)):
+        current = model._push(current)
+        current[stop] = pinned
+    return current
 
-    def step(v):
-        out = model._push(v)
-        out[stop] = pinned
-        return out
 
-    if tmax != INFINITY:
-        for _ in range(int(tmax)):
-            current = step(current)
-        return current
-    for _ in range(FIXPOINT_CAP):
-        nxt = step(current)
-        delta = float(np.abs(nxt - current).max()) if current.size else 0.0
-        current = nxt
-        if delta < FIXPOINT_TOL:
-            return current
-    raise ConvergenceError(
-        f"fixed point not reached within {FIXPOINT_CAP} iterations "
-        f"(last delta {delta:.3e})")
+def _reach(model, target, through):
+    """States with a positive-probability path to a ``target`` state whose
+    earlier states all lie in ``through``: one breadth-first search over
+    the reversed edges from a virtual root ``n`` joined to the targets."""
+    from scipy.sparse import csgraph, csr_matrix
+    trans, n = model.transitions, model.n_states
+    src = np.repeat(np.arange(n), np.diff(trans.indptr))
+    edge = (trans.data != 0) & through[src]  # an explicit 0.0 is no edge
+    tips = np.flatnonzero(target)
+    graph = csr_matrix((np.ones(np.count_nonzero(edge) + tips.size), (
+        np.concatenate([trans.indices[edge], np.full(tips.size, n)]),
+        np.concatenate([src[edge], tips]))), shape=(n + 1, n + 1))
+    seen = np.zeros(n + 1, bool)
+    seen[csgraph.breadth_first_order(graph, n, return_predecessors=False)] = 1
+    return seen[:n]
+
+
+def _until_unbounded(model, f1m, f2m):
+    from scipy.sparse import diags
+    from scipy.sparse.linalg import spsolve
+    zero = ~_reach(model, f2m, f1m)
+    one = ~_reach(model, zero, f1m & ~f2m)
+    vec = one.astype(float)
+    rest = np.flatnonzero(~zero & ~one)
+    if rest.size:
+        # each state leaves by its off-diagonal mass, not by 1 - T[s, s],
+        # which a self-loop of 1 - 1e-13 would cancel with its own exit
+        trans = model.transitions
+        off = (trans - diags(trans.diagonal()))[rest]
+        a = diags(np.asarray(off.sum(axis=1)).ravel()) - off[:, rest]
+        vec[rest] = np.clip(spsolve(a.tocsc(), off @ vec), 2.0 ** -53,
+                            1.0 - 2.0 ** -53)
+    return vec
 
 
 def leads_to_prob(model: Dtmc, c: Formula, e: Formula,

@@ -5,8 +5,7 @@ Subcommands: ``generate`` (synthetic spike trains plus ground truth),
 or an exported chain), ``fdr`` (re-run the control stages over a saved
 hypothesis table), ``report`` (re-render tables from a saved run).
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 fit or convergence
-error.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 fit error.
 """
 
 from __future__ import annotations
@@ -20,9 +19,8 @@ from . import dtmc as dtmcmod
 from . import pipeline as pl
 from .checker import (eval_on_trace, leads_to_prob, meets_bound, sat_set,
                       trace_leads_to)
-from .errors import (ConvergenceError, DataError, FitError, TlcausalError,
-                     UsageError)
-from .pctl import INFINITY, LeadsTo, ProbBound, parse, validate
+from .errors import DataError, FitError, TlcausalError, UsageError
+from .pctl import INFINITY, LeadsTo, ProbBound, parse
 from .synthgen import GenConfig, generate, preset
 from .traces import _check_writable, _open_lines, _write_text, write_events
 
@@ -208,9 +206,6 @@ def _cmd_infer(args):
 def _cmd_check(args):
     pl.check_format(args.format)
     formula = parse(args.formula)
-    problems = validate(formula)
-    if problems:
-        raise DataError("; ".join(str(v) for v in problems))
     lead = formula.path if isinstance(formula, ProbBound) \
         and isinstance(formula.path, LeadsTo) else None
     if args.model:
@@ -283,9 +278,6 @@ def main(argv=None) -> int:
         return 2
     except FitError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
-        return 3
-    except ConvergenceError as exc:
-        print(f"convergence error: {exc}", file=sys.stderr)
         return 3
     except TlcausalError as exc:  # anything uncategorized
         print(f"error: {exc}", file=sys.stderr)

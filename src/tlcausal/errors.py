@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: usage errors exit 1, data errors
-exit 2, fit and convergence errors exit 3.
+exit 2, fit errors exit 3.
 """
 
 
@@ -33,10 +33,6 @@ class CheckError(DataError):
 
 class EmptyWindowError(CheckError):
     """A conditional probability has an empty denominator."""
-
-
-class ConvergenceError(TlcausalError):
-    """An unbounded fixed-point iteration hit its cap before converging."""
 
 
 class FitError(TlcausalError):

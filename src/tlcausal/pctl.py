@@ -1,4 +1,4 @@
-"""Probabilistic temporal logic formulæ: syntax tree, parser, printer, validator.
+"""Probabilistic temporal logic formulæ: syntax tree, parser, printer.
 
 State formulæ are atoms, boolean combinations, and probability-bounded path
 formulæ.  Path formulæ are the bounded strong until ``U``, the bounded weak
@@ -35,6 +35,9 @@ Quantifier sugar expands on parsing:
 ``f U false`` would be unsatisfiable, so "holds forever" needs ``W``.
 A probability bound whose inner formula is a plain state formula (as produced
 by ``A f``) is read as a degenerate path of length zero.
+
+Nodes check their numbers when built, ``parse`` or not, and raise
+:class:`FormulaParseError` on a bad one, so no tree holds one.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ __all__ = [
     "Atom", "Not", "And", "Or", "Implies", "ProbBound",
     "Until", "Unless", "LeadsTo",
     "TimeBound", "INFINITY", "TRUE", "FALSE",
-    "parse", "print_formula", "validate", "Violation",
+    "parse", "print_formula",
 ]
 
 #: A time bound is a nonnegative integer tick count or ``INFINITY``.
@@ -116,6 +119,13 @@ class ProbBound(StateFormula):
     comparison: str  # ">=" or ">"
     p: float
 
+    def __post_init__(self):
+        if self.comparison not in (">=", ">"):
+            raise FormulaParseError(
+                f"comparison must be '>=' or '>', not {self.comparison!r}")
+        if not (isinstance(self.p, (int, float)) and 0.0 <= self.p <= 1.0):
+            raise FormulaParseError(f"probability out of range: {self.p!r}")
+
 
 @dataclass(frozen=True)
 class Until(PathFormula):
@@ -125,6 +135,9 @@ class Until(PathFormula):
     right: Formula
     tmax: TimeBound
 
+    def __post_init__(self):
+        _check_time(self.tmax)
+
 
 @dataclass(frozen=True)
 class Unless(PathFormula):
@@ -133,6 +146,9 @@ class Unless(PathFormula):
     left: Formula
     right: Formula
     tmax: TimeBound
+
+    def __post_init__(self):
+        _check_time(self.tmax)
 
 
 @dataclass(frozen=True)
@@ -146,11 +162,22 @@ class LeadsTo(PathFormula):
     tmin: int
     tmax: TimeBound
 
+    def __post_init__(self):
+        _check_time(self.tmax)
+        if not (type(self.tmin) is int and 1 <= self.tmin <= self.tmax):
+            raise FormulaParseError(
+                f"leads-to window needs 1 <= tmin <= tmax, not "
+                f"[{self.tmin!r}, {self.tmax!r}]")
+
+
+def _check_time(t):
+    if not (t == INFINITY or (type(t) is int and t >= 0)):
+        raise FormulaParseError(
+            f"time bound must be a nonnegative integer or inf, not {t!r}")
+
 
 TRUE = Atom("true")
 FALSE = Atom("false")
-
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +436,9 @@ def _fg_path(q, operand, tmax):
 def parse(text):
     """Parse a formula string into its syntax tree.
 
-    Raises :class:`FormulaParseError` on syntax errors (with position) and
-    on probability literals outside [0, 1].
+    Raises :class:`FormulaParseError` on syntax errors (with position), on
+    probability literals outside [0, 1] and on leads-to windows without
+    ``1 <= tmin <= tmax``.
     """
     parser = _Parser(text)
     formula = parser.parse_formula()
@@ -510,75 +538,3 @@ def print_formula(f):
     (useful for messages) and are not round-trippable on their own.
     """
     return _fmt_node(f)
-
-
-# ---------------------------------------------------------------------------
-# Validator
-
-@dataclass(frozen=True)
-class Violation:
-    """A typed-invariant violation found by :func:`validate`."""
-
-    node: Formula
-    message: str
-
-    def __str__(self):
-        return f"{self.message}: {print_formula(self.node)}"
-
-
-def _valid_time(t):
-    if t == INFINITY:
-        return True
-    return isinstance(t, int) and not isinstance(t, bool) and t >= 0
-
-
-def validate(f):
-    """Collect invariant violations in a formula tree.
-
-    Returns an empty list iff every probability lies in [0, 1], every time
-    bound is a nonnegative integer or infinity, and every leads-to window
-    has ``1 <= tmin <= tmax``.  Violations are data, not exceptions.
-    """
-    out = []
-
-    def visit(node):
-        if isinstance(node, Atom):
-            if not (_IDENT_RE.fullmatch(node.name)):
-                out.append(Violation(node, "invalid atom name"))
-            return
-        if isinstance(node, Not):
-            visit(node.operand)
-            return
-        if isinstance(node, (And, Or, Implies)):
-            visit(node.left)
-            visit(node.right)
-            return
-        if isinstance(node, ProbBound):
-            if node.comparison not in (">=", ">"):
-                out.append(Violation(node, "comparison must be '>=' or '>'"))
-            if not (isinstance(node.p, (int, float)) and 0.0 <= node.p <= 1.0):
-                out.append(Violation(node, "probability out of range"))
-            visit(node.path)
-            return
-        if isinstance(node, (Until, Unless)):
-            if not _valid_time(node.tmax):
-                out.append(Violation(
-                    node, "time bound must be a nonnegative integer or inf"))
-            visit(node.left)
-            visit(node.right)
-            return
-        if isinstance(node, LeadsTo):
-            if not (isinstance(node.tmin, int) and node.tmin >= 1):
-                out.append(Violation(node, "tmin must be >= 1"))
-            if not _valid_time(node.tmax):
-                out.append(Violation(
-                    node, "time bound must be a nonnegative integer or inf"))
-            elif isinstance(node.tmin, int) and node.tmin > node.tmax:
-                out.append(Violation(node, "tmin exceeds tmax"))
-            visit(node.left)
-            visit(node.right)
-            return
-        raise TypeError(f"not a formula node: {node!r}")
-
-    visit(f)
-    return out

@@ -375,9 +375,16 @@ def _opt_float(cell):
     return value
 
 
+def _window(cell):
+    if not (cell.isascii() and cell.isdigit() and 0 < int(cell) < 2 ** 63):
+        raise ValueError(f"bad window {cell!r}")
+    return int(cell)
+
+
 # per column: the cell reader, which refuses what render_outputs never
 # writes, and the table's dtype (an empty float cell reads as NaN)
-_READERS = ((str, object), (str, object), (int, np.int64), (int, np.int64),
+_READERS = ((str, object), (str, object), (_window, np.int64),
+            (_window, np.int64),
             (_opt_float, float), (_opt_float, float),
             ({"1": True, "0": False}.__getitem__, bool),
             (_opt_float, float), (_opt_float, float), (_opt_float, float),

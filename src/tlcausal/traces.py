@@ -12,7 +12,7 @@ import io
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -70,14 +70,6 @@ class EventList:
             record = (int(times[k]), names[ids[k]])
             raise DataError(f"duplicate event: {record}")
         return EventList(times, ids, names, int(horizon))
-
-    @staticmethod
-    def from_records(records: Iterable[tuple], horizon: int) -> "EventList":
-        """From ``(time, variable)`` pairs in any order."""
-        recs = [(int(t), str(v)) for t, v in records]
-        ids, names = _index([v for _, v in recs])
-        return EventList.from_arrays([t for t, _ in recs], ids, names,
-                                     horizon)
 
     @property
     def records(self) -> tuple:

@@ -24,7 +24,9 @@ the reference for the pipeline's column writer and reader, down to the
 reader's error messages.
 The running-count window is the reference for the doubled ORs of
 ``tlcausal.checker.window_hits``.  Value iteration by full csr products is
-the bit-for-bit reference for the chain checker's shift-row push.
+the bit-for-bit reference for the chain checker's shift-row push, and an
+exact solve in Fractions with Gaussian elimination the reference for its
+unbounded until, unless and leads-to always-reading.
 ``scipy.stats.norm.pdf`` is the reference for the null density
 ``tlcausal.fdr.NullModel.pdf``.
 """
@@ -39,13 +41,12 @@ import numpy as np
 from scipy import sparse
 from scipy.stats import norm
 
-from tlcausal import causal, checker
+from tlcausal import causal
 from tlcausal.causal import ScoreTable
 from tlcausal.checker import (FrequencyEstimate, eval_on_trace,
                               trace_leads_to, window_hits)
 from tlcausal.dtmc import Dtmc, encode_labels
-from tlcausal.errors import (CheckError, ConvergenceError, DataError,
-                             EmptyWindowError)
+from tlcausal.errors import CheckError, DataError, EmptyWindowError
 from tlcausal.pctl import (INFINITY, And, Atom, Formula, Implies, Not, Or,
                            ProbBound, Unless, print_formula)
 from tlcausal.pipeline import TSV_COLUMNS, HypothesisTable
@@ -123,23 +124,13 @@ def enum_leads_to(T, freq, cset, eset, tmin, tmax):
 # Value iteration on a chain by full products: each step is
 # ``f2v + cont * (T @ current)`` and the window's ``tmin`` pushes are
 # ``T @ v``.  This is the bit-for-bit reference for the shift-row push
-# ``Dtmc._push`` and the stop states ``checker._iterate`` pins by index.
+# ``Dtmc._push`` and the stop states ``checker._iterate`` pins by index,
+# for every finite bound.
 
 def iterate_full(model, current, f2v, cont, tmax):
-    trans = model.transitions
-    if tmax != INFINITY:
-        for _ in range(int(tmax)):
-            current = f2v + cont * (trans @ current)
-        return current
-    for _ in range(checker.FIXPOINT_CAP):
-        nxt = f2v + cont * (trans @ current)
-        delta = float(np.abs(nxt - current).max()) if current.size else 0.0
-        current = nxt
-        if delta < checker.FIXPOINT_TOL:
-            return current
-    raise ConvergenceError(
-        f"fixed point not reached within {checker.FIXPOINT_CAP} iterations "
-        f"(last delta {delta:.3e})")
+    for _ in range(int(tmax)):
+        current = f2v + cont * (model.transitions @ current)
+    return current
 
 
 def until_full(model, f1m, f2m, tmax):
@@ -152,30 +143,104 @@ def unless_full(model, f1m, f2m, tmax):
                         f1m & ~f2m, tmax)
 
 
-def window_reach_full(model, target, tmin, tmax):
-    horizon = INFINITY if tmax == INFINITY else int(tmax) - int(tmin)
-    v = until_full(model, np.ones(model.n_states, bool), target, horizon)
+def window_reach_full(model, target, tmin, tmax, start=None):
+    """The window's reach vector: ``tmin`` full products of the bounded
+    until vector, or of ``start`` when given."""
+    v = until_full(model, np.ones(model.n_states, bool), target,
+                   tmax - tmin) if start is None else start
     for _ in range(int(tmin)):
         v = model.transitions @ v
     return v
 
 
-def leads_to_full(model, cmask, emask, tmin, tmax):
+def leads_to_full(model, cmask, emask, tmin, tmax, start=None):
     """(numerator, denominator) of the chain leads-to probability."""
-    u = window_reach_full(model, emask, tmin, tmax)
+    u = window_reach_full(model, emask, tmin, tmax, start)
     weights = model.frequency[cmask]
     return float((weights * u[cmask]).sum()), float(weights.sum())
 
 
-def leads_to_sat_full(model, cmask, emask, tmin, tmax, cmp, p):
-    """States satisfying ``c ~>{>=tmin,<=tmax}{cmp p} e`` read as
-    AG[c -> window reach of e within the bound]."""
-    reach = checker.meets_bound(window_reach_full(model, emask, tmin, tmax),
-                                cmp, p)
-    vec = unless_full(model, reach | ~cmask, np.zeros(model.n_states, bool),
-                      INFINITY)
-    return frozenset(int(i) for i in
-                     np.flatnonzero(checker.meets_bound(vec, ">=", 1.0)))
+def leads_to_sat_full(model, reach, cmask):
+    """States satisfying a leads-to read as AG[c -> reach], where ``reach``
+    marks the states whose window meets the bound: those from which no
+    path reaches an antecedent state outside ``reach``."""
+    rows = _exact_rows(model)
+    bad = cmask & ~reach
+    return frozenset(s for s in range(model.n_states)
+                     if not any(bad[j] for j in _reachable(rows, s)))
+
+
+# ---------------------------------------------------------------------------
+# Unbounded until and unless on a chain, exactly: each row normalized as
+# Fractions, the probability-0 states by graph search, the rest by Gaussian
+# elimination.  Unless is until towards f2 or a state from which every path
+# stays in ``f1 & ~f2``, so it does not lean on the until/unless duality.
+
+def _exact_rows(model):
+    """Each state's successors with their normalized probabilities."""
+    trans, rows = model.transitions, []
+    for s in range(model.n_states):
+        row = {}
+        for k in range(trans.indptr[s], trans.indptr[s + 1]):
+            j, p = int(trans.indices[k]), Fraction(float(trans.data[k]))
+            row[j] = row.get(j, 0) + p
+        row = {j: p for j, p in row.items() if p}
+        total = sum(row.values())
+        rows.append({j: p / total for j, p in row.items()})
+    return rows
+
+
+def _reachable(rows, s):
+    seen, stack = {s}, [s]
+    while stack:
+        for j in rows[stack.pop()]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return seen
+
+
+def exact_until(model, f1m, f2m):
+    """P(f1 U{<=inf} f2) at each state, as Fractions."""
+    rows, n = _exact_rows(model), model.n_states
+    can = {s for s in range(n) if f2m[s]}  # Prob0 is the complement
+    grew = True
+    while grew:
+        new = {s for s in range(n) if s not in can and f1m[s]
+               and any(j in can for j in rows[s])}
+        can |= new
+        grew = bool(new)
+    unknown = [s for s in sorted(can) if not f2m[s]]
+    index = {s: k for k, s in enumerate(unknown)}
+    m = len(unknown)
+    # (I - P) x = P 1_f2 over the unknown states, one augmented row each
+    a = [[Fraction(0)] * (m + 1) for _ in range(m)]
+    for k, s in enumerate(unknown):
+        a[k][k] += 1
+        for j, p in rows[s].items():
+            if f2m[j]:
+                a[k][m] += p
+            elif j in index:
+                a[k][index[j]] -= p
+    for c in range(m):
+        pivot = next(r for r in range(c, m) if a[r][c])
+        a[c], a[pivot] = a[pivot], a[c]
+        for r in range(m):
+            if r != c and a[r][c]:
+                f = a[r][c] / a[c][c]
+                a[r] = [x - f * y if y else x for x, y in zip(a[r], a[c])]
+    out = [Fraction(int(bool(f2m[s]))) for s in range(n)]
+    for k, s in enumerate(unknown):
+        out[s] = a[k][m] / a[k][k]
+    return out
+
+
+def exact_unless(model, f1m, f2m):
+    """P(f1 W{<=inf} f2) at each state, as Fractions."""
+    rows, stay = _exact_rows(model), f1m & ~f2m
+    kept = np.array([all(stay[j] for j in _reachable(rows, s))
+                     for s in range(model.n_states)], bool)
+    return exact_until(model, f1m, f2m | kept)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +399,15 @@ _CLEAN_LINE = r"[0-9]{1,18},[^,\x00-\x20\x7f]*"
 CLEAN_EVENTS = re.compile(rf"(?:{_CLEAN_LINE}(?:\n|\Z))+")
 
 
+def events_from_records(records, horizon) -> EventList:
+    """An ``EventList`` from ``(time, variable)`` pairs in any order,
+    through the checking constructor ``EventList.from_arrays``."""
+    recs = [(int(t), str(v)) for t, v in records]
+    index = {v: i for i, v in enumerate(dict.fromkeys(v for _, v in recs))}
+    return EventList.from_arrays([t for t, _ in recs],
+                                 [index[v] for _, v in recs], index, horizon)
+
+
 def is_clean(text: str) -> bool:
     """Whether ``text`` is ASCII and matches :data:`CLEAN_EVENTS`."""
     return text.isascii() and bool(CLEAN_EVENTS.fullmatch(text))
@@ -413,7 +487,7 @@ def generate(config: GenConfig) -> tuple:
 
     horizon = t
     records = [(tick, names[i]) for tick, i in zip(times, fired_idx)]
-    return EventList.from_records(records, horizon), GroundTruth.of(structure)
+    return events_from_records(records, horizon), GroundTruth.of(structure)
 
 
 # ---------------------------------------------------------------------------
@@ -808,6 +882,12 @@ def read_hypotheses_tsv(path) -> HypothesisTable:
                              (_, dtype) in zip(columns, _TABLE_READERS)))
 
 
+def _table_window(cell):
+    if not (cell.isascii() and cell.isdigit() and 0 < int(cell) < 2 ** 63):
+        raise ValueError(f"bad window {cell!r}")
+    return int(cell)
+
+
 def _table_float(cell):
     if cell == "":
         return None
@@ -819,7 +899,8 @@ def _table_float(cell):
 
 # per column: the cell reader and the table's dtype
 _TABLE_READERS = (
-    (str, object), (str, object), (int, np.int64), (int, np.int64),
+    (str, object), (str, object), (_table_window, np.int64),
+    (_table_window, np.int64),
     (_table_float, float), (_table_float, float),
     ({"1": True, "0": False}.__getitem__, bool),
     (_table_float, float), (_table_float, float), (_table_float, float),

@@ -5,8 +5,7 @@ import pytest
 from formula_gen import random_formula
 from tlcausal.errors import FormulaParseError
 from tlcausal.pctl import (INFINITY, And, Atom, Implies, LeadsTo, Not, Or,
-                           ProbBound, Unless, Until, parse, print_formula,
-                           validate)
+                           ProbBound, Unless, Until, parse, print_formula)
 
 
 class TestParse:
@@ -124,35 +123,59 @@ class TestPrint:
 
 
 class TestValidate:
+    """Nodes check their own numbers when built, so ``parse`` refuses a bad
+    window itself and no tree holds a bad number."""
+
     def test_probability_out_of_range(self):
-        out = validate(ProbBound(Atom("a"), ">=", 1.5))
-        assert len(out) == 1 and "probability out of range" in out[0].message
+        for p in (1.5, -0.1, float("nan"), "0.5", None):
+            with pytest.raises(FormulaParseError,
+                               match="probability out of range"):
+                ProbBound(Atom("a"), ">=", p)
+        for cmp in ("<=", "=", None):
+            with pytest.raises(FormulaParseError, match="comparison"):
+                ProbBound(Atom("a"), cmp, 0.5)
+        assert ProbBound(Atom("a"), ">", 1).p == 1
 
     def test_leads_to_tmin_floor(self):
-        out = validate(LeadsTo(Atom("a"), Atom("b"), 0, 4))
-        assert len(out) == 1 and "tmin" in out[0].message
+        with pytest.raises(FormulaParseError, match="1 <= tmin <= tmax"):
+            LeadsTo(Atom("a"), Atom("b"), 0, 4)
+        with pytest.raises(FormulaParseError, match=r"not \[0, 4\]"):
+            parse("a ~>{>=0,<=4}{>=0.5} b")
 
     def test_gene_regulation_formula_is_clean(self):
         f = parse("(a_up & b_down) U{<=inf} c_up ~>{>=1,<=4}{>=0.9} d_up")
-        assert validate(f) == []
+        assert (f.path.tmin, f.path.tmax, f.path.left.tmax) == (1, 4, INFINITY)
 
     def test_window_ordering(self):
-        out = validate(LeadsTo(Atom("a"), Atom("b"), 5, 2))
-        assert any("exceeds" in v.message for v in out)
+        with pytest.raises(FormulaParseError, match=r"not \[5, 2\]"):
+            LeadsTo(Atom("a"), Atom("b"), 5, 2)
+        with pytest.raises(FormulaParseError, match="1 <= tmin <= tmax"):
+            parse("a ~>{>=5,<=2}{>=0.5} b")
+        for tmin in (True, 1.0, "1", INFINITY):
+            with pytest.raises(FormulaParseError, match="1 <= tmin <= tmax"):
+                LeadsTo(Atom("a"), Atom("b"), tmin, INFINITY)
+        assert LeadsTo(Atom("a"), Atom("b"), 3, 3).tmax == 3
 
     def test_negative_time_bound(self):
-        out = validate(Until(Atom("a"), Atom("b"), -1))
-        assert any("time bound" in v.message for v in out)
+        for t in (-1, 1.5, True, float("nan"), "3", None):
+            for make in (lambda t: Until(Atom("a"), Atom("b"), t),
+                         lambda t: Unless(Atom("a"), Atom("b"), t),
+                         lambda t: LeadsTo(Atom("a"), Atom("b"), 1, t)):
+                with pytest.raises(FormulaParseError, match="time bound"):
+                    make(t)
+        assert Until(Atom("a"), Atom("b"), 0).tmax == 0
+        assert Unless(Atom("a"), Atom("b"), INFINITY).tmax == INFINITY
 
-    def test_violations_name_the_node(self):
-        bad = ProbBound(Atom("a"), ">=", 2.0)
-        out = validate(And(Atom("x"), bad))
-        assert out[0].node is bad
+    def test_refusal_names_the_value(self):
+        # the inner node refuses, so the conjunction is never built
+        with pytest.raises(FormulaParseError, match="out of range: 2.0"):
+            And(Atom("x"), ProbBound(Atom("a"), ">=", 2.0))
 
     def test_valid_random_formulas(self):
         rng = random.Random(7)
         for _ in range(200):
-            assert validate(random_formula(rng)) == []
+            f = random_formula(rng)
+            assert parse(print_formula(f)) == f
 
 
 def test_bare_quantifier_letter_is_an_atom():

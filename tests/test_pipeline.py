@@ -254,10 +254,11 @@ def _hypothesis_tables(draw):
     def floats():
         return np.array(column(_FLOAT_BITS), np.uint64).view(np.float64)
 
-    ints = st.integers(-2 ** 63, 2 ** 63 - 1)
+    windows = st.integers(1, 2 ** 63 - 1)
     return HypothesisTable(
         np.array(column(_NAMES), object), np.array(column(_NAMES), object),
-        np.array(column(ints), np.int64), np.array(column(ints), np.int64),
+        np.array(column(windows), np.int64),
+        np.array(column(windows), np.int64),
         floats(), floats(), np.array(column(st.booleans()), bool), floats(),
         floats(), floats(),
         np.array(column(st.sampled_from(["significant", "insignificant"])),
@@ -301,7 +302,8 @@ class TestTableText:
     def test_damaged_table_reads_like_oracle(self, table, data):
         lines = oracles.hypotheses_text(table).splitlines()
         damage = st.sampled_from(["x", "", "nan", "inf", "2.5", "-", "1e999",
-                                  "\t", "\tx"])
+                                  "\t", "\tx", "0", "-3", "1_0",
+                                  "99999999999999999999"])
         for _ in range(data.draw(st.integers(1, 3))):
             k = data.draw(st.integers(1, len(lines)))
             cells = (lines[k].split("\t") if k < len(lines)
@@ -359,6 +361,14 @@ class TestTableText:
         assert self._table(tmp_path, (6, "tmin", "?"), (3, "fdr", "?"),
                            (4, "label", "?")).endswith("h.tsv:3: bad fdr "
                                                        "'?'")
+
+    @pytest.mark.parametrize("column", ["tmin", "tmax"])
+    @pytest.mark.parametrize("cell", [
+        "99999999999999999999", "9223372036854775808", "0", "-3", "+3",
+        " 3", "3 ", "1_0", "\u0663", "3.0", ""])
+    def test_window_cells_are_digits_in_int64(self, tmp_path, column, cell):
+        assert self._table(tmp_path, (3, column, cell)).endswith(
+            f"h.tsv:3: bad {column} {cell!r}")
 
     def test_header_only_is_an_empty_table(self, tmp_path):
         path = tmp_path / "h.tsv"
@@ -510,22 +520,43 @@ class TestCli:
                          "--model", str(listing)]) == 2
         assert "names a state outside" in capsys.readouterr().err
 
-    def test_check_model_without_fixed_point(self, tmp_path, capsys,
-                                             monkeypatch):
+    def test_check_model_without_fixed_point(self, tmp_path, capsys):
         # the rows leak 5e-10 around the {a} cycle, within the row-sum
-        # tolerance, so unless's value iteration never settles
-        from tlcausal import checker
-        monkeypatch.setattr(checker, "FIXPOINT_CAP", 50)
+        # tolerance, so value iteration would never settle; read as
+        # normalized, the cycle keeps a forever
         listing = tmp_path / "model.txt"
         listing.write_text("atoms a b\ninitial 0\nstate 0: {a}\n"
                            "state 1: {a}\nstate 2: {b}\n"
                            "trans 0 1 0.9999999995\ntrans 1 0 1.0\n"
                            "trans 2 2 1.0\n")
         assert cli.main(["check", "--formula", "[a W{<=inf} b]{>=0.5}",
-                         "--model", str(listing)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("convergence error: fixed point not reached "
-                              "within 50 iterations")
+                         "--model", str(listing)]) == 0
+        assert capsys.readouterr().out == "satisfying states (3): 0 1 2\n"
+
+    @pytest.mark.parametrize("formula, states", [
+        ("G a", ""), ("[a W{<=inf} false]{>=0.5}", ""),
+        ("F !a", "0 1"), ("[true U{<=inf} !a]{>=0.5}", "0 1")])
+    def test_check_model_with_a_slow_exit(self, tmp_path, capsys, formula,
+                                          states):
+        # state 0 leaves {a} by 1e-13 a step: for sure, but so slowly that
+        # one step of value iteration changes almost nothing
+        listing = tmp_path / "model.txt"
+        listing.write_text("atoms a\ninitial 0\nstate 0: {a}\nstate 1: {}\n"
+                           "freq 0 1\nfreq 1 1\ntrans 0 0 0.9999999999999\n"
+                           "trans 0 1 1e-13\ntrans 1 1 1.0\n")
+        assert cli.main(["check", "--formula", formula,
+                         "--model", str(listing)]) == 0
+        count = len(states.split())
+        assert capsys.readouterr().out == \
+            f"satisfying states ({count}): {states}\n"
+
+    @pytest.mark.parametrize("window", ["{>=0,<=4}", "{>=5,<=2}"])
+    def test_check_refuses_a_bad_window(self, tmp_path, capsys, window):
+        path = tmp_path / "ev.csv"
+        path.write_text("0,a\n1,b\n")
+        assert cli.main(["check", "--formula", f"a ~>{window}{{>=0.5}} b",
+                         "--path", str(path)]) == 2
+        assert "1 <= tmin <= tmax" in capsys.readouterr().err
 
     @pytest.mark.parametrize("records, reason", [
         ("trans 0 1 1.5\ntrans 0 2 -0.5", "transition probabilities"),

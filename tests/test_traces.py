@@ -123,7 +123,7 @@ class TestEventCsv:
         data = load_data([io.StringIO(text)], "event-csv", 10)
         events = events_of(data.traces[0])
         sink = io.StringIO()
-        write_events(EventList.from_records(events.records, events.horizon),
+        write_events(oracles.events_from_records(events.records, events.horizon),
                      sink)
         assert sink.getvalue() == text
 
@@ -140,7 +140,7 @@ class TestEventCsv:
                              2 ** 63)
         assert events.records == ((2 ** 63 - 1, "a"),)
         with pytest.raises(DataError, match="must fit in int64"):
-            EventList.from_records([(2 ** 63, "a")], 2 ** 64)
+            oracles.events_from_records([(2 ** 63, "a")], 2 ** 64)
 
 
 # Whitespace other than LF, \x1c-\x1f (whitespace to str), a non-ASCII
@@ -333,7 +333,7 @@ class TestNameOrder:
 
     def test_records_sorted_by_name(self, events):
         assert events.records == self.SORTED
-        assert events == EventList.from_records(reversed(self.SORTED), 1)
+        assert events == oracles.events_from_records(reversed(self.SORTED), 1)
         assert events.variables() == ("B", "a", "b10", "b2")
 
     @settings(max_examples=200, deadline=None)
@@ -343,7 +343,7 @@ class TestNameOrder:
            unused=st.lists(st.sampled_from(["u", "w", "B0"]), unique=True))
     def test_variables_in_first_appearance(self, records, unused):
         # records in any order, and names that never occur listed first
-        events = EventList.from_records(records, 10)
+        events = oracles.events_from_records(records, 10)
         events = EventList.from_arrays(events.times, events.ids + len(unused),
                                        (*unused, *events.names), 10)
         ids, first = np.unique(events.ids, return_index=True)
@@ -457,9 +457,9 @@ class TestEventProperties:
                  and len(set(records)) == len(records))
         if not valid:
             with pytest.raises(DataError):
-                EventList.from_records(records, horizon)
+                oracles.events_from_records(records, horizon)
             return
-        events = EventList.from_records(records, horizon)
+        events = oracles.events_from_records(records, horizon)
         assert events.records == tuple(sorted(records))
         assert events.horizon == horizon
 
