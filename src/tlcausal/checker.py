@@ -225,11 +225,9 @@ def leads_to_prob(model: Dtmc, c: Formula, e: Formula,
     window is the ``tmin``-step push of the bounded reachability vector; the
     aggregate weights states by their observed frequency, which is the
     maximum-likelihood estimate of P(consequent in window | antecedent).
+    The window is checked as the leads-to formula checks it.
     """
-    if tmin < 1:
-        raise CheckError("leads-to requires tmin >= 1")
-    if tmax != INFINITY and tmax < tmin:
-        raise CheckError("leads-to requires tmin <= tmax")
+    LeadsTo(c, e, tmin, tmax)
     cmask = _state_mask(model, c)
     if not cmask.any():
         raise CheckError("antecedent holds in no state "

@@ -173,7 +173,6 @@ def _cmd_generate(args):
     # GenConfig declares no default rate
     config = GenConfig(structure, **{"spontaneous_rate": 0.02,
                                      **_given(args, cfg, _SIMULATOR)})
-    config.check()
     _check_writable(out)
     events, truth = generate(config)
     write_events(events, out / "events.csv")

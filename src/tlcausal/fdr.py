@@ -250,10 +250,10 @@ def local_fdr(density: MixtureDensity, null: NullModel, z):
 
 
 def classify(fdrs: Sequence[float], threshold: float = DEFAULT_THRESHOLD):
-    """Indices with fdr strictly below the threshold."""
+    """The boolean mask of the fdr values strictly below the threshold."""
     if not 0.0 < threshold <= 1.0:
         raise UsageError("fdr threshold must lie in (0, 1]")
-    return {i for i, v in enumerate(fdrs) if v < threshold}
+    return np.asarray(fdrs, dtype=float) < threshold
 
 
 def plot_rows(density: MixtureDensity, null: Optional[NullModel]):

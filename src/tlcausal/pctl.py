@@ -19,8 +19,10 @@ Concrete grammar (whitespace-insensitive)::
     tbound  := "{" "<=" TIME "}"
     pbound  := "{" (">=" | ">") FLOAT "}"
     TIME    := INT | "inf"
+    FLOAT   := INT [ "." INT ] [ ("e" | "E") [ "+" | "-" ] INT ]
 
-``IDENT`` is ``[A-Za-z_][A-Za-z0-9_]*``; ``FLOAT`` is a decimal in [0, 1].
+``IDENT`` is ``[A-Za-z_][A-Za-z0-9_]*`` and ``INT`` a run of digits;
+``FLOAT`` lies in [0, 1] and may carry an exponent, as ``1e-05`` does.
 ``true`` and ``false`` are built-in atoms.  ``U W A E F G`` act as operators
 only where an operator can appear, so single-letter variable names (common in
 spike-train data) still parse as atoms in operand positions.
@@ -186,7 +188,7 @@ FALSE = Atom("false")
 _TOKEN_RE = re.compile(
     r"""
     (?P<WS>\s+)
-  | (?P<NUMBER>\d+(?:\.\d+)?)
+  | (?P<NUMBER>\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)
   | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<OP>~>|->|<=|>=|>|!|&|\||\(|\)|\[|\]|\{|\}|,)
     """,
@@ -221,6 +223,8 @@ def _tokenize(text):
 
 _QUANTIFIERS = {"A", "E", "F", "G"}
 _PATH_OPS = {"U", "W"}
+# The binary connectives, loosest first: (node, symbol, right-associative).
+_BINARY = ((Implies, "->", True), (Or, "|", False), (And, "&", False))
 
 
 class _Parser:
@@ -261,7 +265,7 @@ class _Parser:
 
     def parse_int(self, what):
         tok = self.cur
-        if tok.kind != "NUMBER" or "." in tok.text:
+        if tok.kind != "NUMBER" or not tok.text.isdigit():
             self.fail(f"expected integer {what}")
         self.advance()
         return int(tok.text)
@@ -330,35 +334,24 @@ class _Parser:
         return left
 
     def parse_term(self):
-        left = self.parse_implies()
+        left = self.parse_binary()
         if self.cur.kind == "IDENT" and self.cur.text in _PATH_OPS:
             op = self.advance().text
             tmax = self.parse_tbound()
-            right = self.parse_implies()
+            right = self.parse_binary()
             cls = Until if op == "U" else Unless
             return cls(left, right, tmax)
         return left
 
-    def parse_implies(self):
-        left = self.parse_or()
-        if self.at_op("->"):
+    def parse_binary(self, level=0):
+        """The connectives of ``_BINARY[level:]``, then unary operands."""
+        if level == len(_BINARY):
+            return self.parse_unary()
+        cls, symbol, right_assoc = _BINARY[level]
+        left = self.parse_binary(level + 1)
+        while self.at_op(symbol):
             self.advance()
-            right = self.parse_implies()  # right-associative
-            return Implies(left, right)
-        return left
-
-    def parse_or(self):
-        left = self.parse_and()
-        while self.at_op("|"):
-            self.advance()
-            left = Or(left, self.parse_and())
-        return left
-
-    def parse_and(self):
-        left = self.parse_unary()
-        while self.at_op("&"):
-            self.advance()
-            left = And(left, self.parse_unary())
+            left = cls(left, self.parse_binary(level + (not right_assoc)))
         return left
 
     def parse_unary(self):
@@ -402,35 +395,25 @@ class _Parser:
         self.fail(f"expected a formula, found {tok.text or 'end of input'!r}")
 
     def parse_quant(self):
-        q = self.advance().text
-        if q in ("A", "E"):
-            cmp, p = (">=", 1.0) if q == "A" else (">", 0.0)
-            if (self.cur.kind == "IDENT" and self.cur.text in ("F", "G")
-                    and self._ident_is_quantifier()):
-                q2 = self.advance().text
-                tmax = self.parse_tbound() if self.brace_starts(("<=",)) else INFINITY
-                if self.brace_starts((">=", ">")):
-                    self.fail(f"'{q2}' under '{q}' cannot carry its own "
-                              "probability bound")
-                operand = self.parse_unary()
-                path = _fg_path(q2, operand, tmax)
-            else:
-                path = self.parse_unary()
-            return ProbBound(path, cmp, p)
-        # F / G
+        """``A``/``E`` bound a unary operand or an ``F``/``G``, which then
+        takes no bound of its own; ``F``/``G`` default to ``{>=1}``."""
+        q = outer = self.advance().text
+        bound = {"A": (">=", 1.0), "E": (">", 0.0)}.get(outer)
+        if bound is not None:
+            if not (self._ident_is_quantifier()
+                    and self.cur.text in ("F", "G")):
+                return ProbBound(self.parse_unary(), *bound)
+            q = self.advance().text
         tmax = self.parse_tbound() if self.brace_starts(("<=",)) else INFINITY
         if self.brace_starts((">=", ">")):
-            cmp, p = self.parse_pbound()
-        else:
-            cmp, p = ">=", 1.0
+            if bound is not None:
+                self.fail(f"'{q}' under '{outer}' cannot carry its own "
+                          "probability bound")
+            bound = self.parse_pbound()
         operand = self.parse_unary()
-        return ProbBound(_fg_path(q, operand, tmax), cmp, p)
-
-
-def _fg_path(q, operand, tmax):
-    if q == "F":
-        return Until(TRUE, operand, tmax)
-    return Unless(operand, FALSE, tmax)
+        path = (Until(TRUE, operand, tmax) if q == "F"
+                else Unless(operand, FALSE, tmax))
+        return ProbBound(path, *(bound or (">=", 1.0)))
 
 
 def parse(text):
@@ -450,23 +433,13 @@ def parse(text):
 # ---------------------------------------------------------------------------
 # Printer
 
-_PREC_IMPLIES = 1
-_PREC_OR = 2
-_PREC_AND = 3
-_PREC_NOT = 4
-_PREC_PRIMARY = 5
-
-
 def _prec(f):
-    if isinstance(f, Implies):
-        return _PREC_IMPLIES
-    if isinstance(f, Or):
-        return _PREC_OR
-    if isinstance(f, And):
-        return _PREC_AND
-    if isinstance(f, Not):
-        return _PREC_NOT
-    return _PREC_PRIMARY
+    """Binding strength: a connective's level in ``_BINARY``, then ``!``,
+    then every other node."""
+    for level, (cls, _, _) in enumerate(_BINARY):
+        if isinstance(f, cls):
+            return level
+    return len(_BINARY) + (not isinstance(f, Not))
 
 
 def _fmt_time(t):
@@ -478,7 +451,7 @@ def _fmt_pbound(cmp, p):
 
 
 def _fmt_state(f, min_prec):
-    text = _fmt_node(f)
+    text = print_formula(f)
     if isinstance(f, ProbBound) and isinstance(f.path, LeadsTo):
         return "(" + text + ")"  # leads-to binds loosest; isolate in operands
     if _prec(f) < min_prec:
@@ -491,8 +464,8 @@ def _fmt_operand(f):
     for nested until/unless (legal only under a leads-to), state text with
     parens around embedded leads-to bounds."""
     if isinstance(f, (Until, Unless)):
-        return _fmt_node(f)
-    return _fmt_state(f, _PREC_IMPLIES)
+        return print_formula(f)
+    return _fmt_state(f, 0)
 
 
 def _fmt_leads_to(lead, bound=""):
@@ -501,20 +474,22 @@ def _fmt_leads_to(lead, bound=""):
         _fmt_operand(lead.right))
 
 
-def _fmt_node(f):
+def print_formula(f):
+    """Render a formula in canonical concrete syntax.
+
+    For any state formula, ``parse(print_formula(f))`` reproduces ``f``
+    node for node.  Bare path formulæ render without an enclosing bound
+    (useful for messages) and are not round-trippable on their own.
+    """
     if isinstance(f, Atom):
         return f.name
     if isinstance(f, Not):
-        return "!" + _fmt_state(f.operand, _PREC_NOT)
-    if isinstance(f, And):
-        return "%s & %s" % (_fmt_state(f.left, _PREC_AND),
-                            _fmt_state(f.right, _PREC_AND + 1))
-    if isinstance(f, Or):
-        return "%s | %s" % (_fmt_state(f.left, _PREC_OR),
-                            _fmt_state(f.right, _PREC_OR + 1))
-    if isinstance(f, Implies):
-        return "%s -> %s" % (_fmt_state(f.left, _PREC_IMPLIES + 1),
-                             _fmt_state(f.right, _PREC_IMPLIES))
+        return "!" + _fmt_state(f.operand, len(_BINARY))
+    for level, (cls, symbol, right_assoc) in enumerate(_BINARY):
+        if isinstance(f, cls):  # the associative side may go bare
+            return "%s %s %s" % (
+                _fmt_state(f.left, level + right_assoc), symbol,
+                _fmt_state(f.right, level + (not right_assoc)))
     if isinstance(f, ProbBound):
         bound = _fmt_pbound(f.comparison, f.p)
         if isinstance(f.path, LeadsTo):
@@ -528,13 +503,3 @@ def _fmt_node(f):
         # a bare leads-to has no probability bound; printable for debugging
         return _fmt_leads_to(f)
     raise TypeError(f"not a formula node: {f!r}")
-
-
-def print_formula(f):
-    """Render a formula in canonical concrete syntax.
-
-    For any state formula, ``parse(print_formula(f))`` reproduces ``f``
-    node for node.  Bare path formulæ render without an enclosing bound
-    (useful for messages) and are not round-trippable on their own.
-    """
-    return _fmt_node(f)

@@ -26,7 +26,7 @@ from .traces import (TraceSet, _check_writable, _load_wide, _open_lines,
                      _write_text, load_events)
 
 __all__ = ["PipelineConfig", "HypothesisRow", "HypothesisTable", "Report",
-           "run_pipeline", "check_format", "load_data", "counts",
+           "run_pipeline", "check_format", "load_data",
            "read_hypotheses_tsv", "render_outputs", "rerun_fdr"]
 
 HYPOTHESES_FILE = "hypotheses.tsv"
@@ -40,7 +40,8 @@ TSV_COLUMNS = ("cause", "effect", "tmin", "tmax", "p_cond", "p_marginal",
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything one inference run needs.
+    """Everything one inference run needs, checked when built (a bad
+    setting is a ``UsageError``).
 
     ``paths`` may list several replicate files of the same format over the
     same variables.  ``divisor`` selects the impact-average denominator
@@ -62,7 +63,7 @@ class PipelineConfig:
     p0: bool = False
     outdir: Optional[str] = None
 
-    def check(self):
+    def __post_init__(self):
         if not self.paths:
             raise UsageError("no input path given")
         if len(set(self.paths)) != len(self.paths):
@@ -137,7 +138,17 @@ class Report:
 
     @property
     def counts(self) -> dict:
-        return counts(self.rows)
+        """Stage counts of the table, in the order ``summary.txt`` lists
+        them."""
+        table = self.rows
+        scored = ~np.isnan(table.eps_avg)
+        return {
+            "enumerated": len(table),
+            "prima_facie": int(table.prima_facie.sum()),
+            "scored": int(scored.sum()),
+            "unscored_undefined": int((table.prima_facie & ~scored).sum()),
+            "significant": int((table.label == "significant").sum()),
+        }
 
     @property
     def significant(self) -> List[Tuple[str, str]]:
@@ -175,19 +186,6 @@ def load_data(paths, format: str, horizon: Optional[int]) -> TraceSet:
     return TraceSet(tuple(ev.to_trace(variables) for ev in event_lists))
 
 
-def counts(table: HypothesisTable) -> dict:
-    """Stage counts of a hypothesis table, in the order ``summary.txt``
-    lists them."""
-    scored = ~np.isnan(table.eps_avg)
-    return {
-        "enumerated": len(table),
-        "prima_facie": int(table.prima_facie.sum()),
-        "scored": int(scored.sum()),
-        "unscored_undefined": int((table.prima_facie & ~scored).sum()),
-        "significant": int((table.label == "significant").sum()),
-    }
-
-
 def _control(table: HypothesisTable, bins: int, degree: int,
              threshold: float, p0: bool):
     """Stages 4-5 over the rows with an impact average: standardize, fit
@@ -210,10 +208,10 @@ def _control(table: HypothesisTable, bins: int, degree: int,
                       np.asarray(zs.values))
     except FitError as exc:
         return None, [], str(exc)
-    chosen = _stage("classify", fdrmod.classify, fdrs.tolist(), threshold)
+    chosen = _stage("classify", fdrmod.classify, fdrs, threshold)
     table.z[scored] = zs.values
     table.fdr[scored] = fdrs
-    table.label[scored[sorted(chosen)]] = "significant"
+    table.label[scored[chosen]] = "significant"
     return null_model, fdrmod.plot_rows(density, null_model), None
 
 
@@ -227,7 +225,6 @@ def run_pipeline(config: PipelineConfig) -> Report:
     is set.  A run with zero prima facie causes is a valid empty report.
     A fit that cannot run raises ``FitError`` after the outputs are
     written."""
-    config.check()
     if config.outdir is not None:
         _check_writable(config.outdir)
     started = time.perf_counter()
@@ -286,9 +283,7 @@ def _finish(report: Report, outdir) -> Report:
 # ---------------------------------------------------------------------------
 # Output rendering
 
-def _fmt_float(x) -> str:
-    if x is None:
-        return ""
+def _fmt_float(x: float) -> str:
     return format(float(x), ".10g")
 
 

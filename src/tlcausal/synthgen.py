@@ -75,7 +75,8 @@ class GroundTruth:
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Generator parameters.
+    """Generator parameters, checked when built (a bad one is a
+    ``DataError``).
 
     ``spontaneous_rate`` is a probability per neuron per tick; pass a mapping
     to give neurons individual rates (unlisted neurons get 0).
@@ -104,7 +105,7 @@ class GenConfig:
             raise DataError("spontaneous rate must lie in [0, 1]")
         return rates
 
-    def check(self) -> None:
+    def __post_init__(self):
         if self.delay_min > self.delay_max:
             raise DataError("delay_min must not exceed delay_max")
         if self.delay_min < 1:
@@ -238,9 +239,8 @@ class _Replay:
 def generate(config: GenConfig) -> tuple:
     """Run the simulation; returns ``(EventList, GroundTruth)``.
 
-    Deterministic given the seed.  Raises if nothing could ever fire.
+    Deterministic given the seed.
     """
-    config.check()
     structure = config.structure
     names = structure.neurons
     n = len(names)

@@ -277,7 +277,8 @@ def load_events(source: Source, horizon: Optional[int] = None) -> EventList:
             if line.strip() == "":
                 continue
             parts = [c.strip() for c in line.split(",")]
-            if (len(parts) != 2 or not parts[0].isdecimal()
+            if (len(parts) != 2 or not parts[0].isascii()
+                    or not parts[0].isdecimal()
                     or not _CONTROL.isdisjoint(parts[1])):
                 raise DataError(f"malformed row at line {lineno}: {line!r}")
             if int(parts[0]) >= 2 ** 63:

@@ -19,7 +19,9 @@ def random_time(rng):
 
 
 def random_prob(rng):
-    return rng.choice((0.0, 1.0, 0.5, round(rng.random(), 4)))
+    # the small ones print with an exponent
+    return rng.choice((0.0, 1.0, 0.5, 1e-05, 5e-324, 2.5e-300,
+                       round(rng.random(), 4)))
 
 
 def random_state(rng, depth):

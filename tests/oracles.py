@@ -422,7 +422,8 @@ def load_events(source, horizon=None) -> tuple:
         if line.strip() == "":
             continue
         parts = [c.strip() for c in line.split(",")]
-        if (len(parts) != 2 or not parts[0].isdecimal()
+        if (len(parts) != 2 or not parts[0].isascii()
+                or not parts[0].isdecimal()
                 or any(unicodedata.category(c) == "Cc" for c in parts[1])):
             raise DataError(f"malformed row at line {lineno}: {line!r}")
         records.append((int(parts[0]), parts[1]))
@@ -447,7 +448,6 @@ def load_events(source, horizon=None) -> tuple:
 def generate(config: GenConfig) -> tuple:
     """The simulator one tick at a time, each draw a ``Generator`` call:
     the reference for the raw-word replay in ``tlcausal.synthgen``."""
-    config.check()
     structure = config.structure
     names = structure.neurons
     n = len(names)

@@ -224,7 +224,7 @@ class TestCriterion5FdrStatistics:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fdrs = local_fdr(density, null, np.asarray(zs.values))
-        flagged = classify(list(fdrs), 0.01)
+        flagged = np.flatnonzero(classify(fdrs, 0.01))
         ok = (-0.1 <= null.delta0 <= 0.1 and 0.9 <= null.sigma0 <= 1.1
               and len(flagged) <= 0.02 * 5000)
         assert _report("5a pure-null simulation", ok,
@@ -244,10 +244,10 @@ class TestCriterion5FdrStatistics:
             fdrs = local_fdr(density, null, np.asarray(zs.values))
         # at the conventional local-fdr reporting cutoff of 0.2; the 0.01
         # cutoff cannot reach 80% recall even with the true densities
-        flagged = classify(list(fdrs), 0.2)
+        flagged = np.flatnonzero(classify(fdrs, 0.2))
         recall = sum(1 for i in flagged if i >= n - k) / k
         leakage = sum(1 for i in flagged if i < n - k) / (n - k)
-        strict = classify(list(fdrs), 0.01)
+        strict = np.flatnonzero(classify(fdrs, 0.01))
         strict_recall = sum(1 for i in strict if i >= n - k) / k
         ok = recall >= 0.80 and leakage <= 0.05
         assert _report("5b spiked simulation", ok,

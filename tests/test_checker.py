@@ -170,6 +170,12 @@ class TestLeadsToProb:
         with pytest.raises(CheckError, match="no state"):
             leads_to_prob(dtmc_a, Atom("false"), Atom("b"), 1, 2)
 
+    @pytest.mark.parametrize("tmin, tmax", [(0, 2), (3, 2), (0, INFINITY)])
+    def test_bad_window_is_refused(self, dtmc_a, tmin, tmax):
+        with pytest.raises(DataError, match=re.escape(
+                f"1 <= tmin <= tmax, not [{tmin!r}, {tmax!r}]")):
+            leads_to_prob(dtmc_a, Atom("a"), Atom("b"), tmin, tmax)
+
     def test_frequency_weighting(self):
         rng = np.random.default_rng(31)
         model = random_dtmc(rng, 5)

@@ -206,13 +206,15 @@ class TestLocalFdr:
 
 class TestClassify:
     def test_strict_threshold(self):
-        assert classify([0.0, 0.005, 0.5], 0.01) == {0, 1}
+        mask = classify([0.0, 0.005, 0.5], 0.01)
+        assert mask.dtype == bool
+        assert np.flatnonzero(mask).tolist() == [0, 1]
 
     def test_empty(self):
-        assert classify([], 0.01) == set()
+        assert np.flatnonzero(classify([], 0.01)).tolist() == []
 
     def test_boundary_excluded(self):
-        assert classify([0.01], 0.01) == set()
+        assert np.flatnonzero(classify([0.01], 0.01)).tolist() == []
 
     def test_threshold_validation(self):
         with pytest.raises(UsageError):
@@ -230,7 +232,7 @@ class TestSimulations:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fdrs = local_fdr(density, null, np.asarray(zs.values))
-        flagged = classify(list(fdrs), 0.01)
+        flagged = np.flatnonzero(classify(fdrs, 0.01))
         assert len(flagged) <= 0.02 * 5000
 
     def test_spiked_separation(self):
@@ -244,7 +246,7 @@ class TestSimulations:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fdrs = local_fdr(density, null, np.asarray(zs.values))
-        flagged = classify(list(fdrs), 0.2)
+        flagged = np.flatnonzero(classify(fdrs, 0.2))
         spiked_found = sum(1 for i in flagged if i >= n - k)
         null_found = len(flagged) - spiked_found
         assert spiked_found >= 0.8 * k

@@ -115,6 +115,15 @@ class TestPrint:
                   "(a_up & b_down) U{<=inf} c_up ~>{>=1,<=4}{>=0.9} d_up"):
             assert parse(print_formula(parse(s))) == parse(s)
 
+    @pytest.mark.parametrize("p", [1e-05, 5e-324, 2.5e-300])
+    def test_small_probability_roundtrips(self, p):
+        f = ProbBound(Until(Atom("a"), Atom("b"), 2), ">=", p)
+        assert print_formula(f) == f"[a U{{<=2}} b]{{>={p!r}}}"
+        assert parse(print_formula(f)) == f
+        # an exponent is for probabilities only
+        with pytest.raises(FormulaParseError, match="expected integer"):
+            parse(f"[a U{{<=1e3}} b]{{>={p!r}}}")
+
     def test_roundtrip_random(self):
         rng = random.Random(20240917)
         for _ in range(500):

@@ -889,6 +889,17 @@ class TestCli:
             rerun_fdr(read_hypotheses_tsv(table), redo, bins=5)
         assert not redo.exists()
 
+    @pytest.mark.parametrize("kw, message", [
+        (dict(paths=()), "no input path"),
+        (dict(paths=("a.csv", "a.csv")), "distinct"),
+        (dict(tmin=0), "window"), (dict(tmin=3, tmax=2), "window"),
+        (dict(divisor="mean"), "divisor"), (dict(min_support=0), "support"),
+        (dict(format="tsv"), "trace format"), (dict(bins=5), "bins"),
+        (dict(degree=1), "degree"), (dict(threshold=0.0), "threshold")])
+    def test_config_is_refused_when_built(self, kw, message):
+        with pytest.raises(UsageError, match=message):
+            PipelineConfig(**{"paths": ("a.csv",), **kw})
+
 
 class TestPipelineVariants:
     def test_config_file_matches_flags(self, tmp_path):

@@ -53,14 +53,13 @@ class TestGenerate:
     def test_no_source_errors(self):
         s = StructureSpec(("A",), ())
         with pytest.raises(DataError, match="spontaneous"):
-            generate(GenConfig(s, 0.0, target_firings=1, seed=1))
+            GenConfig(s, 0.0, target_firings=1, seed=1)
 
     def test_rate_for_unknown_neuron_errors(self):
         # "b" is not "B": the misspelt key must not leave B silent
-        config = GenConfig(preset("chain", 2), {"A": 0.5, "b": 0.5, "C": 0.1},
-                           target_firings=20, seed=1)
         with pytest.raises(DataError, match="unknown neurons: b, C$"):
-            generate(config)
+            GenConfig(preset("chain", 2), {"A": 0.5, "b": 0.5, "C": 0.1},
+                      target_firings=20, seed=1)
 
     def test_deterministic_refire(self):
         s = StructureSpec(("A",), ())
@@ -116,11 +115,11 @@ class TestGenerate:
 
     def test_delay_span_below_two_to_the_32_minus_one(self):
         structure = preset("chain", 2)
-        GenConfig(structure, 0.5, delay_min=1, delay_max=2**32 - 1).check()
+        GenConfig(structure, 0.5, delay_min=1, delay_max=2**32 - 1)
         for delay_max in (2**32, 2**32 + 1):
             with pytest.raises(DataError, match="delay_max - delay_min"):
-                generate(GenConfig(structure, 0.5, delay_min=1,
-                                   delay_max=delay_max, target_firings=1))
+                GenConfig(structure, 0.5, delay_min=1, delay_max=delay_max,
+                          target_firings=1)
 
     def test_cli_refuses_wide_delay_span_before_writing(self, tmp_path,
                                                         capsys):

@@ -85,6 +85,16 @@ class TestControlCharacterNames:
 
 
 class TestEventCsv:
+    @pytest.mark.parametrize("time", ["\u0661", "\uff13", "1\u0662"],
+                             ids=["arabic-indic", "full-width", "mixed"])
+    @pytest.mark.parametrize("as_bytes", [False, True])
+    def test_time_digits_are_ascii(self, time, as_bytes):
+        # as wide-csv ticks and hypothesis-table windows are
+        text = f"0,a\n{time},b\n2,a\n"
+        message = f"malformed row at line 2: {f'{time},b'!r}"
+        assert _outcome(_load, text, None, as_bytes) == message
+        assert _outcome(oracles.load_events, text, None) == message
+
     def test_densify(self):
         data = load_data([io.StringIO("0,a\n5,a\n2,e\n")], "event-csv", 10)
         trace = data.traces[0]
