@@ -18,7 +18,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DataError
-from .traces import TraceSet, _open_lines, _reject_reserved, _write_text
+from .traces import (TraceSet, _first_seen, _open_lines, _reject_reserved,
+                     _uint, _write_text)
 
 __all__ = ["Dtmc", "build_dtmc", "encode_labels", "export_text", "load_text"]
 
@@ -171,10 +172,7 @@ def _states(data: TraceSet, ends) -> tuple:
 
     A tick's label is keyed as little-endian bits in zero-padded uint64
     words, ``atoms // 64 + 1`` of them, so a zero-atom label still has
-    one.  A stable sort keeps each label's ticks in tick order, so the
-    first of each run of equal keys is that label's first appearance; the
-    states are numbered by it, whatever order the sort put the labels
-    in."""
+    one; the keys are grouped by :func:`~tlcausal.traces._first_seen`."""
     atoms = len(data.variables)
     packed = np.zeros((ends[-1], atoms // 64 + 1), "<u8")
     rows = packed.view(np.uint8)  # tick x byte
@@ -182,21 +180,9 @@ def _states(data: TraceSet, ends) -> tuple:
         block = rows[stop - trace.length:stop]
         for a, values in enumerate(trace.values):
             block[:, a >> 3] |= values.view(np.uint8) << (a & 7)
-    order = np.lexsort(packed.T)
-    starts = np.zeros(len(order), bool)
-    starts[0] = True
-    for word in packed.T:
-        word = word[order]
-        starts[1:] |= word[1:] != word[:-1]
-    heads = np.flatnonzero(starts)  # each label's first place in the sort
-    sizes = np.diff(heads, append=len(order))
-    first = order[heads]  # each label's first tick
-    by_first = np.argsort(first)  # labels in order of first appearance
-    ids = np.empty_like(order)
-    ids[order] = np.argsort(by_first).repeat(sizes)  # each label's state
-    labels = np.unpackbits(rows[first[by_first]], axis=1, count=atoms,
-                           bitorder="little").view(bool)
-    return ids, labels, sizes[by_first]
+    ids, first, sizes = _first_seen(packed)
+    return ids, np.unpackbits(rows[first], axis=1, count=atoms,
+                              bitorder="little").view(bool), sizes
 
 
 # ---------------------------------------------------------------------------
@@ -241,17 +227,17 @@ def load_text(source) -> Dtmc:
             if head == "atoms":
                 table, key, value = atoms, (), tuple(rest.split())
             elif head == "initial":
-                table, key, value = initial, (), int(rest)
+                table, key, value = initial, (), _uint(rest)
             elif head == "state":
                 sid, _, labpart = rest.partition(":")
-                table, key = states, (int(sid),)
+                table, key = states, (_uint(sid),)
                 value = set(labpart.strip()[1:-1].split(",")) - {""}
             elif head == "freq":
                 sid, value = rest.split()
-                table, key, value = freqs, (int(sid),), float(value)
+                table, key, value = freqs, (_uint(sid),), float(value)
             elif head == "trans":
                 a, b, p = rest.split()
-                table, key, value = trans, (int(a), int(b)), float(p)
+                table, key, value = trans, (_uint(a), _uint(b)), float(p)
             else:
                 raise ValueError(f"unknown record {head!r}")
         except (ValueError, IndexError) as exc:
@@ -270,6 +256,8 @@ def load_text(source) -> Dtmc:
             if not all(0 <= i < n for i in ids):
                 raise DataError(f"model line {lineno} names a state outside "
                                 f"[0, {n}): {lines[lineno - 1].strip()!r}")
+    if len({a for a, _ in trans}) < n:  # refused before anything is built
+        raise DataError("transition rows must sum to 1 (a state has no trans line)")
     freq = np.array([freqs.get((i,), (0, 1.0))[1] for i in range(n)])
     marks = encode_labels(atoms, [states.get((i,), (0, ()))[1]
                                   for i in range(n)])

@@ -21,8 +21,8 @@ Concrete grammar (whitespace-insensitive)::
     TIME    := INT | "inf"
     FLOAT   := INT [ "." INT ] [ ("e" | "E") [ "+" | "-" ] INT ]
 
-``IDENT`` is ``[A-Za-z_][A-Za-z0-9_]*`` and ``INT`` a run of digits;
-``FLOAT`` lies in [0, 1] and may carry an exponent, as ``1e-05`` does.
+``IDENT`` is ``[A-Za-z_][A-Za-z0-9_]*``, ``INT`` a run of ASCII digits, and
+``FLOAT``, in ASCII digits too, lies in [0, 1] and may carry an exponent.
 ``true`` and ``false`` are built-in atoms.  ``U W A E F G`` act as operators
 only where an operator can appear, so single-letter variable names (common in
 spike-train data) still parse as atoms in operand positions.
@@ -188,7 +188,7 @@ FALSE = Atom("false")
 _TOKEN_RE = re.compile(
     r"""
     (?P<WS>\s+)
-  | (?P<NUMBER>\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)
+  | (?P<NUMBER>[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)
   | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<OP>~>|->|<=|>=|>|!|&|\||\(|\)|\[|\]|\{|\}|,)
     """,

@@ -23,7 +23,7 @@ from .causal import enumerate_pairwise, score_hypotheses
 from .errors import DataError, FitError, TlcausalError, UsageError
 from .pctl import print_formula
 from .traces import (TraceSet, _check_writable, _load_wide, _open_lines,
-                     _write_text, load_events)
+                     _uint, _write_text, load_events)
 
 __all__ = ["PipelineConfig", "HypothesisRow", "HypothesisTable", "Report",
            "run_pipeline", "check_format", "load_data",
@@ -371,7 +371,7 @@ def _opt_float(cell):
 
 
 def _window(cell):
-    if not (cell.isascii() and cell.isdigit() and 0 < int(cell) < 2 ** 63):
+    if not 0 < _uint(cell) < 2 ** 63:
         raise ValueError(f"bad window {cell!r}")
     return int(cell)
 

@@ -119,14 +119,6 @@ class EventList:
         return Trace(names, values)
 
 
-def _index(names: Sequence[str]) -> tuple:
-    """Each name's index among the distinct names in first-appearance
-    order, as an array, and those distinct names."""
-    index = {v: i for i, v in enumerate(dict.fromkeys(names))}
-    return (np.fromiter(map(index.__getitem__, names), np.intp, len(names)),
-            tuple(index))
-
-
 @dataclass(frozen=True)
 class Trace:
     """One replicate: ordered variables and a boolean (variable x tick) matrix."""
@@ -241,6 +233,13 @@ def _write_text(sink, text: str) -> None:
         raise DataError(f"cannot write {sink}: {exc}") from exc
 
 
+def _uint(text: str) -> int:
+    """``int(text)`` for ASCII digits alone, else a ``ValueError``."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not ASCII digits: {text!r}")
+    return int(text)
+
+
 def _check_writable(directory) -> None:
     """Refuse, before any work, an output directory that a write could not
     make or write into: the nearest existing path must be a writable
@@ -272,7 +271,7 @@ def load_events(source: Source, horizon: Optional[int] = None) -> EventList:
         times, ids, names = parsed
     else:
         text = data.decode("ascii") if isinstance(data, bytes) else data
-        times, names = [], []
+        times, ids, names = [], [], {}  # names: name -> id
         for lineno, line in enumerate(text.splitlines(), start=1):
             if line.strip() == "":
                 continue
@@ -285,11 +284,10 @@ def load_events(source: Source, horizon: Optional[int] = None) -> EventList:
                 raise DataError(f"event time above 2^63 - 1 at line "
                                 f"{lineno}: {line!r}")
             times.append(parts[0])
-            names.append(parts[1])
+            ids.append(names.setdefault(parts[1], len(names)))
         if not times:
             raise DataError("empty event-csv input")
         times = np.fromiter(map(int, times), np.int64, len(times))
-        ids, names = _index(names)
     if horizon is None:
         horizon = int(times.max()) + 1
     return EventList.from_arrays(times, ids, names, horizon)
@@ -354,28 +352,40 @@ def _decimal(block, commas, digits, value) -> bool:
 
 def _name_ids(block, commas, lengths, index) -> np.ndarray:
     """Each line's name id in ``index``, adding new names in order of first
-    appearance.  Names of one length are keyed by their bytes through one
-    ``np.unique``: zero-padded to a uint64 when they fit in 8 bytes (no
-    two names of one length pad alike), else as fixed-width void keys."""
-    local = np.empty(len(commas), np.intp)  # codes of the block's names
-    firsts, names = [], []
-    for length in np.unique(lengths).tolist():
-        rows = np.flatnonzero(lengths == length)
-        keys = np.zeros((len(rows), max(length, 8)), np.uint8)
-        if length:
-            keys[:, :length] = np.lib.stride_tricks.sliding_window_view(
-                block, length)[commas[rows] + 1]
-        kind = np.uint64 if length <= 8 else np.dtype((np.void, length))
-        _, first, inverse = np.unique(keys.view(kind).ravel(),
-                                      return_index=True, return_inverse=True)
-        local[rows] = inverse + len(names)
-        firsts += rows[first].tolist()
-        names += [keys[f, :length].tobytes().decode("ascii")
-                  for f in first.tolist()]
-    known = np.empty(len(names), np.intp)
-    for code in np.argsort(firsts).tolist():  # by each name's first row
-        known[code] = index.setdefault(names[code], len(index))
-    return known[local]
+    appearance.  Names are keyed by their bytes, read one place at a time
+    into zero-padded uint64 words (a clean text holds no NUL, so no two
+    names pad alike), and grouped by :func:`_first_seen`."""
+    longest = int(lengths.max())
+    keys = np.zeros((len(commas), 8 * max(1, -(-longest // 8))), np.uint8)
+    for place in range(longest):
+        # past a shorter name: the next bytes (clipped at the end), masked
+        byte = np.take(block, commas + (place + 1), mode="clip")
+        keys[:, place] = np.where(lengths > place, byte, 0)
+    local, first, _ = _first_seen(keys.view(np.uint64))
+    known = [index.setdefault(keys[f].tobytes().rstrip(b"\0").decode(),
+                              len(index)) for f in first.tolist()]
+    return np.array(known, np.intp)[local]
+
+
+def _first_seen(keys) -> tuple:
+    """Each row's group id, each group's first row and each group's size,
+    for the groups of equal rows of an ``(n, w)`` uint64 matrix, numbered
+    by first appearance: a stable sort keeps each group's rows in row
+    order, so the first of each run of equal keys is the group's first
+    row, whatever order the sort put the groups in."""
+    order = np.lexsort(keys.T)
+    starts = np.zeros(len(order), bool)
+    starts[:1] = True
+    for word in keys.T:
+        word = word[order]
+        starts[1:] |= word[1:] != word[:-1]
+    heads = np.flatnonzero(starts)  # each group's first place in the sort
+    sizes = np.diff(heads, append=len(order))
+    first = order[heads]  # each group's first row
+    by_first = np.argsort(first)  # groups in order of first appearance
+    ids = np.empty_like(order)
+    ids[order] = np.argsort(by_first).repeat(sizes)
+    return ids, first[by_first], sizes[by_first]
 
 
 def _load_wide(lines):

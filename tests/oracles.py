@@ -11,7 +11,10 @@ simulator, one ``Generator`` call per draw, the reference for the raw-word
 replay in ``tlcausal.synthgen``.  The line-by-line event-csv parser over
 sorted ``(time, variable)`` tuples is the reference for ``load_events``,
 and one regular expression states the clean-text rule that
-``tlcausal.traces._parse_clean`` checks as it parses.
+``tlcausal.traces._parse_clean`` checks as it parses.  One dict over the
+rows numbers equal rows by first appearance: the reference for
+``tlcausal.traces._first_seen``, which groups chain states and event
+names.
 The per-pair scoring functions at the end evaluate one hypothesis or one
 rival at a time through the package's trace counting (itself checked
 against the rational counter); they are the reference for the batched
@@ -406,6 +409,20 @@ def events_from_records(records, horizon) -> EventList:
     index = {v: i for i, v in enumerate(dict.fromkeys(v for _, v in recs))}
     return EventList.from_arrays([t for t, _ in recs],
                                  [index[v] for _, v in recs], index, horizon)
+
+
+def first_seen(rows) -> list:
+    """Each row's group id, each group's first row and each group's size,
+    for the groups of equal rows, numbered by first appearance: one dict
+    over the rows as tuples."""
+    groups = {}  # row -> [group id, first row, size]
+    ids = []
+    for k, row in enumerate(map(tuple, rows)):
+        group = groups.setdefault(row, [len(groups), k, 0])
+        group[2] += 1
+        ids.append(group[0])
+    return [ids, [g[1] for g in groups.values()],
+            [g[2] for g in groups.values()]]
 
 
 def is_clean(text: str) -> bool:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import random_traceset, traceset_from_marks
+from tlcausal import dtmc
 from tlcausal.dtmc import Dtmc, build_dtmc, export_text, load_text
 from tlcausal.errors import DataError
 from tlcausal.traces import Trace, TraceSet
@@ -214,6 +215,27 @@ class TestExport:
              "negative-freq-state"])
     def test_malformed_listing(self, text):
         with pytest.raises(DataError):
+            load_text(io.StringIO(text))
+
+    # each record would load with its id read by ``int``
+    @pytest.mark.parametrize("record", [
+        "state 1_0: {}", "state +1: {}", "state ١: {}", "state １: {}",
+        "initial ١", "freq ٠ 3", "trans 0 ١ 1.0", "trans +0 0 1.0"])
+    def test_ids_are_ascii_digits(self, record):
+        text = ("atoms a\nstate 0: {a}\nstate 1: {}\ntrans 0 1 1.0\n"
+                f"trans 1 1 1.0\n{record}\n")
+        with pytest.raises(DataError, match="malformed model line 6"):
+            load_text(io.StringIO(text))
+
+    def test_state_without_trans_line_is_refused_first(self, monkeypatch):
+        # a large id would size every per-state array; only state 0 has a
+        # transition row, so the listing is refused before any is built
+        def build(*args):
+            raise AssertionError("per-state arrays built")
+        monkeypatch.setattr(dtmc, "encode_labels", build)
+        text = "atoms a\nstate 1000000: {}\ntrans 0 0 1\n"
+        with pytest.raises(DataError, match=re.escape(
+                "rows must sum to 1 (a state has no trans line)")):
             load_text(io.StringIO(text))
 
 

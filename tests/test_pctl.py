@@ -59,6 +59,19 @@ class TestParse:
         with pytest.raises(FormulaParseError, match="out of range"):
             parse("[a U{<=2} b]{>=1.5}")
 
+    @pytest.mark.parametrize("text", [
+        "[a U{<=٣} b]{>=0.5}",  # Arabic-Indic 3: time bound
+        "[a U{<=3} b]{>=٠.٥}",  # Arabic-Indic 0.5: probability
+        "[a U{<=３} b]{>=0.5}",  # full-width 3: time bound
+        "[a U{<=3} b]{>=０.５}",  # full-width 0.5: probability
+        "a ~>{>=١,<=4}{>=0.5} b",  # Arabic-Indic 1: window start
+        "a ~>{>=1,<=４}{>=0.5} b",  # full-width 4: window end
+        "[a U{<=1٣} b]{>=0.5}",  # an ASCII digit, then another
+    ])
+    def test_numbers_are_ascii_digits(self, text):
+        with pytest.raises(FormulaParseError, match="unexpected character"):
+            parse(text)
+
     def test_trailing_garbage(self):
         with pytest.raises(FormulaParseError):
             parse("a b")

@@ -209,10 +209,13 @@ _TIMES = st.one_of(
     st.sampled_from(["+3", " 3", "3 ", "3_0", "²", "٣", "", "-1", "0x3",
                      "03"]))
 # prefixes of each other, empty, ending in "!" (the lowest byte a clean
-# name holds) and longer than the 8 bytes a name key packs into one integer
+# name holds), longer than the 8 bytes of one name-key word, and longer
+# than two words with the same first 16 bytes
 _CLEAN_NAMES = st.sampled_from(["a", "b", "B", "b10", "b2", "", "n1", "n10",
                                 "a!", "!", "abcdefgh", "abcdefgh!",
-                                "abcdefghij", "abcdefghik"])
+                                "abcdefghij", "abcdefghik",
+                                "abcdefghijklmnop", "abcdefghijklmnopq",
+                                "abcdefghijklmnop!", "abcdefghijklmnopqr"])
 _NAMES = st.one_of(_CLEAN_NAMES,
                    st.sampled_from([" a", "a ", "a\t", "\x1fa", "é", "a b",
                                     "a\tb", "a\x00", "\x01", "a\x7fb",
@@ -313,6 +316,20 @@ class TestLoaderParity:
                                                    message):
         assert oracles.is_clean(text)
         assert _outcome(_load, text, horizon) == message
+
+
+# uint64 values at the edges of a word, so that rows of 0-60 draws repeat
+_WORDS = st.sampled_from([0, 1, 2, 2 ** 63, 2 ** 64 - 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(width=st.integers(1, 3), data=st.data())
+def test_first_seen_matches_dict_oracle(width, data):
+    rows = data.draw(st.lists(st.lists(_WORDS, min_size=width,
+                                       max_size=width), max_size=60))
+    keys = np.array(rows, np.uint64).reshape(len(rows), width)
+    got = traces._first_seen(keys)
+    assert [part.tolist() for part in got] == oracles.first_seen(rows)
 
 
 def _assert_first_appearance(text, horizon):
