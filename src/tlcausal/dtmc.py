@@ -227,10 +227,10 @@ def load_text(source) -> Dtmc:
             if head == "atoms":
                 table, key, value = atoms, (), tuple(rest.split())
             elif head == "initial":
-                table, key, value = initial, (), _uint(rest)
+                table, key, value = initial, (), _uint(rest.strip())
             elif head == "state":
                 sid, _, labpart = rest.partition(":")
-                table, key = states, (_uint(sid),)
+                table, key = states, (_uint(sid.strip()),)
                 value = set(labpart.strip()[1:-1].split(",")) - {""}
             elif head == "freq":
                 sid, value = rest.split()

@@ -371,9 +371,9 @@ def _opt_float(cell):
 
 
 def _window(cell):
-    if not 0 < _uint(cell) < 2 ** 63:
+    if not 0 < (value := _uint(cell)) < 2 ** 63:
         raise ValueError(f"bad window {cell!r}")
-    return int(cell)
+    return value
 
 
 # per column: the cell reader, which refuses what render_outputs never

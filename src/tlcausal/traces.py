@@ -275,19 +275,21 @@ def load_events(source: Source, horizon: Optional[int] = None) -> EventList:
         for lineno, line in enumerate(text.splitlines(), start=1):
             if line.strip() == "":
                 continue
-            parts = [c.strip() for c in line.split(",")]
-            if (len(parts) != 2 or not parts[0].isascii()
-                    or not parts[0].isdecimal()
-                    or not _CONTROL.isdisjoint(parts[1])):
-                raise DataError(f"malformed row at line {lineno}: {line!r}")
-            if int(parts[0]) >= 2 ** 63:
+            try:
+                time, name = (c.strip() for c in line.split(","))
+                if not _CONTROL.isdisjoint(name):
+                    raise ValueError(name)
+                times.append(_uint(time))
+            except ValueError:  # not two cells, or a bad time or name
+                raise DataError(f"malformed row at line {lineno}: "
+                                f"{line!r}") from None
+            if times[-1] >= 2 ** 63:
                 raise DataError(f"event time above 2^63 - 1 at line "
                                 f"{lineno}: {line!r}")
-            times.append(parts[0])
-            ids.append(names.setdefault(parts[1], len(names)))
+            ids.append(names.setdefault(name, len(names)))
         if not times:
             raise DataError("empty event-csv input")
-        times = np.fromiter(map(int, times), np.int64, len(times))
+        times = np.array(times, np.int64)
     if horizon is None:
         horizon = int(times.max()) + 1
     return EventList.from_arrays(times, ids, names, horizon)
@@ -299,8 +301,9 @@ def _parse_clean(data: bytes) -> Optional[tuple]:
     empty and each line is a time of 1-18 decimal digits (so below 2^63),
     a comma and a name without comma, whitespace, control or non-ASCII
     byte, ended by LF (optional on the last line); so no line is empty.
-    The text is parsed, and the rule checked, in blocks of whole lines so
-    that no temporary grows with the file."""
+    The text is parsed, and the rule checked, in blocks of whole lines,
+    and a block whose name keys would take over 8 bytes per byte of it is
+    left to the line loop, so no temporary outgrows its block."""
     if not data or not data.isascii() or b"\x7f" in data:
         return None
     buf = np.frombuffer(data, np.uint8)
@@ -321,14 +324,16 @@ def _parse_clean(data: bytes) -> Optional[tuple]:
         if len(commas) != len(ends):
             return None
         # as many commas as lines, each after 1-18 digits counted from a
-        # line start (so no LF in between): exactly one comma on each line
-        digits = commas - np.append(0, ends[:-1] + 1)
-        if not ((digits >= 1) & (digits <= 18)).all():
-            return None
+        # line start (so no LF in between): exactly one comma on each line;
+        # the name keys, as wide as the longest name, must not outgrow the
+        # block by far (one long name among short ones: the line loop)
+        digits, lengths = commas - np.append(0, ends[:-1] + 1), ends - commas - 1
         rows = slice(done, done + len(commas))
-        if not _decimal(block, commas, digits, times[rows]):
+        if (not ((digits >= 1) & (digits <= 18)).all()
+                or len(commas) * (int(lengths.max()) + 8) > 8 * len(block)
+                or not _decimal(block, commas, digits, times[rows])):
             return None
-        ids[rows] = _name_ids(block, commas, ends - commas - 1, index)
+        ids[rows] = _name_ids(block, commas, lengths, index)
         start, done = stop, rows.stop
     return times, ids, tuple(index)
 
@@ -351,10 +356,9 @@ def _decimal(block, commas, digits, value) -> bool:
 
 
 def _name_ids(block, commas, lengths, index) -> np.ndarray:
-    """Each line's name id in ``index``, adding new names in order of first
-    appearance.  Names are keyed by their bytes, read one place at a time
-    into zero-padded uint64 words (a clean text holds no NUL, so no two
-    names pad alike), and grouped by :func:`_first_seen`."""
+    """Each line's name id in ``index``, new ones numbered by first
+    appearance: keys read a byte place at a time into zero-padded uint64
+    words (no clean name holds NUL) and grouped by :func:`_first_seen`."""
     longest = int(lengths.max())
     keys = np.zeros((len(commas), 8 * max(1, -(-longest // 8))), np.uint8)
     for place in range(longest):
@@ -369,10 +373,9 @@ def _name_ids(block, commas, lengths, index) -> np.ndarray:
 
 def _first_seen(keys) -> tuple:
     """Each row's group id, each group's first row and each group's size,
-    for the groups of equal rows of an ``(n, w)`` uint64 matrix, numbered
-    by first appearance: a stable sort keeps each group's rows in row
-    order, so the first of each run of equal keys is the group's first
-    row, whatever order the sort put the groups in."""
+    for the equal rows of an ``(n, w)`` uint64 matrix, numbered by first
+    appearance: a stable sort keeps each group's rows in row order, so
+    each run of equal keys starts at its group's first row."""
     order = np.lexsort(keys.T)
     starts = np.zeros(len(order), bool)
     starts[:1] = True
@@ -461,11 +464,7 @@ def discretize(series: np.ndarray, theta_up: float, theta_down: float,
         variables = [f"v{i}" for i in range(n_vars)]
     if len(variables) != n_vars:
         raise DataError("variable list does not match series rows")
-    names = []
-    values = np.zeros((2 * n_vars, length), dtype=bool)
-    for i, v in enumerate(variables):
-        names.append(f"{v}_up")
-        names.append(f"{v}_down")
-        values[2 * i] = matrix[i] >= theta_up
-        values[2 * i + 1] = matrix[i] <= theta_down
+    names = [f"{v}_{side}" for v in variables for side in ("up", "down")]
+    values = np.empty((2 * n_vars, length), dtype=bool)
+    values[0::2], values[1::2] = matrix >= theta_up, matrix <= theta_down
     return Trace(tuple(names), values)

@@ -227,6 +227,12 @@ class TestExport:
         with pytest.raises(DataError, match="malformed model line 6"):
             load_text(io.StringIO(text))
 
+    def test_ids_may_have_spaces_around_them(self):
+        text = ("atoms a\ninitial  1\nstate 0 : {a}\nstate  1: {}\n"
+                "trans 0 1 1.0\ntrans 1 1 1.0\n")
+        model = load_text(io.StringIO(text))
+        assert model.labels == ({"a"}, set()) and model.initial == 1
+
     def test_state_without_trans_line_is_refused_first(self, monkeypatch):
         # a large id would size every per-state array; only state 0 has a
         # transition row, so the listing is refused before any is built

@@ -1,5 +1,6 @@
 import io
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -330,6 +331,25 @@ def test_first_seen_matches_dict_oracle(width, data):
     keys = np.array(rows, np.uint64).reshape(len(rows), width)
     got = traces._first_seen(keys)
     assert [part.tolist() for part in got] == oracles.first_seen(rows)
+
+
+def test_one_long_name_among_short_ones_stays_small():
+    # keyed at the longest name's width, the 29,000-odd rows of the long
+    # name's 256 KB block would take about 2 GB of name keys
+    long = "n" * (1 << 16)
+    lines = [f"{123456 + k},a" for k in range(30_000)]
+    lines[15_000] = f"7,{long}"
+    data = ("\n".join(lines) + "\n").encode()
+    assert oracles.is_clean(data.decode())
+    tracemalloc.start()
+    try:
+        events = load_events(io.BytesIO(data))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert events.names == ("a", long) and len(events) == 30_000
+    assert events.records[0] == (7, long)
+    assert peak < 32 * len(data)
 
 
 def _assert_first_appearance(text, horizon):
