@@ -3,9 +3,10 @@ on traces.
 
 On a :class:`~tlcausal.dtmc.Dtmc`, bounded until/unless probabilities follow
 the standard per-state recurrence (value iteration); infinite bounds are
-exact, by graph search and one linear solve.  Probability-bounded leads-to
-is checked per state through the always-globally reading: no path may reach
-an antecedent state whose window misses the bound.
+exact, by graph search and one linear solve, or by graph search alone under
+the bounds ``{>0}`` and ``{>=1}``.  Probability-bounded leads-to is checked
+per state through the always-globally reading: no path may reach an
+antecedent state whose window misses the bound.
 
 On traces, formulæ are evaluated per tick, temporal operators along the trace
 suffix.  The decider of tick t for ``l U{<=k} r`` or ``l W{<=k} r`` is the
@@ -117,9 +118,19 @@ def _probbound_mask(model: Dtmc, f: ProbBound) -> np.ndarray:
         bad = _state_mask(model, inner.left) & ~reach
         return ~_reach(model, bad, np.ones(model.n_states, bool))
     if isinstance(inner, (Until, Unless)):
+        f1m = _state_mask(model, inner.left)
+        f2m = _state_mask(model, inner.right)
+        if (inner.tmax == INFINITY
+                and (f.comparison, f.p) in ((">", 0.0), (">=", 1.0))):
+            # solved values lie in [2**-53, 1 - 2**-53], so the graph sets
+            # alone give these verdicts; unless is 0 where its dual until
+            # is 1, and 1 where it is 0
+            zero, one = (_until_sets(model, f1m, f2m)
+                         if isinstance(inner, Until) else
+                         _until_sets(model, f1m & ~f2m, ~f1m & ~f2m)[::-1])
+            return ~zero if f.comparison == ">" else one
         prob = until_prob if isinstance(inner, Until) else unless_prob
-        vec = prob(model, _state_mask(model, inner.left),
-                   _state_mask(model, inner.right), inner.tmax)
+        vec = prob(model, f1m, f2m, inner.tmax)
         if inner.tmax != INFINITY:
             return meets_bound(vec, f.comparison, f.p)
     else:
@@ -132,9 +143,7 @@ def _probbound_mask(model: Dtmc, f: ProbBound) -> np.ndarray:
 def _window_reach_vector(model, target_mask, tmin, tmax):
     horizon = INFINITY if tmax == INFINITY else int(tmax) - int(tmin)
     v = until_prob(model, np.ones(model.n_states, bool), target_mask, horizon)
-    for _ in range(int(tmin)):
-        v = model._push(v)
-    return v
+    return model._walk(v, int(tmin))
 
 
 def sat_set(model: Dtmc, f: Formula) -> frozenset:
@@ -155,7 +164,7 @@ def until_prob(model: Dtmc, f1m: np.ndarray, f2m: np.ndarray,
     if tmax == INFINITY:
         return _until_unbounded(model, f1m, f2m)
     f2v = f2m.astype(float)
-    return _iterate(model, f2v.copy(), f2v, f1m & ~f2m, tmax)
+    return _iterate(model, f2v, f2v, f1m & ~f2m, tmax)
 
 
 def unless_prob(model: Dtmc, f1m: np.ndarray, f2m: np.ndarray,
@@ -175,11 +184,7 @@ def _iterate(model, current, f2v, cont, steps):
     # Each step is f2v + cont * (T @ current) set by index: where cont
     # holds, f2v is 0.0 and the sum is T @ current; where it fails, f2v.
     stop = np.flatnonzero(~cont)
-    pinned = f2v[stop]
-    for _ in range(int(steps)):
-        current = model._push(current)
-        current[stop] = pinned
-    return current
+    return model._walk(current, int(steps), stop, f2v[stop])
 
 
 def _reach(model, target, through):
@@ -199,11 +204,16 @@ def _reach(model, target, through):
     return seen[:n]
 
 
+def _until_sets(model, f1m, f2m):
+    """The states where ``f1 U{<=inf} f2`` has probability 0, and 1."""
+    zero = ~_reach(model, f2m, f1m)
+    return zero, ~_reach(model, zero, f1m & ~f2m)
+
+
 def _until_unbounded(model, f1m, f2m):
     from scipy.sparse import diags
     from scipy.sparse.linalg import spsolve
-    zero = ~_reach(model, f2m, f1m)
-    one = ~_reach(model, zero, f1m & ~f2m)
+    zero, one = _until_sets(model, f1m, f2m)
     vec = one.astype(float)
     rest = np.flatnonzero(~zero & ~one)
     if rest.size:

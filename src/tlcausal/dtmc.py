@@ -34,7 +34,8 @@ class Dtmc:
     """A labeled stochastic transition system.
 
     ``transitions`` is a row-stochastic sparse matrix; ``label_matrix`` is a
-    read-only state x atom boolean matrix; ``frequency[i]`` counts how often
+    read-only state x atom boolean matrix, stored atom-major (column-major)
+    so each atom's states are contiguous; ``frequency[i]`` counts how often
     state ``i`` was observed (all ticks, not just those with successors).
     """
 
@@ -47,7 +48,7 @@ class Dtmc:
     def __post_init__(self):
         object.__setattr__(self, "atoms", tuple(self.atoms))
         _reject_reserved(self.atoms)
-        marks = np.asarray(self.label_matrix, dtype=bool).view()
+        marks = np.asfortranarray(self.label_matrix, dtype=bool).view()
         if marks.ndim != 2 or marks.shape[1] != len(self.atoms):
             raise DataError("label matrix shape does not match atoms")
         marks.flags.writeable = False
@@ -100,25 +101,49 @@ class Dtmc:
         rest = np.flatnonzero(~shift)
         return rest, trans[rest]
 
-    def _push(self, v: np.ndarray) -> np.ndarray:
-        """``transitions @ v`` to the bit, for a finite float vector with no
-        negative entry and no -0.0, which is every vector the checker
-        pushes.  Shift rows are one slice copy and the other rows one csr
-        product: scipy's csr row sum starts from +0.0, and ``0.0 + 1.0 * x``
-        is ``x`` on such values."""
-        split = self._shift_split
+    def _walk(self, v: np.ndarray, steps: int, stop=None,
+              pinned=None) -> np.ndarray:
+        """``v`` after ``steps`` pushes ``v = transitions @ v``, each
+        followed by ``v[stop] = pinned`` when ``stop`` (state indices) is
+        given; ``v`` itself is not written.  The bits are those of full
+        products for a finite float vector with no negative entry and no
+        -0.0, which is every vector the checker pushes.
+
+        With the shift split, step ``k``'s vector is ``buf[k:k + n]`` of one
+        buffer of ``n + steps`` floats, so a shift row's value ``v[i + 1]``
+        already sits at place ``i`` of the next step's vector and costs
+        nothing; the other rows are one csr product written over it, each
+        the same row sum as in the full product.  scipy's csr row sum starts
+        from +0.0, and ``0.0 + 1.0 * x`` is ``x`` on such values."""
+        split, n = self._shift_split, self.n_states
         if split is None:
-            return self.transitions @ v
+            for _ in range(steps):
+                v = self.transitions @ v
+                if stop is not None:
+                    v[stop] = pinned
+            return v
         rest, sub = split
-        out = np.empty_like(v)
-        out[:-1] = v[1:]  # the last row is never a shift row
-        out[rest] = sub @ v
-        return out
+        buf = np.empty(n + steps)
+        buf[:n] = v
+        for k in range(steps):
+            y = sub @ buf[k:k + n]
+            step = buf[k + 1:k + 1 + n]  # its last place is a rest row's
+            step[rest] = y
+            if stop is not None:
+                step[stop] = pinned
+        return buf[steps:]
+
+    @cached_property
+    def _columns(self) -> dict:
+        """Each atom's column of ``label_matrix``, the first if repeated."""
+        return {a: i for i, a in reversed(tuple(enumerate(self.atoms)))}
 
     def states_with(self, atom: str) -> np.ndarray:
-        """Read-only boolean mask of states labeled with ``atom``."""
-        return (self.label_matrix[:, self.atoms.index(atom)]
-                if atom in self.atoms else np.zeros(self.n_states, bool))
+        """Read-only boolean mask of states labeled with ``atom``: a
+        contiguous view of ``label_matrix`` for a declared atom."""
+        col = self._columns.get(atom)
+        return (np.zeros(self.n_states, bool) if col is None
+                else self.label_matrix[:, col])
 
     def row_sum_deviation(self) -> float:
         rows = np.asarray(self.transitions.sum(axis=1)).ravel()
@@ -167,12 +192,14 @@ def build_dtmc(data: TraceSet) -> Dtmc:
 
 
 def _states(data: TraceSet, ends) -> tuple:
-    """Each tick's state id, the state x atom label matrix and each state's
-    tick count, with states numbered by first appearance.
+    """Each tick's state id, the state x atom label matrix (atom-major) and
+    each state's tick count, with states numbered by first appearance.
 
     A tick's label is keyed as little-endian bits in zero-padded uint64
     words, ``atoms // 64 + 1`` of them, so a zero-atom label still has
-    one; the keys are grouped by :func:`~tlcausal.traces._first_seen`."""
+    one; the keys are grouped by :func:`~tlcausal.traces._first_seen`.
+    Each state's bits are unpacked byte-row by bit into an atom x state
+    matrix, whose transpose is the label matrix."""
     atoms = len(data.variables)
     packed = np.zeros((ends[-1], atoms // 64 + 1), "<u8")
     rows = packed.view(np.uint8)  # tick x byte
@@ -181,8 +208,11 @@ def _states(data: TraceSet, ends) -> tuple:
         for a, values in enumerate(trace.values):
             block[:, a >> 3] |= values.view(np.uint8) << (a & 7)
     ids, first, sizes = _first_seen(packed)
-    return ids, np.unpackbits(rows[first], axis=1, count=atoms,
-                              bitorder="little").view(bool), sizes
+    cols = rows[first, :(atoms + 7) // 8].T.copy()  # byte x state
+    marks = np.empty((8 * len(cols), len(first)), np.uint8)
+    for bit in range(8):  # atom 8 * b + bit is bit ``bit`` of byte b
+        np.bitwise_and(cols >> bit, 1, out=marks[bit::8])
+    return ids, marks[:atoms].view(bool).T, sizes
 
 
 # ---------------------------------------------------------------------------

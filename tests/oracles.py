@@ -126,9 +126,9 @@ def enum_leads_to(T, freq, cset, eset, tmin, tmax):
 # ---------------------------------------------------------------------------
 # Value iteration on a chain by full products: each step is
 # ``f2v + cont * (T @ current)`` and the window's ``tmin`` pushes are
-# ``T @ v``.  This is the bit-for-bit reference for the shift-row push
-# ``Dtmc._push`` and the stop states ``checker._iterate`` pins by index,
-# for every finite bound.
+# ``T @ v``.  This is the bit-for-bit reference for the sliding walk
+# ``Dtmc._walk`` and the stop states it pins by index, for every finite
+# bound.
 
 def iterate_full(model, current, f2v, cont, tmax):
     for _ in range(int(tmax)):

@@ -1,5 +1,7 @@
 import re
 from fractions import Fraction
+from functools import cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from tlcausal.dtmc import Dtmc, build_dtmc
 from tlcausal.errors import CheckError, DataError, EmptyWindowError
 from tlcausal.pctl import (INFINITY, And, Atom, LeadsTo, Not, ProbBound,
                            Unless, Until, parse)
+from tlcausal.synthgen import GenConfig, generate, preset
+from tlcausal.traces import TraceSet
 
 
 class TestSatSet:
@@ -285,6 +289,44 @@ class TestShiftRowPush:
                                         cmp, p)) == \
             oracles.leads_to_sat_full(model, reach, cmask)
 
+    @settings(max_examples=300, deadline=None)
+    @given(model=st.one_of(_built_chains(), _hand_chains()).filter(
+        lambda m: m._shift_split is not None), data=st.data())
+    def test_walk_on_split_chains(self, model, data):
+        """The sliding walk, with stop states on shift rows among them,
+        and the until, unless and window reach that take it, from 0 and 1
+        steps up."""
+        n = model.n_states
+        booleans = st.lists(st.booleans(), min_size=n, max_size=n).map(
+            lambda m: np.array(m, dtype=bool))
+        values = st.lists(st.sampled_from([0.0, 1.0, 0.25, 0.7, 3.5, 5e-324]),
+                          min_size=n, max_size=n).map(np.array)
+        steps = data.draw(st.one_of(st.sampled_from([0, 1]),
+                                    st.integers(0, 12)))
+        v, fixed, stopm = data.draw(values), data.draw(values), \
+            data.draw(booleans)
+        shift = np.setdiff1d(np.arange(n), model._shift_split[0])
+        stopm[data.draw(st.sampled_from(shift.tolist()))] = True
+        f2v = np.where(stopm, fixed, 0.0)
+        stop = np.flatnonzero(stopm)
+        given_v = v.copy()
+        assert np.array_equal(
+            _bits(model._walk(v, steps, stop, f2v[stop])),
+            _bits(oracles.iterate_full(model, v, f2v, ~stopm, steps)))
+        assert np.array_equal(
+            _bits(model._walk(v, steps)),
+            _bits(oracles.window_reach_full(model, None, steps, None, v)))
+        assert np.array_equal(_bits(v), _bits(given_v))  # v is not written
+        f1m, f2m = data.draw(booleans), data.draw(booleans)
+        for got, want in ((until_prob, oracles.until_full),
+                          (unless_prob, oracles.unless_full)):
+            assert np.array_equal(_bits(got(model, f1m, f2m, steps)),
+                                  _bits(want(model, f1m, f2m, steps)))
+        hi = steps + data.draw(st.sampled_from([0, 1, 5]))
+        assert np.array_equal(
+            _bits(_window_reach_vector(model, f2m, steps, hi)),
+            _bits(oracles.window_reach_full(model, f2m, steps, hi)))
+
     def test_split_only_when_shift_rows_are_half(self):
         # rows 0 and 1 are shift rows; row 2 loops back to 0
         trans = np.array([[0.0, 1.0, 0.0, 0.0],
@@ -333,6 +375,16 @@ def _slow_chains(draw):
     trans = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
     return Dtmc(("a", "b"), rng.random((n, 2)) < 0.5, trans, 0,
                 rng.integers(0, 6, n).astype(float))
+
+
+@cache
+def _spike_chain():
+    """A small chain shaped like spike-wide's: neurons that fire often, so
+    most ticks are states first seen, and 65 of the 78 rows shift rows."""
+    events, _ = generate(GenConfig(
+        preset("tree", 4, trigger_prob=0.9), spontaneous_rate=0.12,
+        refractory=2, delay_min=1, delay_max=3, target_firings=250, seed=1))
+    return build_dtmc(TraceSet((events.to_trace(),)))
 
 
 _BOUNDS = ((">", 0.0), (">=", 1.0), (">=", 0.5), (">", 0.3), (">=", 0.9))
@@ -394,6 +446,42 @@ class TestUnboundedExact:
                     LeadsTo(Atom(c), Atom(e), tmin, INFINITY), cmp, p)) == \
                     oracles.leads_to_sat_full(
                         model, meets_bound(reach, cmp, p), cmask)
+
+
+class TestQualitativeUnbounded:
+    """``{>0}`` and ``{>=1}`` on unbounded until and unless (and so on
+    ``F``, ``G``, ``A``, ``E``) are decided by graph search alone, with the
+    exact solve's verdicts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(model=st.one_of(_slow_chains(), st.builds(_spike_chain)),
+           data=st.data())
+    def test_verdicts_without_a_solve(self, model, data):
+        atom = st.sampled_from(model.atoms).map(Atom)
+        operand = st.one_of(atom, atom.map(Not), st.just(Atom("true")),
+                            st.just(Atom("false")))
+        left, right = data.draw(operand), data.draw(operand)
+        f1m, f2m = _state_mask(model, left), _state_mask(model, right)
+        for cls, exact in ((Until, oracles.exact_until),
+                           (Unless, oracles.exact_unless)):
+            want = exact(model, f1m, f2m)
+            with mock.patch("scipy.sparse.linalg.spsolve",
+                            side_effect=AssertionError("spsolve called")):
+                positive = sat_set(model, ProbBound(
+                    cls(left, right, INFINITY), ">", 0.0))
+                certain = sat_set(model, ProbBound(
+                    cls(left, right, INFINITY), ">=", 1.0))
+            assert positive == {s for s, p in enumerate(want) if p > 0}
+            assert certain == {s for s, p in enumerate(want) if p == 1}
+
+    def test_spike_chain_has_undecided_states(self):
+        # the chain the test above draws from needs a solve for some
+        # operands: here 22 of its states lie strictly inside (0, 1)
+        model = _spike_chain()
+        assert model._shift_split is not None
+        vec = until_prob(model, ~model.states_with("A"),
+                         model.states_with("B"), INFINITY)
+        assert ((vec > 0) & (vec < 1)).sum() == 22
 
 
 class TestTraceSemantics:

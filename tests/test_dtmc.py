@@ -31,6 +31,17 @@ def listing(model):
     return sink.getvalue()
 
 
+def assert_atom_major(model):
+    """``label_matrix`` is stored atom-major, and each declared atom's mask
+    is a contiguous, read-only view of it."""
+    assert model.label_matrix.flags.f_contiguous
+    assert not model.label_matrix.flags.writeable
+    for atom in model.atoms:
+        mask = model.states_with(atom)
+        assert mask.flags.c_contiguous and not mask.flags.writeable
+        assert np.shares_memory(mask, model.label_matrix)
+
+
 @st.composite
 def _tracesets(draw):
     """1-3 traces of 1-30 ticks each over one list of 0-6 atoms."""
@@ -84,7 +95,7 @@ class TestBuild:
         for atom in data.variables:
             assert np.array_equal(got.states_with(atom),
                                   [atom in lab for lab in want.labels])
-        assert not got.label_matrix.flags.writeable
+        assert_atom_major(got)
         assert np.array_equal(got.frequency, want.frequency)
         assert got.initial == want.initial
         for part in ("indptr", "indices", "data"):
@@ -158,6 +169,29 @@ class TestBuild:
                 assert Tr[i, j] == pytest.approx(
                     Tf[fwd_map[lab_i], fwd_map[lab_j]], abs=1e-12)
         assert fwd.frequency.sum() == rev.frequency.sum()
+
+
+class TestLabelLayout:
+    def test_any_layout_given_is_stored_atom_major(self):
+        rng = np.random.default_rng(5)  # 70 atoms: two key words
+        atoms = tuple(f"v{i}" for i in range(70))
+        data = TraceSet(tuple(Trace(atoms, rng.random((70, length)) < 0.1)
+                              for length in (30, 12)))
+        built = build_dtmc(data)
+        marks = np.ascontiguousarray(built.label_matrix)  # state-major
+        assert marks.flags.c_contiguous and not marks.flags.f_contiguous
+        labels = tuple(frozenset(a for a, bit in zip(built.atoms, row) if bit)
+                       for row in marks.tolist())
+        text = listing(oracles.build_dtmc(data))
+        hand = Dtmc(built.atoms, marks, built.transitions, built.initial,
+                    built.frequency)
+        assert marks.flags.writeable  # the caller's array is left as given
+        for model in (built, load_text(io.StringIO(text)), hand):
+            assert_atom_major(model)
+            assert np.array_equal(model.label_matrix, marks)
+            assert model.labels == labels
+            assert listing(model) == text
+        assert not built.states_with("absent").any()
 
 
 class TestExport:
