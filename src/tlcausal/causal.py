@@ -192,11 +192,14 @@ def score_hypotheses(data: TraceSet, family: HypothesisFamily,
     x_total = cause_qual[rivals]
     num_x = cond_num[rivals, group_effect[:, None]]
     rated = np.flatnonzero(size[group] > 1)  # a lone passer has no average
+    # each rated cause's slots, in slot order, from one stable sort
     rated_cause = cause_ix[passers[rated]]
-    for c in np.unique(rated_cause):
+    order = np.argsort(rated_cause, kind="stable")
+    by_cause, starts = np.unique(rated_cause[order], return_index=True)
+    for c, slots in zip(by_cause.tolist(),
+                        np.split(rated[order], starts[1:])):
         # the counts of ticks where c and a rival hold and the effect hits
         # are all taken over the ticks where c holds
-        slots = rated[rated_cause == c]
         g = group[slots]
         cols = rivals[g]
         both_hit = _counts(np.take(m, np.flatnonzero(rows[c]), axis=0),

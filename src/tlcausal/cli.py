@@ -217,6 +217,7 @@ def _cmd_check(args):
         est = leads_to_prob(model, lead.left, lead.right,
                             lead.tmin, lead.tmax)
         counts = f"weighted {est.numerator:.6g}/{est.denominator:.6g}"
+        verdict = meets_bound(est.probability, formula.comparison, formula.p)
     else:
         if not args.path:
             raise UsageError("check needs --path or --model")
@@ -233,11 +234,15 @@ def _cmd_check(args):
             raise UsageError("trace checking needs a finite window")
         est = trace_leads_to(data, lead.left, lead.right,
                              lead.tmin, int(lead.tmax))
-        counts = f"{int(est.numerator)}/{int(est.denominator)}"
-    cmp, bound = formula.comparison, formula.p
-    verdict = meets_bound(est.probability, cmp, bound)
+        num, den = int(est.numerator), int(est.denominator)
+        counts = f"{num}/{den}"
+        # num/den against the bound's exact value, in integers
+        r, q = formula.p.as_integer_ratio()
+        verdict = num * q > r * den or (formula.comparison == ">="
+                                        and num * q == r * den)
     print(f"probability: {est.probability:.6g} ({counts})")
-    print(f"bound {cmp} {bound}: {'holds' if verdict else 'fails'}")
+    print(f"bound {formula.comparison} {formula.p}: "
+          f"{'holds' if verdict else 'fails'}")
     return 0
 
 

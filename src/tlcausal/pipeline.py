@@ -287,31 +287,50 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".10g")
 
 
-def _cells(column: np.ndarray) -> list:
-    """One column of ``hypotheses.tsv``.  Numbers come from one ``%`` call
-    over the distinct values, told apart by their bits (``-0.0`` prints
-    ``-0``, NaN is the empty cell), as most cells repeat a value.  Names
-    go as they are; sorting objects would cost more."""
+def _cells(column: np.ndarray) -> tuple:
+    """One column of ``hypotheses.tsv`` as its distinct cells and each
+    row's code into them (``None``: a cell per row).  Numbers come from
+    one ``%`` call over the distinct values, told apart by their bits
+    (``-0.0`` prints ``-0``, NaN is the empty cell), as most cells repeat
+    a value.  Names go as they are; sorting objects would cost more."""
     if column.dtype == bool:
-        return np.where(column, "1", "0").tolist()
+        return np.array(["0", "1"], object), column.view(np.uint8)
     if column.dtype == object:
-        return list(map(str, column.tolist()))
+        return list(map(str, column.tolist())), None
     keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
     fmt = "%.10g\n" if column.dtype == float else "%d\n"
     cells = fmt * len(keys) % tuple(keys.view(column.dtype).tolist())
-    return np.array(cells.replace("nan", "").split("\n"),
-                    object)[inverse].tolist()
+    return (np.array(cells.replace("nan", "").split("\n"), object),
+            inverse.astype(np.min_scalar_type(len(keys))))
+
+
+_ROWS = 1 << 12  # rows of hypotheses.tsv joined into one chunk
+
+
+def _table_text(columns, n: int):
+    """An ``n``-row ``hypotheses.tsv`` from its columns' :func:`_cells`,
+    ``_ROWS`` rows at a time: each column's cells slice-assigned into a
+    tab-filled parts list, each row's last tab made a LF, one join."""
+    yield "\t".join(TSV_COLUMNS) + "\n"
+    step = 2 * len(TSV_COLUMNS)  # each cell, then a tab or the row's LF
+    for lo in range(0, n, _ROWS):
+        rows = slice(lo, min(lo + _ROWS, n))
+        size = rows.stop - lo
+        parts = ["\t"] * (step * size)
+        for j, (cells, codes) in enumerate(columns):
+            parts[2 * j::step] = (cells[rows] if codes is None
+                                  else cells[codes[rows]].tolist())
+        parts[step - 1::step] = ["\n"] * size
+        yield "".join(parts)
 
 
 def render_outputs(report: Report, outdir) -> None:
+    """Write the four output files.  Every table cell is formatted before
+    ``hypotheses.tsv`` is opened; its text is then made a block of rows
+    at a time, so neither the whole text nor a part per cell is held."""
     out = Path(outdir)
-    step = 2 * len(TSV_COLUMNS)  # each cell, then a tab or the row's LF
-    parts = ["\t"] * (step * len(report.rows))
-    for j, name in enumerate(TSV_COLUMNS):  # by column: no row is made
-        parts[2 * j::step] = _cells(getattr(report.rows, name))
-    parts[step - 1::step] = ["\n"] * len(report.rows)
-    _write_text(out / HYPOTHESES_FILE,
-                "\t".join(TSV_COLUMNS) + "\n" + "".join(parts))
+    columns = [_cells(getattr(report.rows, name)) for name in TSV_COLUMNS]
+    _write_text(out / HYPOTHESES_FILE, _table_text(columns, len(report.rows)))
     _write_text(out / EDGES_FILE, "".join(
         [f"{cause}\t{effect}\n" for cause, effect in report.significant]))
     _write_text(out / PLOT_FILE, "".join(

@@ -218,17 +218,21 @@ def _open_lines(source):
     return _read_text(source).splitlines()
 
 
-def _write_text(sink, text: str) -> None:
-    """Write ``text`` to an open text stream as it is, or to a path as
-    UTF-8 with LF line endings, making missing parent directories.  A
-    path that cannot be written is a data error naming it."""
+def _write_text(sink, text) -> None:
+    """Write ``text``, a string or an iterable of strings written chunk
+    by chunk, to an open text stream as it is, or to a path as UTF-8
+    with LF line endings, making missing parent directories.  A path
+    that cannot be written is a data error naming it."""
+    chunks = (text,) if isinstance(text, str) else text
     if not isinstance(sink, (str, Path)):
-        sink.write(text)
+        for chunk in chunks:
+            sink.write(chunk)
         return
     try:
         Path(sink).parent.mkdir(parents=True, exist_ok=True)
         with open(sink, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
     except OSError as exc:
         raise DataError(f"cannot write {sink}: {exc}") from exc
 
@@ -434,11 +438,17 @@ def events_of(trace: Trace) -> EventList:
                                  trace.length)
 
 
+_EVENTS = 1 << 12  # lines of event-csv text joined into one chunk
+
+
 def write_events(events: EventList, sink) -> None:
-    """Serialize as event-csv (sorted records, LF line endings)."""
+    """Serialize as event-csv (sorted records, LF line endings), written
+    ``_EVENTS`` lines at a time so only one block's text is held."""
     rows = [f",{v}\n" for v in events.names]
-    _write_text(sink, "".join([f"{t}{rows[i]}" for t, i in zip(
-        events.times.tolist(), events.ids.tolist())]))
+    times, ids = events.times, events.ids
+    _write_text(sink, ("".join([f"{t}{rows[i]}" for t, i in zip(
+        times[k:k + _EVENTS].tolist(), ids[k:k + _EVENTS].tolist())])
+        for k in range(0, len(times), _EVENTS)))
 
 
 def discretize(series: np.ndarray, theta_up: float, theta_down: float,

@@ -411,6 +411,12 @@ def events_from_records(records, horizon) -> EventList:
                                  [index[v] for _, v in recs], index, horizon)
 
 
+def events_text(events: EventList) -> str:
+    """The event-csv text of ``events``, one ``time,name`` line per
+    record: the reference for ``tlcausal.traces.write_events``."""
+    return "".join([f"{t},{v}\n" for t, v in events.records])
+
+
 def first_seen(rows) -> list:
     """Each row's group id, each group's first row and each group's size,
     for the groups of equal rows, numbered by first appearance: one dict

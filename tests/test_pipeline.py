@@ -1,9 +1,10 @@
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -289,13 +290,18 @@ class TestTableText:
 
     @settings(max_examples=150, deadline=None)
     @given(table=_hypothesis_tables())
+    @example(table=HypothesisTable(  # zero rows: the header alone
+        *(np.array([], dtype) for _, dtype in pipeline._READERS)))
     def test_writer_and_reader_match_oracles(self, table):
-        with tempfile.TemporaryDirectory() as tmp:
-            render_outputs(Report(table, None, [], {}), tmp)
-            path = Path(tmp) / "hypotheses.tsv"
-            assert path.read_bytes() == \
-                oracles.hypotheses_text(table).encode("utf-8")
-            _assert_reads_like_oracle(path)
+        # blocks of 1 and 7 rows split the 0-8 rows of a drawn table
+        for rows in (1, 7, pipeline._ROWS):
+            with mock.patch.object(pipeline, "_ROWS", rows), \
+                    tempfile.TemporaryDirectory() as tmp:
+                render_outputs(Report(table, None, [], {}), tmp)
+                path = Path(tmp) / "hypotheses.tsv"
+                assert path.read_bytes() == \
+                    oracles.hypotheses_text(table).encode("utf-8")
+                _assert_reads_like_oracle(path)
 
     @settings(max_examples=150, deadline=None)
     @given(table=_hypothesis_tables(), data=st.data())
@@ -470,6 +476,26 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "probability:" in out and "holds" in out
+
+    @pytest.mark.parametrize("formula, counts, verdict", [
+        ("a ~>{>=1,<=1}{>0.6666666666666666} b", "2/3", "holds"),
+        ("a ~>{>=1,<=1}{>=0.6666666666666666} b", "2/3", "holds"),
+        ("a ~>{>=1,<=1}{>0.6666666666666667} b", "2/3", "fails"),
+        ("a ~>{>=1,<=1}{>0.66666666666666666667} b", "2/3", "holds"),
+        ("a ~>{>=1,<=4}{>=1} b", "2/2", "holds"),
+        ("a ~>{>=1,<=4}{>=1.0} b", "2/2", "holds")])
+    def test_trace_verdict_compares_counts_exactly(self, tmp_path, capsys,
+                                                   formula, counts, verdict):
+        # 2/3 lies strictly between the floats 0.6666666666666666 and
+        # 0.6666666666666667.  The bound is the float that ``parse`` read:
+        # 0.66666666666666666667 reads as the lower one, so 2/3 exceeds it
+        path = tmp_path / "ev.csv"
+        path.write_text("0,a\n1,b\n3,a\n6,a\n7,b\n")
+        rc = cli.main(["check", "--formula", formula, "--path", str(path),
+                       "--horizon", "10"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert f"({counts})\n" in out and out.endswith(f": {verdict}\n")
 
     def test_check_accepts_replicates_infer_accepts(self, tmp_path, capsys):
         # variables first appear in different orders across the replicates

@@ -1,11 +1,13 @@
 import io
 import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -416,11 +418,14 @@ def _traces(draw):
 
 
 class TestWriters:
-    @pytest.fixture(params=["events", "model"])
+    @pytest.fixture(params=["events", "model", "chunks"])
     def write(self, request):
         trace = Trace(("a", "b"), np.array([[1, 0, 1], [0, 1, 1]], bool))
         if request.param == "events":
             return lambda sink: write_events(events_of(trace), sink)
+        if request.param == "chunks":
+            return lambda sink: traces._write_text(
+                sink, iter(["0,a\n", "", "1,caf\u00e9\n2,", "b\n"]))
         return lambda sink: export_text(build_dtmc(TraceSet((trace,))), sink)
 
     def test_path_gets_the_stream_text(self, tmp_path, write):
@@ -437,6 +442,31 @@ class TestWriters:
         blocker.write_text("")
         with pytest.raises(DataError, match=re.escape(f"cannot write {blocker}")):
             write(blocker / "out.txt")
+
+
+class TestChunkedWriting:
+    """``write_events`` in blocks of ``_EVENTS`` lines against the joined
+    text of ``oracles.events_text``."""
+
+    NAMES = ["a", "b10", "B", "caf\u00e9", "\u03b1\u03b2", "\U0001f600"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(records=st.sets(st.tuples(st.integers(0, 30),
+                                     st.sampled_from(NAMES)), max_size=40))
+    @example(records=set())
+    def test_write_events_matches_oracle(self, records):
+        events = (oracles.events_from_records(records, 31) if records
+                  else EventList.from_arrays([], [], ("a",), 31))
+        want = oracles.events_text(events)
+        for rows in (1, 7, traces._EVENTS):
+            with mock.patch.object(traces, "_EVENTS", rows):
+                sink = io.StringIO()
+                write_events(events, sink)
+                assert sink.getvalue() == want
+                with tempfile.TemporaryDirectory() as tmp:
+                    path = Path(tmp) / "events.csv"
+                    write_events(events, path)
+                    assert path.read_bytes() == want.encode("utf-8")
 
 
 class TestReaders:
