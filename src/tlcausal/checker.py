@@ -235,7 +235,12 @@ def leads_to_prob(model: Dtmc, c: Formula, e: Formula,
     window is the ``tmin``-step push of the bounded reachability vector; the
     aggregate weights states by their observed frequency, which is the
     maximum-likelihood estimate of P(consequent in window | antecedent).
-    The window is checked as the leads-to formula checks it.
+    The window is checked as the leads-to formula checks it.  The chain is
+    first order over one tick's labels, so it forgets the antecedent
+    within a tick: at a window many ticks out, such as the paper's
+    [20, 40], every antecedent reads about the consequent's base rate, and
+    this estimates something other than :func:`trace_leads_to`, which
+    counts the windows after each occurrence.
     """
     LeadsTo(c, e, tmin, tmax)
     cmask = _state_mask(model, c)

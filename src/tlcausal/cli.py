@@ -203,6 +203,9 @@ def _cmd_infer(args):
 
 
 def _cmd_check(args):
+    if args.model and (args.path or args.horizon is not None):
+        raise UsageError("check takes --model or --path, not both "
+                         "(--horizon goes with --path)")
     pl.check_format(args.format)
     formula = parse(args.formula)
     lead = formula.path if isinstance(formula, ProbBound) \

@@ -222,8 +222,14 @@ def export_text(model: Dtmc, sink) -> None:
     """Write the model as a plain listing.
 
     Lines: ``atoms <a> <b> ...``, ``initial <id>``, ``state <id>: {a,b}``,
-    ``freq <id> <count>``, ``trans <from> <to> <prob>``.
+    ``freq <id> <count>``, ``trans <from> <to> <prob>``.  An atom whose
+    name holds whitespace or a comma, which :func:`load_text` would read
+    as two names, is refused before anything is written.
     """
+    for atom in model.atoms:
+        if atom.split() != [atom] or "," in atom:
+            raise DataError(f"atom {atom!r} cannot be listed: a listing's "
+                            f"atom names hold no whitespace or comma")
     coo = model.transitions.tocoo()
     _write_text(sink, "".join([
         f"atoms {' '.join(model.atoms)}\ninitial {model.initial}\n",

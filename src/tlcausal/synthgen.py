@@ -141,8 +141,12 @@ def preset(name: str, size: int = None, trigger_prob: float = 1.0) -> StructureS
     ``chain`` links ``size`` neurons in a line (default 4); ``fork`` is one
     parent with two children; ``collider`` is two parents sharing one child;
     ``tree`` is a complete rooted binary tree of ``size`` levels (default 4:
-    15 neurons, 14 edges).  All edges carry ``trigger_prob``.
+    15 neurons, 14 edges).  All edges carry ``trigger_prob``.  ``fork`` and
+    ``collider`` have one size, so they refuse a ``size``.
     """
+    if name in ("fork", "collider") and size is not None:
+        raise UsageError(f"{name} preset has one size (3 neurons); "
+                         f"size does not apply")
     if name == "chain":
         n = 4 if size is None else int(size)
         if n < 2:

@@ -281,7 +281,7 @@ def load_events(source: Source, horizon: Optional[int] = None) -> EventList:
                 continue
             try:
                 time, name = (c.strip() for c in line.split(","))
-                if not _CONTROL.isdisjoint(name):
+                if not name or not _CONTROL.isdisjoint(name):
                     raise ValueError(name)
                 times.append(_uint(time))
             except ValueError:  # not two cells, or a bad time or name
@@ -303,8 +303,9 @@ def _parse_clean(data: bytes) -> Optional[tuple]:
     """Times, name ids and names (in first-appearance order) of a clean
     text, or ``None`` for any other.  A text is clean when it is not
     empty and each line is a time of 1-18 decimal digits (so below 2^63),
-    a comma and a name without comma, whitespace, control or non-ASCII
-    byte, ended by LF (optional on the last line); so no line is empty.
+    a comma and a non-empty name without comma, whitespace, control or
+    non-ASCII byte, ended by LF (optional on the last line); so no line
+    is empty.
     The text is parsed, and the rule checked, in blocks of whole lines,
     and a block whose name keys would take over 8 bytes per byte of it is
     left to the line loop, so no temporary outgrows its block."""
@@ -329,11 +330,13 @@ def _parse_clean(data: bytes) -> Optional[tuple]:
             return None
         # as many commas as lines, each after 1-18 digits counted from a
         # line start (so no LF in between): exactly one comma on each line;
-        # the name keys, as wide as the longest name, must not outgrow the
-        # block by far (one long name among short ones: the line loop)
+        # an empty name is malformed, which the line loop reports; the name
+        # keys, as wide as the longest name, must not outgrow the block by
+        # far (one long name among short ones: the line loop)
         digits, lengths = commas - np.append(0, ends[:-1] + 1), ends - commas - 1
         rows = slice(done, done + len(commas))
         if (not ((digits >= 1) & (digits <= 18)).all()
+                or lengths.min() < 1
                 or len(commas) * (int(lengths.max()) + 8) > 8 * len(block)
                 or not _decimal(block, commas, digits, times[rows])):
             return None
@@ -364,7 +367,7 @@ def _name_ids(block, commas, lengths, index) -> np.ndarray:
     appearance: keys read a byte place at a time into zero-padded uint64
     words (no clean name holds NUL) and grouped by :func:`_first_seen`."""
     longest = int(lengths.max())
-    keys = np.zeros((len(commas), 8 * max(1, -(-longest // 8))), np.uint8)
+    keys = np.zeros((len(commas), 8 * -(-longest // 8)), np.uint8)
     for place in range(longest):
         # past a shorter name: the next bytes (clipped at the end), masked
         byte = np.take(block, commas + (place + 1), mode="clip")
@@ -407,7 +410,7 @@ def _load_wide(lines):
     if len(header) < 2 or header[0] != "time":
         raise DataError("wide-csv header must be 'time,<var1>,...'")
     names = tuple(header[1:])
-    if any(not _CONTROL.isdisjoint(v) for v in names):
+    if any(not v or not _CONTROL.isdisjoint(v) for v in names):
         raise DataError(f"malformed header at line {rows[0][0]}: "
                         f"{rows[0][1]!r}")
     length = len(rows) - 1

@@ -395,10 +395,10 @@ def check_triggering(events, parent, child, delay_min, delay_max, refractory):
 # Event-csv loading: one line at a time, over sorted tuples
 
 # The texts load_events parses from their bytes: each line one time of 1-18
-# decimal digits (so below 2^63), a comma and a name without comma,
-# whitespace or control character (in ASCII, the bytes up to space and
-# DEL); no empty line; the last line's LF optional.
-_CLEAN_LINE = r"[0-9]{1,18},[^,\x00-\x20\x7f]*"
+# decimal digits (so below 2^63), a comma and a non-empty name without
+# comma, whitespace or control character (in ASCII, the bytes up to space
+# and DEL); no empty line; the last line's LF optional.
+_CLEAN_LINE = r"[0-9]{1,18},[^,\x00-\x20\x7f]+"
 CLEAN_EVENTS = re.compile(rf"(?:{_CLEAN_LINE}(?:\n|\Z))+")
 
 
@@ -438,15 +438,15 @@ def is_clean(text: str) -> bool:
 
 def load_events(source, horizon=None) -> tuple:
     """Parse event-csv line by line into sorted ``(time, variable)``
-    records with Python ints; returns ``(records, horizon)``.  A name may
-    hold no character of Unicode category Cc."""
+    records with Python ints; returns ``(records, horizon)``.  A name is
+    not empty and holds no character of Unicode category Cc."""
     records = []
     for lineno, line in enumerate(_open_lines(source), start=1):
         if line.strip() == "":
             continue
         parts = [c.strip() for c in line.split(",")]
         if (len(parts) != 2 or not parts[0].isascii()
-                or not parts[0].isdecimal()
+                or not parts[0].isdecimal() or not parts[1]
                 or any(unicodedata.category(c) == "Cc" for c in parts[1])):
             raise DataError(f"malformed row at line {lineno}: {line!r}")
         records.append((int(parts[0]), parts[1]))

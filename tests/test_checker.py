@@ -192,6 +192,25 @@ class TestLeadsToProb:
         want = oracles.enum_leads_to(T, model.frequency, cset, eset, 2, 4)
         assert est.probability == pytest.approx(want, abs=1e-10)
 
+    def test_chain_forgets_the_antecedent_at_the_paper_window(self):
+        # a state is one tick's labels, and the next state depends on them
+        # alone, so 20 ticks on, every antecedent reads about the effect's
+        # base rate: the cause A and the non-causes N and H of B agree on
+        # the chain (0.3748...), while the traces, which count the windows
+        # after each occurrence, read 0.866, 0.441 and 0.486
+        events, _ = generate(GenConfig(preset("tree", 4), 0.02,
+                                       target_firings=10_000, seed=1))
+        data = TraceSet((events.to_trace(),))
+        model = build_dtmc(data)
+        assert model.n_states == 263
+        on_chain, on_traces = (
+            [est(source, Atom(c), Atom("B"), 20, 40).probability
+             for c in "ANH"]
+            for est, source in ((leads_to_prob, model),
+                                (trace_leads_to, data)))
+        assert max(on_chain) - min(on_chain) < 1e-12
+        assert min(on_traces[0] - p for p in on_traces[1:]) > 0.2
+
 
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64)

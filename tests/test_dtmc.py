@@ -208,6 +208,19 @@ class TestExport:
                            model.transitions.toarray())
         assert np.array_equal(back.frequency, model.frequency)
 
+    @pytest.mark.parametrize("atom", ["gene one", "gene\xa0one", "a,b",
+                                      " a", ""])
+    def test_atom_a_listing_cannot_hold_is_refused(self, tmp_path, atom):
+        # both loaders keep "gene one"; its listing's atoms line would
+        # declare "gene" and "one", and load_text would refuse it
+        data = TraceSet((Trace((atom, "b"), np.array([[1, 0], [0, 1]],
+                                                     bool)),))
+        sink = tmp_path / "model.txt"
+        with pytest.raises(DataError, match=re.escape(
+                f"atom {atom!r} cannot be listed")):
+            export_text(build_dtmc(data), sink)
+        assert not sink.exists()
+
     def test_frequencies_read_back_exactly(self):
         # six significant digits would write 1.23457e+06 and 0.123457
         freq = [1234567.0, 0.1234567, 3.0, 2.0**60, 0.0]
@@ -287,15 +300,17 @@ def _fresh(code):
 
 
 def test_chain_free_run_loads_no_scipy_sparse(tmp_path):
+    # infer, from its command line on, loads no scipy module at all
     events = tmp_path / "events.csv"
     events.write_text("".join(f"{t},{'ab'[t % 2]}\n" for t in range(40)))
     code = ("import sys\n"
-            "from tlcausal import PipelineConfig, run_pipeline\n"
-            f"run_pipeline(PipelineConfig(paths=({str(events)!r},), "
-            f"format='event-csv', tmin=1, tmax=2, "
-            f"outdir={str(tmp_path / 'out')!r}))\n"
-            "print('scipy.sparse' in sys.modules)")
-    assert _fresh(code) == ["False"]
+            "from tlcausal import cli\n"
+            f"rc = cli.main(['infer', '--path', {str(events)!r}, "
+            f"'--tmin', '1', '--tmax', '2', "
+            f"'--outdir', {str(tmp_path / 'out')!r}])\n"
+            "print(rc, sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    assert _fresh(code)[-2:] == ["0", "[]"]
 
 
 def test_chains_hold_csr_matrices():

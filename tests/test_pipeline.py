@@ -538,6 +538,20 @@ class TestCli:
         assert rc == 0
         assert "satisfying states" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("extra", [["--path", "missing.csv"],
+                                       ["--horizon", "10"]])
+    def test_check_model_refuses_trace_settings(self, tmp_path, capsys,
+                                                extra):
+        # before, the chain was checked and the trace settings ignored, so
+        # a --path that does not exist was never opened
+        listing = tmp_path / "model.txt"
+        listing.write_text("atoms a\ninitial 0\nstate 0: {a}\n"
+                           "trans 0 0 1.0\n")
+        assert cli.main(["check", "--formula", "a", "--model", str(listing),
+                         *extra]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "check takes --model or --path" in err
+
     def test_check_model_naming_undeclared_state(self, tmp_path, capsys):
         listing = tmp_path / "model.txt"
         listing.write_text("atoms a\ninitial 0\nstate 0: {a}\n"
@@ -561,7 +575,8 @@ class TestCli:
 
     @pytest.mark.parametrize("formula, states", [
         ("G a", ""), ("[a W{<=inf} false]{>=0.5}", ""),
-        ("F !a", "0 1"), ("[true U{<=inf} !a]{>=0.5}", "0 1")])
+        ("F !a", "0 1"), ("[true U{<=inf} !a]{>=0.5}", "0 1"),
+        ("[a U{<=2} a]{>=1e-05}", "0")])
     def test_check_model_with_a_slow_exit(self, tmp_path, capsys, formula,
                                           states):
         # state 0 leaves {a} by 1e-13 a step: for sure, but so slowly that
@@ -575,6 +590,31 @@ class TestCli:
         count = len(states.split())
         assert capsys.readouterr().out == \
             f"satisfying states ({count}): {states}\n"
+
+    @pytest.mark.parametrize("listing, formula, message", [
+        ("atoms c e\ninitial 0\nstate 0: {c}\nstate 0: {e}\n"
+         "trans 0 0 1.0\n", "c ~>{>=1,<=1}{>=0.5} e",
+         "model line 4 repeats state 0 (first at line 3)"),
+        ("atoms c e\ninitial 0\nstate 0: {c}\nstate 1: {e}\n"
+         "trans 0 1 1.0\ntrans 1 1 1.0\ninitial 1\n",
+         "c ~>{>=1,<=1}{>=0.5} e",
+         "model line 7 repeats initial (first at line 2)"),
+        # int() would read 1_0 as state 10
+        ("atoms a\ninitial 0\nstate 0: {a}\nstate 1_0: {}\n"
+         "trans 0 0 1.0\n", "a", "malformed model line 4"),
+        # a formula's numbers are ASCII digits, as an event time is
+        ("atoms a\ninitial 0\nstate 0: {a}\nstate 1: {}\n"
+         "trans 0 0 0.9999999999999\ntrans 0 1 1e-13\ntrans 1 1 1.0\n",
+         "[a U{<=\u0663} a]{>=0.5}", "unexpected character '\u0663'")],
+        ids=["repeated-state", "repeated-initial", "underscore-id",
+             "arabic-indic-bound"])
+    def test_check_model_refuses_a_bad_listing_or_formula(
+            self, tmp_path, capsys, listing, formula, message):
+        path = tmp_path / "model.txt"
+        path.write_text(listing)
+        assert cli.main(["check", "--model", str(path),
+                         "--formula", formula]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("window", ["{>=0,<=4}", "{>=5,<=2}"])
     def test_check_refuses_a_bad_window(self, tmp_path, capsys, window):

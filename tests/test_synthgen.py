@@ -34,6 +34,17 @@ class TestPreset:
         with pytest.raises(UsageError):
             preset("ring")
 
+    @pytest.mark.parametrize("name", ["fork", "collider"])
+    def test_one_size_shapes_refuse_a_size(self, tmp_path, capsys, name):
+        # before, the size was dropped and three neurons were written
+        with pytest.raises(UsageError, match=f"{name} preset has one size"):
+            preset(name, 9)
+        out = tmp_path / "gen"
+        assert cli.main(["generate", "--preset", name, "--size", "9",
+                         "--target-firings", "10", "--outdir", str(out)]) == 1
+        assert "size does not apply" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_trigger_prob_applies(self):
         s = preset("tree", 3, trigger_prob=0.9)
         assert all(q == 0.9 for _, _, q in s.edges)

@@ -49,6 +49,14 @@ class TestWideCsv:
         with pytest.raises(DataError, match=f"line 5: {message}"):
             load_data([io.StringIO(text)], "wide-csv", None)
 
+    @pytest.mark.parametrize("header", ["time,a,,b", "time,a, ,b",
+                                        "time,a,b,"])
+    def test_empty_header_cell_is_malformed(self, header):
+        with pytest.raises(DataError, match=re.escape(
+                f"malformed header at line 1: {header!r}")):
+            load_data([io.StringIO(f"{header}\n0,1,0,1\n")], "wide-csv",
+                      None)
+
 
 # names holding a control character (Unicode category Cc): a tab, NUL, the
 # ASCII controls that are not whitespace, DEL, and C1 controls
@@ -164,6 +172,7 @@ _DIRTY = ["0,a\r\n", " 3,a\n", "3 ,a\n", "3, a\n", "3,a\t\n", "+3,a\n",
           "3_0,a\n", "²,a\n", "٣,a\n", "3,é\n", "3,a\x1f\n", "3,a\x0b1,b\n",
           "\n3,a\n", "3,a\n\n", "3,a\n\n4,a\n", "3\n", "3,a,b\n", ",a\n",
           "1234567890123456789,a\n", "", "1a,b\n", "1,a\n,b\n",
+          "0,a\n2,b\n1,\n", "3, \n",  # an empty name
           "1\n2,a,b\n",  # as many commas as lines, none on the first
           # each byte the clean parse forbids, inside a time and a name
           *(f"3{c}0,a\n" for c in _FORBIDDEN),
@@ -171,7 +180,7 @@ _DIRTY = ["0,a\r\n", " 3,a\n", "3 ,a\n", "3, a\n", "3,a\t\n", "+3,a\n",
 
 
 class TestWholeTextPath:
-    @pytest.mark.parametrize("text", ["3,a\n", "3,a", "0,a\n2,b\n1,\n",
+    @pytest.mark.parametrize("text", ["3,a\n", "3,a",
                                       "123456789012345678,a\n"])
     def test_clean_text_is_read_whole(self, text):
         assert oracles.is_clean(text)
@@ -181,7 +190,7 @@ class TestWholeTextPath:
         assert not oracles.is_clean(text)
 
 
-@pytest.mark.parametrize("text", _DIRTY + ["3,a\n", "3,a", "0,a\n2,b\n1,\n",
+@pytest.mark.parametrize("text", _DIRTY + ["3,a\n", "3,a",
                                           "123456789012345678,a\n"])
 def test_loader_rule_is_the_whole_text_rule(text):
     parsed = traces._parse_clean(text.encode())
@@ -189,7 +198,8 @@ def test_loader_rule_is_the_whole_text_rule(text):
 
 
 @pytest.mark.parametrize("line", ["+2,c", " 2,c", "2 ,c", ",c", "c", "2,c,d",
-                                  "", "2,\x1fc", "1234567890123456789,c"])
+                                  "", "2,\x1fc", "1234567890123456789,c",
+                                  "2,"])
 @pytest.mark.parametrize("block", [1, 5])
 def test_unclean_line_at_a_block_start(line, block):
     # "0,a\n1,b\n" fills the first block of 5 bytes and more; with 1 byte
@@ -211,18 +221,18 @@ _TIMES = st.one_of(
     _DECIMAL_TIMES,
     st.sampled_from(["+3", " 3", "3 ", "3_0", "²", "٣", "", "-1", "0x3",
                      "03"]))
-# prefixes of each other, empty, ending in "!" (the lowest byte a clean
+# prefixes of each other, ending in "!" (the lowest byte a clean
 # name holds), longer than the 8 bytes of one name-key word, and longer
 # than two words with the same first 16 bytes
-_CLEAN_NAMES = st.sampled_from(["a", "b", "B", "b10", "b2", "", "n1", "n10",
+_CLEAN_NAMES = st.sampled_from(["a", "b", "B", "b10", "b2", "n1", "n10",
                                 "a!", "!", "abcdefgh", "abcdefgh!",
                                 "abcdefghij", "abcdefghik",
                                 "abcdefghijklmnop", "abcdefghijklmnopq",
                                 "abcdefghijklmnop!", "abcdefghijklmnopqr"])
 _NAMES = st.one_of(_CLEAN_NAMES,
-                   st.sampled_from([" a", "a ", "a\t", "\x1fa", "é", "a b",
-                                    "a\tb", "a\x00", "\x01", "a\x7fb",
-                                    "a\x85b", "a\x9fb"]))
+                   st.sampled_from(["", " ", " a", "a ", "a\t", "\x1fa",
+                                    "é", "a b", "a\tb", "a\x00", "\x01",
+                                    "a\x7fb", "a\x85b", "a\x9fb"]))
 _ROWS = st.one_of(
     st.tuples(_TIMES, _NAMES).map(",".join),
     st.sampled_from(["", " ", "\t", "\x1f", "3", "3,a,b", ",", "a,3"]))
@@ -296,12 +306,11 @@ class TestLoaderParity:
                 _assert_first_appearance(text, horizon)
 
     @pytest.mark.parametrize("text", [
-        "0,n1\n0,n10\n1,n10\n1,n1\n", "3,", "3,\n0,\n", "0,a!\n0,a\n1,a\n",
+        "0,n1\n0,n10\n1,n10\n1,n1\n", "0,a!\n0,a\n1,a\n",
         "2,abcdefgh!\n2,abcdefgh\n", "123456789012345678,a\n1,b\n",
         "5,a\n7,b", "4,a"],
-        ids=["prefix-names", "empty-name", "empty-name-twice", "bang-ending",
-             "bang-ending-long", "18-digit-time", "no-final-lf",
-             "single-event"])
+        ids=["prefix-names", "bang-ending", "bang-ending-long",
+             "18-digit-time", "no-final-lf", "single-event"])
     @pytest.mark.parametrize("block", [1, traces._BLOCK])
     def test_clean_cases_match_line_loop(self, text, block):
         assert oracles.is_clean(text)
@@ -310,6 +319,24 @@ class TestLoaderParity:
             for as_bytes in (False, True):
                 assert _outcome(_load, text, None, as_bytes) == want
             _assert_first_appearance(text, None)
+
+    @pytest.mark.parametrize("text, message", [
+        ("3,", "line 1: '3,'"), ("3,\n0,\n", "line 1: '3,'"),
+        ("0,a\n1,\n2,b\n3,a\n", "line 2: '1,'"),
+        ("0,a\n1, \r\n", "line 2: '1, '")],
+        ids=["empty-name", "empty-name-twice", "empty-name-inside",
+             "blank-name"])
+    @pytest.mark.parametrize("block", [1, traces._BLOCK])
+    def test_empty_name_is_malformed(self, text, message, block):
+        # before, "1," read as an event of a variable named "", and infer
+        # wrote rows with an empty cause or effect cell
+        assert not oracles.is_clean(text)
+        message = f"malformed row at {message}"
+        with mock.patch.object(traces, "_BLOCK", block):
+            assert traces._parse_clean(text.encode()) is None
+            for as_bytes in (False, True):
+                assert _outcome(_load, text, None, as_bytes) == message
+        assert _outcome(oracles.load_events, text, None) == message
 
     @pytest.mark.parametrize("text, horizon, message", [
         ("3,a\n3,a\n", None, "duplicate event: (3, 'a')"),
