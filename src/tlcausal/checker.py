@@ -3,10 +3,11 @@ on traces.
 
 On a :class:`~tlcausal.dtmc.Dtmc`, bounded until/unless probabilities follow
 the standard per-state recurrence (value iteration); infinite bounds are
-exact, by graph search and one linear solve, or by graph search alone under
-the bounds ``{>0}`` and ``{>=1}``.  Probability-bounded leads-to is checked
-per state through the always-globally reading: no path may reach an
-antecedent state whose window misses the bound.
+exact, by graph search and one linear solve.  ``{>0}`` and ``{>=1}`` are
+read off the chain's edges at every time bound, and every other bound
+compares floats.  Probability-bounded leads-to is checked per state
+through the always-globally reading: no path may reach an antecedent
+state whose window misses the bound.
 
 On traces, formulæ are evaluated per tick, temporal operators along the trace
 suffix.  The decider of tick t for ``l U{<=k} r`` or ``l W{<=k} r`` is the
@@ -34,11 +35,9 @@ from .traces import Trace, TraceSet
 
 __all__ = [
     "FrequencyEstimate", "sat_set", "until_prob", "unless_prob",
-    "leads_to_prob", "trace_leads_to", "eval_on_trace", "window_hits",
-    "meets_bound",
+    "leads_to_prob", "leads_to_meets", "trace_leads_to", "eval_on_trace",
+    "window_hits",
 ]
-
-_SAT_ONE = 1.0 - 1e-9  # prob >= 1 test under float iteration
 
 
 @dataclass(frozen=True)
@@ -55,12 +54,12 @@ class FrequencyEstimate:
     denominator: float
 
 
-def meets_bound(vec, cmp, p):
-    """Threshold a probability or a probability vector.  Interior bounds
-    compare exactly; a >=1 bound allows for value iteration's rounding."""
-    if cmp == ">=":
-        return vec >= (_SAT_ONE if p >= 1.0 else p)
-    return vec > p
+def _meets(f: ProbBound, sets, vec):
+    """Where a probability meets ``f``'s bound: ``{>0}`` off the zero set
+    and ``{>=1}`` on the one set of ``sets()``, others by ``vec()``."""
+    if (f.comparison, f.p) in ((">", 0.0), (">=", 1.0)):
+        return ~sets()[0] if f.comparison == ">" else sets()[1]
+    return vec() >= f.p if f.comparison == ">=" else vec() > f.p
 
 
 # ---------------------------------------------------------------------------
@@ -107,43 +106,47 @@ def _probbound_mask(model: Dtmc, f: ProbBound) -> np.ndarray:
     inner = f.path
     if isinstance(inner, LeadsTo):
         # AG[left -> (window-reach right with this bound)]
-        if not (isinstance(inner.left, StateFormula)
-                and isinstance(inner.right, StateFormula)):
-            raise CheckError("leads-to on a chain requires state-formula "
-                             "operands; use the trace semantics for "
-                             "temporal operands")
-        reach = meets_bound(_window_reach_vector(
-            model, _state_mask(model, inner.right), inner.tmin, inner.tmax),
-            f.comparison, f.p)
-        bad = _state_mask(model, inner.left) & ~reach
-        return ~_reach(model, bad, np.ones(model.n_states, bool))
+        left, right = _lead_masks(model, inner.left, inner.right)
+        window = (model, right, inner.tmin, inner.tmax)
+        reach = _meets(f, lambda: _window_sets(*window),
+                       lambda: _window_reach_vector(*window))
+        return ~_reach(model, left & ~reach, np.ones(model.n_states, bool))
     if isinstance(inner, (Until, Unless)):
         f1m = _state_mask(model, inner.left)
         f2m = _state_mask(model, inner.right)
-        if (inner.tmax == INFINITY
-                and (f.comparison, f.p) in ((">", 0.0), (">=", 1.0))):
-            # solved values lie in [2**-53, 1 - 2**-53], so the graph sets
-            # alone give these verdicts; unless is 0 where its dual until
-            # is 1, and 1 where it is 0
-            zero, one = (_until_sets(model, f1m, f2m)
-                         if isinstance(inner, Until) else
-                         _until_sets(model, f1m & ~f2m, ~f1m & ~f2m)[::-1])
-            return ~zero if f.comparison == ">" else one
-        prob = until_prob if isinstance(inner, Until) else unless_prob
-        vec = prob(model, f1m, f2m, inner.tmax)
-        if inner.tmax != INFINITY:
-            return meets_bound(vec, f.comparison, f.p)
-    else:
-        # degenerate zero-length path: indicator of the state formula
-        vec = _state_mask(model, inner).astype(float)
-    # exact values: only the graph's states hold 0.0 and 1.0
-    return vec >= f.p if f.comparison == ">=" else vec > f.p
+        if isinstance(inner, Until):
+            return _meets(f, lambda: _until_sets(model, f1m, f2m, inner.tmax),
+                          lambda: until_prob(model, f1m, f2m, inner.tmax))
+        # unless is 0 where its dual until is 1, and 1 where it is 0
+        return _meets(f, lambda: _until_sets(
+            model, f1m & ~f2m, ~f1m & ~f2m, inner.tmax)[::-1],
+            lambda: unless_prob(model, f1m, f2m, inner.tmax))
+    # degenerate zero-length path: indicator of the state formula
+    mask = _state_mask(model, inner)
+    return _meets(f, lambda: (~mask, mask), lambda: mask)
+
+
+def _lead_masks(model, c, e):
+    if not (isinstance(c, StateFormula) and isinstance(e, StateFormula)):
+        raise CheckError("leads-to on a chain requires state-formula "
+                         "operands; use the trace semantics for "
+                         "temporal operands")
+    return _state_mask(model, c), _state_mask(model, e)
 
 
 def _window_reach_vector(model, target_mask, tmin, tmax):
-    horizon = INFINITY if tmax == INFINITY else int(tmax) - int(tmin)
-    v = until_prob(model, np.ones(model.n_states, bool), target_mask, horizon)
+    v = until_prob(model, np.ones(model.n_states, bool), target_mask,
+                   tmax - tmin)
     return model._walk(v, int(tmin))
+
+
+def _window_sets(model, target_mask, tmin, tmax):
+    """The window reach's zero and one sets: its until's, pushed tmin steps."""
+    sets = _until_sets(model, np.ones(model.n_states, bool), target_mask,
+                       tmax - tmin)
+    for _ in range(int(tmin)):
+        sets = [_every_edge_into(model, s) for s in sets]
+    return sets
 
 
 def sat_set(model: Dtmc, f: Formula) -> frozenset:
@@ -157,14 +160,13 @@ def until_prob(model: Dtmc, f1m: np.ndarray, f2m: np.ndarray,
     ``f2m`` are boolean state masks.
 
     Recurrence: P_0 = [s in f2]; P_k = 1 on f2, else T @ P_{k-1} on f1,
-    else 0.  An infinite bound is exact: 0.0 where no path through f1
-    reaches f2, 1.0 where no path through ``f1 & ~f2`` reaches those, and
-    one solve, rows read as normalized, for the rest: 2**-53 inside (0, 1).
+    else 0.  An infinite bound is exact: graph search for 0.0 and 1.0,
+    one solve, rows read as normalized, for the rest.  These are floats:
+    ``{>0}`` and ``{>=1}`` read the chain's edges instead, at every bound.
     """
     if tmax == INFINITY:
         return _until_unbounded(model, f1m, f2m)
-    f2v = f2m.astype(float)
-    return _iterate(model, f2v, f2v, f1m & ~f2m, tmax)
+    return _iterate(model, f2m.astype(float), f1m, f2m, tmax)
 
 
 def unless_prob(model: Dtmc, f1m: np.ndarray, f2m: np.ndarray,
@@ -175,16 +177,14 @@ def unless_prob(model: Dtmc, f1m: np.ndarray, f2m: np.ndarray,
     ``1 - P((f1 & ~f2) U (~f1 & ~f2))``."""
     if tmax == INFINITY:
         return 1.0 - _until_unbounded(model, f1m & ~f2m, ~f1m & ~f2m)
-    f2v = f2m.astype(float)
-    start = (f1m | f2m).astype(float)
-    return _iterate(model, start, f2v, f1m & ~f2m, tmax)
+    return _iterate(model, (f1m | f2m).astype(float), f1m, f2m, tmax)
 
 
-def _iterate(model, current, f2v, cont, steps):
-    # Each step is f2v + cont * (T @ current) set by index: where cont
-    # holds, f2v is 0.0 and the sum is T @ current; where it fails, f2v.
-    stop = np.flatnonzero(~cont)
-    return model._walk(current, int(steps), stop, f2v[stop])
+def _iterate(model, current, f1m, f2m, steps):
+    # Each step is f2v + cont * (T @ current) set by index: where cont =
+    # f1 & ~f2 holds, f2v is 0.0 and the sum is T @ current; else f2v.
+    stop = np.flatnonzero(~f1m | f2m)
+    return model._walk(current, int(steps), stop, f2m[stop].astype(float))
 
 
 def _reach(model, target, through):
@@ -204,16 +204,28 @@ def _reach(model, target, through):
     return seen[:n]
 
 
-def _until_sets(model, f1m, f2m):
-    """The states where ``f1 U{<=inf} f2`` has probability 0, and 1."""
-    zero = ~_reach(model, f2m, f1m)
-    return zero, ~_reach(model, zero, f1m & ~f2m)
+def _until_sets(model, f1m, f2m, steps):
+    """The states where ``f1 U{<=steps} f2`` has probability 0, and 1: by
+    graph search if ``steps`` is infinite, else by its boolean recurrence."""
+    if steps == INFINITY:
+        zero = ~_reach(model, f2m, f1m)
+        return zero, ~_reach(model, zero, f1m & ~f2m)
+    cont, zero, one = f1m & ~f2m, ~f2m, f2m
+    for _ in range(int(steps)):
+        zero, one = (~f2m & (~cont | _every_edge_into(model, zero)),
+                     f2m | (cont & _every_edge_into(model, one)))
+    return zero, one
+
+
+def _every_edge_into(model, x):
+    # an explicit 0.0 is no edge, and a product of 0/1 values cannot underflow
+    return model.transitions @ (~x).astype(float) == 0
 
 
 def _until_unbounded(model, f1m, f2m):
     from scipy.sparse import diags
     from scipy.sparse.linalg import spsolve
-    zero, one = _until_sets(model, f1m, f2m)
+    zero, one = _until_sets(model, f1m, f2m, INFINITY)
     vec = one.astype(float)
     rest = np.flatnonzero(~zero & ~one)
     if rest.size:
@@ -243,17 +255,28 @@ def leads_to_prob(model: Dtmc, c: Formula, e: Formula,
     counts the windows after each occurrence.
     """
     LeadsTo(c, e, tmin, tmax)
-    cmask = _state_mask(model, c)
+    cmask, emask = _lead_masks(model, c, e)
     if not cmask.any():
         raise CheckError("antecedent holds in no state "
                          "(occurrence condition violated)")
-    u = _window_reach_vector(model, _state_mask(model, e), tmin, tmax)
+    u = _window_reach_vector(model, emask, tmin, tmax)
     weights = model.frequency[cmask]
     denom = float(weights.sum())
     if denom <= 0:
         raise CheckError("antecedent states have zero observed frequency")
     numer = float((weights * u[cmask]).sum())
     return FrequencyEstimate(numer / denom, numer, denom)
+
+
+def leads_to_meets(model: Dtmc, f: ProbBound, est: FrequencyEstimate) -> bool:
+    """Whether ``est``, :func:`leads_to_prob` of ``f``'s leads-to, meets its
+    bound: ``{>0}`` when an antecedent state of positive frequency is off
+    the window's zero set, ``{>=1}`` when all are on its one set."""
+    lead = f.path
+    cmask, emask = _lead_masks(model, lead.left, lead.right)
+    weighed = cmask & (model.frequency > 0)
+    return bool(_meets(f, lambda: [s[weighed].all() for s in _window_sets(
+        model, emask, lead.tmin, lead.tmax)], lambda: est.probability))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +297,7 @@ def _trace_leaf(trace: Trace, f: Formula) -> np.ndarray:
     if isinstance(f, ProbBound):
         # a trace is one path: the path probability is 0 or 1
         sat = eval_on_trace(trace, f.path)
-        return meets_bound(sat.astype(float), f.comparison, f.p)
+        return _meets(f, lambda: (~sat, sat), lambda: sat)
     if isinstance(f, LeadsTo):
         raise CheckError("leads-to has no per-tick truth value on traces; "
                          "use trace_leads_to")

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import dtmc as dtmcmod
 from . import pipeline as pl
-from .checker import (eval_on_trace, leads_to_prob, meets_bound, sat_set,
+from .checker import (eval_on_trace, leads_to_meets, leads_to_prob, sat_set,
                       trace_leads_to)
 from .errors import DataError, FitError, TlcausalError, UsageError
 from .pctl import INFINITY, LeadsTo, ProbBound, parse
@@ -78,7 +78,7 @@ def _build_parser():
     chk = sub.add_parser("check", help="evaluate one formula")
     chk.add_argument("--formula", required=True)
     chk.add_argument("--path", action="append", help="trace input (repeatable)")
-    chk.add_argument("--format", default="event-csv")
+    chk.add_argument("--format")
     chk.add_argument("--horizon", type=int)
     chk.add_argument("--model", help="exported chain listing")
     chk.set_defaults(func=_cmd_check)
@@ -203,10 +203,12 @@ def _cmd_infer(args):
 
 
 def _cmd_check(args):
-    if args.model and (args.path or args.horizon is not None):
+    fmt = "event-csv" if args.format is None else args.format
+    pl.check_format(fmt)
+    if args.model and (args.path or args.horizon is not None
+                       or args.format is not None):
         raise UsageError("check takes --model or --path, not both "
-                         "(--horizon goes with --path)")
-    pl.check_format(args.format)
+                         "(--horizon and --format go with --path)")
     formula = parse(args.formula)
     lead = formula.path if isinstance(formula, ProbBound) \
         and isinstance(formula.path, LeadsTo) else None
@@ -220,11 +222,11 @@ def _cmd_check(args):
         est = leads_to_prob(model, lead.left, lead.right,
                             lead.tmin, lead.tmax)
         counts = f"weighted {est.numerator:.6g}/{est.denominator:.6g}"
-        verdict = meets_bound(est.probability, formula.comparison, formula.p)
+        verdict = leads_to_meets(model, formula, est)
     else:
         if not args.path:
             raise UsageError("check needs --path or --model")
-        data = pl.load_data(args.path, args.format, args.horizon)
+        data = pl.load_data(args.path, fmt, args.horizon)
         if lead is None:
             total = hits = 0
             for tr in data:

@@ -29,7 +29,9 @@ The running-count window is the reference for the doubled ORs of
 ``tlcausal.checker.window_hits``.  Value iteration by full csr products is
 the bit-for-bit reference for the chain checker's shift-row push, and an
 exact solve in Fractions with Gaussian elimination the reference for its
-unbounded until, unless and leads-to always-reading.
+unbounded until, unless and leads-to always-reading.  That solve, or the
+finite-bound recurrence in Fractions, is the reference for the verdicts
+of ``{>0}`` and ``{>=1}``, which the checker reads off the chain's edges.
 ``scipy.stats.norm.pdf`` is the reference for the null density
 ``tlcausal.fdr.NullModel.pdf``.
 """
@@ -178,6 +180,7 @@ def leads_to_sat_full(model, reach, cmask):
 # Fractions, the probability-0 states by graph search, the rest by Gaussian
 # elimination.  Unless is until towards f2 or a state from which every path
 # stays in ``f1 & ~f2``, so it does not lean on the until/unless duality.
+# A finite bound is its recurrence in Fractions, step by step.
 
 def _exact_rows(model):
     """Each state's successors with their normalized probabilities."""
@@ -236,6 +239,35 @@ def exact_until(model, f1m, f2m):
     for k, s in enumerate(unknown):
         out[s] = a[k][m] / a[k][k]
     return out
+
+
+def _push_exact(rows, vec):
+    return [sum((p * vec[j] for j, p in row.items()), Fraction(0))
+            for row in rows]
+
+
+def exact_bounded(model, f1m, f2m, k, weak=False):
+    """P(f1 U{<=k} f2), or with ``weak`` P(f1 W{<=k} f2), at each state as
+    Fractions: ``k`` steps of the recurrence over the normalized rows."""
+    rows, n = _exact_rows(model), model.n_states
+    vec = [Fraction(int(bool(f2m[s] or weak and f1m[s]))) for s in range(n)]
+    for _ in range(k):
+        pushed = _push_exact(rows, vec)
+        vec = [Fraction(1) if f2m[s] else pushed[s] if f1m[s] else Fraction(0)
+               for s in range(n)]
+    return vec
+
+
+def exact_window_reach(model, emask, tmin, tmax):
+    """P(e within [tmin, tmax]) at each state, as Fractions: ``tmin``
+    pushes of P(true U{<=tmax - tmin} e) through the normalized rows."""
+    ones = np.ones(model.n_states, bool)
+    vec = (exact_until(model, ones, emask) if tmax == INFINITY
+           else exact_bounded(model, ones, emask, tmax - tmin))
+    rows = _exact_rows(model)
+    for _ in range(tmin):
+        vec = _push_exact(rows, vec)
+    return vec
 
 
 def exact_unless(model, f1m, f2m):

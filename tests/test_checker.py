@@ -13,8 +13,8 @@ from conftest import (random_dtmc, random_traceset, trace_from_marks,
                       traceset_from_marks)
 from oracles import marginal_window_prob
 from scipy import sparse
-from tlcausal.checker import (_SAT_ONE, _state_mask, _window_reach_vector,
-                              eval_on_trace, leads_to_prob, meets_bound,
+from tlcausal.checker import (_state_mask, _window_reach_vector,
+                              eval_on_trace, leads_to_meets, leads_to_prob,
                               sat_set, trace_leads_to, unless_prob,
                               until_prob, window_hits)
 from tlcausal.dtmc import Dtmc, build_dtmc
@@ -160,6 +160,25 @@ class TestUntilUnless:
         assert sat_set(tiny, parse("F b")) == {1}
         assert sat_set(tiny, parse("E G !b")) == {0, 2}
 
+    @pytest.mark.parametrize("rows, labels, formulas, want", [
+        # state 0 reaches b in one step with 0.9999999999, not 1: before,
+        # {>=1} passed anything within 1e-9 of 1 at a finite bound
+        ([[0.0, 0.9999999999, 1e-10], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+         [[True, False], [False, True], [False, False]],
+         ["[a U{<=1} b]{>=1}", "[a U{<=inf} b]{>=1}"], {1}),
+        # 0 -> 1 -> 2 {b} with 1e-200 a step: the path's 1e-400 underflows
+        # to 0.0, and before, {>0} missed state 0
+        ([[1.0, 1e-200, 0.0], [0.0, 1.0, 1e-200], [0.0, 0.0, 1.0]],
+         [[True, False], [False, False], [False, True]],
+         ["[true U{<=2} b]{>0}", "a ~>{>=1,<=2}{>0} b"], {0, 1, 2}),
+    ], ids=["near-one", "underflow"])
+    def test_finite_bound_verdicts_read_the_edges(self, rows, labels,
+                                                  formulas, want):
+        model = Dtmc(("a", "b"), np.array(labels), sparse.csr_matrix(
+            np.array(rows)), 0, np.ones(3))
+        for formula in formulas:
+            assert sat_set(model, parse(formula)) == want
+
 
 class TestLeadsToProb:
     def test_worked_example(self, dtmc_a):
@@ -210,6 +229,16 @@ class TestLeadsToProb:
                                 (trace_leads_to, data)))
         assert max(on_chain) - min(on_chain) < 1e-12
         assert min(on_traces[0] - p for p in on_traces[1:]) > 0.2
+
+
+_QUALITATIVE = ((">", 0.0), (">=", 1.0))
+
+
+def _passes(values, cmp, p):
+    """Where floats or Fractions meet the bound ``cmp p``, compared as
+    they are."""
+    return np.array([v >= p if cmp == ">=" else v > p for v in values],
+                    dtype=bool)
 
 
 def _bits(values):
@@ -302,8 +331,11 @@ class TestShiftRowPush:
                 _bits(oracles.leads_to_full(model, cmask, emask, tmin, hi)))
         cmp = data.draw(st.sampled_from([">=", ">"]))
         p = data.draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
-        reach = meets_bound(oracles.window_reach_full(model, emask, tmin, hi),
-                            cmp, p)
+        # {>0} and {>=1} against the exact values, the rest the floats
+        reach = _passes(oracles.exact_window_reach(model, emask, tmin, hi)
+                        if (cmp, p) in _QUALITATIVE else
+                        oracles.window_reach_full(model, emask, tmin, hi),
+                        cmp, p)
         assert sat_set(model, ProbBound(LeadsTo(Atom(c), Atom(e), tmin, hi),
                                         cmp, p)) == \
             oracles.leads_to_sat_full(model, reach, cmask)
@@ -458,40 +490,66 @@ class TestUnboundedExact:
                                              INFINITY, start)
             assert est.denominator == den
             assert abs(est.numerator - num) <= 1e-12 * den
+        exact = oracles.exact_window_reach(model, emask, tmin, INFINITY)
         for cmp, p in _BOUNDS:
-            edge = _SAT_ONE if cmp == ">=" and p == 1.0 else p
-            if np.abs(reach - edge).min() > 1e-9:
+            # {>0} and {>=1} exactly; other bounds not within 1e-9 of a value
+            if (cmp, p) in _QUALITATIVE or np.abs(reach - p).min() > 1e-9:
                 assert sat_set(model, ProbBound(
                     LeadsTo(Atom(c), Atom(e), tmin, INFINITY), cmp, p)) == \
-                    oracles.leads_to_sat_full(
-                        model, meets_bound(reach, cmp, p), cmask)
+                    oracles.leads_to_sat_full(model, _passes(
+                        exact if (cmp, p) in _QUALITATIVE else reach, cmp, p),
+                        cmask)
 
 
-class TestQualitativeUnbounded:
-    """``{>0}`` and ``{>=1}`` on unbounded until and unless (and so on
-    ``F``, ``G``, ``A``, ``E``) are decided by graph search alone, with the
-    exact solve's verdicts."""
+class TestQualitative:
+    """``{>0}`` and ``{>=1}`` on until, unless and leads-to (and so on
+    ``F``, ``G``, ``A``, ``E``), at every time bound, are read off the
+    chain's edges with no solve and no walk, and give the verdicts of the
+    exact Fraction oracles; so does the weighted leads-to verdict of
+    ``check --model``."""
 
     @settings(max_examples=200, deadline=None)
     @given(model=st.one_of(_slow_chains(), st.builds(_spike_chain)),
            data=st.data())
-    def test_verdicts_without_a_solve(self, model, data):
+    def test_verdicts_without_a_solve_or_walk(self, model, data):
         atom = st.sampled_from(model.atoms).map(Atom)
         operand = st.one_of(atom, atom.map(Not), st.just(Atom("true")),
                             st.just(Atom("false")))
         left, right = data.draw(operand), data.draw(operand)
         f1m, f2m = _state_mask(model, left), _state_mask(model, right)
-        for cls, exact in ((Until, oracles.exact_until),
-                           (Unless, oracles.exact_unless)):
-            want = exact(model, f1m, f2m)
-            with mock.patch("scipy.sparse.linalg.spsolve",
-                            side_effect=AssertionError("spsolve called")):
-                positive = sat_set(model, ProbBound(
-                    cls(left, right, INFINITY), ">", 0.0))
-                certain = sat_set(model, ProbBound(
-                    cls(left, right, INFINITY), ">=", 1.0))
-            assert positive == {s for s, p in enumerate(want) if p > 0}
-            assert certain == {s for s, p in enumerate(want) if p == 1}
+        tmax = data.draw(st.one_of(st.integers(0, 8), st.just(INFINITY)))
+        tmin = data.draw(st.integers(1, 4))
+        c, e = (data.draw(st.sampled_from(model.atoms)) for _ in range(2))
+        lead = LeadsTo(Atom(c), Atom(e), tmin, tmin + tmax)
+        cmask, emask = model.states_with(c), model.states_with(e)
+        weighed = cmask & (model.frequency > 0)
+        est = (leads_to_prob(model, lead.left, lead.right, lead.tmin,
+                             lead.tmax) if weighed.any() else None)
+        if tmax == INFINITY:
+            exact = {Until: oracles.exact_until(model, f1m, f2m),
+                     Unless: oracles.exact_unless(model, f1m, f2m)}
+        else:
+            exact = {cls: oracles.exact_bounded(model, f1m, f2m, tmax,
+                                                weak=cls is Unless)
+                     for cls in (Until, Unless)}
+        reach = oracles.exact_window_reach(model, emask, tmin, lead.tmax)
+        with mock.patch("scipy.sparse.linalg.spsolve",
+                        side_effect=AssertionError("spsolve called")), \
+                mock.patch.object(Dtmc, "_walk",
+                                  side_effect=AssertionError("walk called")):
+            for cmp, p in _QUALITATIVE:
+                for cls, want in exact.items():
+                    assert sat_set(model, ProbBound(
+                        cls(left, right, tmax), cmp, p)) == \
+                        set(np.flatnonzero(_passes(want, cmp, p)).tolist())
+                meets = _passes(reach, cmp, p)
+                assert sat_set(model, ProbBound(lead, cmp, p)) == \
+                    oracles.leads_to_sat_full(model, meets, cmask)
+                if est is not None:
+                    assert leads_to_meets(model, ProbBound(lead, cmp, p),
+                                          est) == (meets[weighed].any()
+                                                   if cmp == ">" else
+                                                   meets[weighed].all())
 
     def test_spike_chain_has_undecided_states(self):
         # the chain the test above draws from needs a solve for some
@@ -682,9 +740,18 @@ _LEADS_TO = "leads-to has no per-tick truth value on traces; use trace_leads_to"
      "use the trace semantics for temporal operands"),
     ("chain", Not("a"), CheckError, "not a formula node: 'a'"),
     ("trace", And(Atom("a"), 42), CheckError, "not a formula node: 42"),
+    ("leads_to_prob", parse("a ~>{>=1,<=2}{>0} a U{<=1} b"), CheckError,
+     "leads-to on a chain requires state-formula operands; "
+     "use the trace semantics for temporal operands"),
 ])
 def test_checker_error_types_and_messages(dtmc_a, on, f, error, message):
     trace = trace_from_marks(("a", "b"), 4, {"a": [0], "b": [1]})
     with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
-        sat_set(dtmc_a, f) if on == "chain" else eval_on_trace(trace, f)
+        if on == "chain":
+            sat_set(dtmc_a, f)
+        elif on == "trace":
+            eval_on_trace(trace, f)
+        else:
+            leads_to_prob(dtmc_a, f.path.left, f.path.right, f.path.tmin,
+                          f.path.tmax)
     assert info.type is error

@@ -539,7 +539,8 @@ class TestCli:
         assert "satisfying states" in capsys.readouterr().out
 
     @pytest.mark.parametrize("extra", [["--path", "missing.csv"],
-                                       ["--horizon", "10"]])
+                                       ["--horizon", "10"],
+                                       ["--format", "wide-csv"]])
     def test_check_model_refuses_trace_settings(self, tmp_path, capsys,
                                                 extra):
         # before, the chain was checked and the trace settings ignored, so
@@ -651,7 +652,8 @@ class TestCli:
 
     def test_check_model_verdict_at_a_bound_of_one(self, tmp_path, capsys):
         # state 0 goes to ten {b} states with probability 0.1 each: the
-        # chain estimate sums to 1 only up to rounding, as sat_set allows
+        # chain estimate sums to 1 only up to rounding, but every edge
+        # leads to b, so the verdict holds, as in sat_set
         listing = tmp_path / "model.txt"
         listing.write_text("\n".join(
             ["atoms a b", "initial 0", "state 0: {a}"]
@@ -665,6 +667,26 @@ class TestCli:
         out = capsys.readouterr().out
         assert "probability: 1 (weighted 1/1)" in out
         assert "bound >= 1.0: holds" in out
+
+    @pytest.mark.parametrize("body, formula, printed", [
+        # a path of 1e-400 underflows to 0.0, yet it is a path
+        ("state 1: {}\nstate 2: {b}\ntrans 0 1 1e-200\ntrans 0 0 1.0\n"
+         "trans 1 2 1e-200\ntrans 1 1 1.0\ntrans 2 2 1.0\n",
+         "a ~>{>=1,<=2}{>0} b",
+         "probability: 0 (weighted 0/1)\nbound > 0.0: holds\n"),
+        # 0.9999999999 prints as 1 in six digits, and is not 1
+        ("state 1: {b}\nstate 2: {}\ntrans 0 1 0.9999999999\n"
+         "trans 0 2 1e-10\ntrans 1 1 1.0\ntrans 2 2 1.0\n",
+         "a ~>{>=1,<=1}{>=1} b",
+         "probability: 1 (weighted 1/1)\nbound >= 1.0: fails\n"),
+    ], ids=["underflow", "near-one"])
+    def test_check_model_qualitative_verdict_reads_the_graph(
+            self, tmp_path, capsys, body, formula, printed):
+        listing = tmp_path / "model.txt"
+        listing.write_text("atoms a b\ninitial 0\nstate 0: {a}\n" + body)
+        assert cli.main(["check", "--formula", formula,
+                         "--model", str(listing)]) == 0
+        assert capsys.readouterr().out == printed
 
     def test_check_model_with_reserved_atom_name(self, tmp_path, capsys):
         # read as the constant atom, `true` would hold in every state
