@@ -4,10 +4,11 @@ on traces.
 On a :class:`~tlcausal.dtmc.Dtmc`, bounded until/unless probabilities follow
 the standard per-state recurrence (value iteration); infinite bounds are
 exact, by graph search and one linear solve.  ``{>0}`` and ``{>=1}`` are
-read off the chain's edges at every time bound, and every other bound
-compares floats.  Probability-bounded leads-to is checked per state
-through the always-globally reading: no path may reach an antecedent
-state whose window misses the bound.
+the positivity of the path and of its negation, one set of states each,
+read off the chain's edges to its fixed point at every time bound; ``{>1}``
+never holds, and every other bound compares floats.  Probability-bounded
+leads-to is checked per state through the always-globally reading: no
+path may reach an antecedent state whose window misses the bound.
 
 On traces, formulæ are evaluated per tick, temporal operators along the trace
 suffix.  The decider of tick t for ``l U{<=k} r`` or ``l W{<=k} r`` is the
@@ -54,11 +55,14 @@ class FrequencyEstimate:
     denominator: float
 
 
-def _meets(f: ProbBound, sets, vec):
-    """Where a probability meets ``f``'s bound: ``{>0}`` off the zero set
-    and ``{>=1}`` on the one set of ``sets()``, others by ``vec()``."""
-    if (f.comparison, f.p) in ((">", 0.0), (">=", 1.0)):
-        return ~sets()[0] if f.comparison == ">" else sets()[1]
+def _meets(f: ProbBound, possible, vec):
+    """Where a probability meets ``f``'s bound: ``{>0}`` where the path is
+    possible, ``possible(False)``, ``{>=1}`` where its negation is not,
+    ``{>=0}`` everywhere, ``{>1}`` nowhere, and others by ``vec()``."""
+    if f.p == 0.0:
+        return possible(False) | (f.comparison == ">=")
+    if f.p == 1.0:
+        return ~possible(True) & (f.comparison == ">=")
     return vec() >= f.p if f.comparison == ">=" else vec() > f.p
 
 
@@ -108,22 +112,19 @@ def _probbound_mask(model: Dtmc, f: ProbBound) -> np.ndarray:
         # AG[left -> (window-reach right with this bound)]
         left, right = _lead_masks(model, inner.left, inner.right)
         window = (model, right, inner.tmin, inner.tmax)
-        reach = _meets(f, lambda: _window_sets(*window),
+        reach = _meets(f, lambda dual: _window_possible(*window, dual),
                        lambda: _window_reach_vector(*window))
         return ~_reach(model, left & ~reach, np.ones(model.n_states, bool))
     if isinstance(inner, (Until, Unless)):
         f1m = _state_mask(model, inner.left)
         f2m = _state_mask(model, inner.right)
-        if isinstance(inner, Until):
-            return _meets(f, lambda: _until_sets(model, f1m, f2m, inner.tmax),
-                          lambda: until_prob(model, f1m, f2m, inner.tmax))
-        # unless is 0 where its dual until is 1, and 1 where it is 0
-        return _meets(f, lambda: _until_sets(
-            model, f1m & ~f2m, ~f1m & ~f2m, inner.tmax)[::-1],
-            lambda: unless_prob(model, f1m, f2m, inner.tmax))
+        weak = isinstance(inner, Unless)
+        return _meets(f, lambda dual: _possible(
+            model, f1m, f2m, inner.tmax, weak, dual), lambda: (
+            unless_prob if weak else until_prob)(model, f1m, f2m, inner.tmax))
     # degenerate zero-length path: indicator of the state formula
     mask = _state_mask(model, inner)
-    return _meets(f, lambda: (~mask, mask), lambda: mask)
+    return _meets(f, lambda dual: mask ^ dual, lambda: mask)
 
 
 def _lead_masks(model, c, e):
@@ -140,13 +141,13 @@ def _window_reach_vector(model, target_mask, tmin, tmax):
     return model._walk(v, int(tmin))
 
 
-def _window_sets(model, target_mask, tmin, tmax):
-    """The window reach's zero and one sets: its until's, pushed tmin steps."""
-    sets = _until_sets(model, np.ones(model.n_states, bool), target_mask,
-                       tmax - tmin)
+def _window_possible(model, target_mask, tmin, tmax, dual):
+    """Where the window's reach (its miss, if ``dual``) is possible."""
+    x = _possible(model, np.ones(model.n_states, bool), target_mask,
+                  tmax - tmin, False, dual)
     for _ in range(int(tmin)):
-        sets = [_every_edge_into(model, s) for s in sets]
-    return sets
+        x = _some_edge_into(model, x)
+    return x
 
 
 def sat_set(model: Dtmc, f: Formula) -> frozenset:
@@ -204,28 +205,35 @@ def _reach(model, target, through):
     return seen[:n]
 
 
-def _until_sets(model, f1m, f2m, steps):
-    """The states where ``f1 U{<=steps} f2`` has probability 0, and 1: by
-    graph search if ``steps`` is infinite, else by its boolean recurrence."""
-    if steps == INFINITY:
-        zero = ~_reach(model, f2m, f1m)
-        return zero, ~_reach(model, zero, f1m & ~f2m)
-    cont, zero, one = f1m & ~f2m, ~f2m, f2m
+def _possible(model, f1m, f2m, steps, weak, dual=False):
+    """Where ``f1 U{<=steps} f2`` (``W`` if ``weak``) has positive
+    probability, or with ``dual`` its negation ``(f1 & !f2) W (!f1 & !f2)``
+    (``U`` if ``weak``): by graph search for an infinite bound, else by the
+    boolean recurrence ``x = f2 | (cont & edge into x)`` to its fixed point."""
+    if dual:
+        f1m, f2m, weak = f1m & ~f2m, ~f1m & ~f2m, not weak
+    cont = f1m & ~f2m
+    if steps == INFINITY:  # weak: through cont into a state that cannot fail
+        return _reach(model, ~_reach(model, ~f1m & ~f2m, cont) if weak
+                      else f2m, cont)
+    x = f1m | f2m if weak else f2m
     for _ in range(int(steps)):
-        zero, one = (~f2m & (~cont | _every_edge_into(model, zero)),
-                     f2m | (cont & _every_edge_into(model, one)))
-    return zero, one
+        x, last = f2m | (cont & _some_edge_into(model, x)), x
+        if np.array_equal(x, last):
+            break
+    return x
 
 
-def _every_edge_into(model, x):
-    # an explicit 0.0 is no edge, and a product of 0/1 values cannot underflow
-    return model.transitions @ (~x).astype(float) == 0
+def _some_edge_into(model, x):
+    # an explicit 0.0 is no edge, and a sum of positive products is positive
+    return model.transitions @ x.astype(float) > 0
 
 
 def _until_unbounded(model, f1m, f2m):
     from scipy.sparse import diags
     from scipy.sparse.linalg import spsolve
-    zero, one = _until_sets(model, f1m, f2m, INFINITY)
+    zero = ~_possible(model, f1m, f2m, INFINITY, False)
+    one = ~_reach(model, zero, f1m & ~f2m)
     vec = one.astype(float)
     rest = np.flatnonzero(~zero & ~one)
     if rest.size:
@@ -270,13 +278,14 @@ def leads_to_prob(model: Dtmc, c: Formula, e: Formula,
 
 def leads_to_meets(model: Dtmc, f: ProbBound, est: FrequencyEstimate) -> bool:
     """Whether ``est``, :func:`leads_to_prob` of ``f``'s leads-to, meets its
-    bound: ``{>0}`` when an antecedent state of positive frequency is off
-    the window's zero set, ``{>=1}`` when all are on its one set."""
+    bound: ``{>0}`` when the window's reach is possible from an antecedent
+    state of positive frequency, ``{>=1}`` when its miss is from none."""
     lead = f.path
     cmask, emask = _lead_masks(model, lead.left, lead.right)
     weighed = cmask & (model.frequency > 0)
-    return bool(_meets(f, lambda: [s[weighed].all() for s in _window_sets(
-        model, emask, lead.tmin, lead.tmax)], lambda: est.probability))
+    return bool(_meets(f, lambda dual: _window_possible(
+        model, emask, lead.tmin, lead.tmax, dual)[weighed].any(),
+        lambda: est.probability))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +306,7 @@ def _trace_leaf(trace: Trace, f: Formula) -> np.ndarray:
     if isinstance(f, ProbBound):
         # a trace is one path: the path probability is 0 or 1
         sat = eval_on_trace(trace, f.path)
-        return _meets(f, lambda: (~sat, sat), lambda: sat)
+        return _meets(f, lambda dual: sat ^ dual, lambda: sat)
     if isinstance(f, LeadsTo):
         raise CheckError("leads-to has no per-tick truth value on traces; "
                          "use trace_leads_to")
@@ -350,12 +359,8 @@ def trace_leads_to(data: TraceSet, c: Formula, e: Formula,
     num = den = 0
     for trace in data:
         c_arr = eval_on_trace(trace, c)
-        e_arr = eval_on_trace(trace, e)
-        nq = trace.length - tmax
-        if nq <= 0:
-            continue
-        hits = window_hits(e_arr, tmin, tmax)
-        cq = c_arr[:nq]
+        hits = window_hits(eval_on_trace(trace, e), tmin, tmax)
+        cq = c_arr[:len(hits)]
         den += int(cq.sum())
         num += int((cq & hits).sum())
     if den == 0:

@@ -13,6 +13,7 @@ from conftest import (random_dtmc, random_traceset, trace_from_marks,
                       traceset_from_marks)
 from oracles import marginal_window_prob
 from scipy import sparse
+from tlcausal import checker
 from tlcausal.checker import (_state_mask, _window_reach_vector,
                               eval_on_trace, leads_to_meets, leads_to_prob,
                               sat_set, trace_leads_to, unless_prob,
@@ -171,7 +172,13 @@ class TestUntilUnless:
         ([[1.0, 1e-200, 0.0], [0.0, 1.0, 1e-200], [0.0, 0.0, 1.0]],
          [[True, False], [False, False], [False, True]],
          ["[true U{<=2} b]{>0}", "a ~>{>=1,<=2}{>0} b"], {0, 1, 2}),
-    ], ids=["near-one", "underflow"])
+        # state 0's row sums to 1 + 5e-10, within ROW_SUM_TOL, so a U{<=1} b
+        # reads 1.0000000005 there: before, {>1} passed it
+        ([[0.0, 0.50000000025, 0.50000000025], [0.0, 1.0, 0.0],
+          [0.0, 0.0, 1.0]],
+         [[True, False], [False, True], [False, True]],
+         ["[a U{<=1} b]{>1}", "[a U{<=inf} b]{>1}"], set()),
+    ], ids=["near-one", "underflow", "above-one"])
     def test_finite_bound_verdicts_read_the_edges(self, rows, labels,
                                                   formulas, want):
         model = Dtmc(("a", "b"), np.array(labels), sparse.csr_matrix(
@@ -231,7 +238,7 @@ class TestLeadsToProb:
         assert min(on_traces[0] - p for p in on_traces[1:]) > 0.2
 
 
-_QUALITATIVE = ((">", 0.0), (">=", 1.0))
+_QUALITATIVE = ((">", 0.0), (">=", 1.0), (">", 1.0), (">=", 0.0))
 
 
 def _passes(values, cmp, p):
@@ -438,7 +445,8 @@ def _spike_chain():
     return build_dtmc(TraceSet((events.to_trace(),)))
 
 
-_BOUNDS = ((">", 0.0), (">=", 1.0), (">=", 0.5), (">", 0.3), (">=", 0.9))
+_BOUNDS = ((">", 0.0), (">=", 1.0), (">=", 0.5), (">", 0.3), (">=", 0.9),
+           (">", 1.0), (">=", 0.0))
 
 
 def _verdicts_agree(got, exact, cmp, p):
@@ -505,8 +513,8 @@ class TestQualitative:
     """``{>0}`` and ``{>=1}`` on until, unless and leads-to (and so on
     ``F``, ``G``, ``A``, ``E``), at every time bound, are read off the
     chain's edges with no solve and no walk, and give the verdicts of the
-    exact Fraction oracles; so does the weighted leads-to verdict of
-    ``check --model``."""
+    exact Fraction oracles, as do ``{>1}`` and ``{>=0}``; so does the
+    weighted leads-to verdict of ``check --model``."""
 
     @settings(max_examples=200, deadline=None)
     @given(model=st.one_of(_slow_chains(), st.builds(_spike_chain)),
@@ -550,6 +558,34 @@ class TestQualitative:
                                           est) == (meets[weighed].any()
                                                    if cmp == ">" else
                                                    meets[weighed].all())
+
+    def test_sets_stop_at_their_fixed_point(self):
+        # 0 {a} -> 1 {a} or 4 {}; 1 -> 2 {a}; 2 -> 2 or 3 {b}; 3 -> 0;
+        # 4 loops.  A bound of 4000 asks for 4000 boolean steps, and each
+        # set is fixed after at most one step per state
+        T = sparse.csr_matrix(np.array([
+            [0.0, 0.5, 0.0, 0.0, 0.5], [0.0, 0.0, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 0.5, 0.5, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 1.0]]))
+        labels = [[True, False]] * 3 + [[False, True], [False, False]]
+        model = Dtmc(("a", "b"), np.array(labels), T, 0, np.ones(5))
+        a, b = model.states_with("a"), model.states_with("b")
+        ones = np.ones(5, bool)
+        cases = [  # formula, window pushes, the exact oracle's states
+            ("[true U{<=4000} b]{>0}", 0, np.flatnonzero(_passes(
+                oracles.exact_bounded(model, ones, b, 4000), ">", 0.0))),
+            ("[a W{<=4000} b]{>=1}", 0, np.flatnonzero(_passes(
+                oracles.exact_bounded(model, a, b, 4000, weak=True),
+                ">=", 1.0))),
+            ("a ~>{>=2,<=4000}{>=1} b", 2, oracles.leads_to_sat_full(
+                model, _passes(oracles.exact_window_reach(model, b, 2, 4000),
+                               ">=", 1.0), a))]
+        with mock.patch.object(checker, "_some_edge_into",
+                               wraps=checker._some_edge_into) as step:
+            for formula, tmin, want in cases:
+                step.reset_mock()
+                assert sat_set(model, parse(formula)) == set(want)
+                assert step.call_count <= model.n_states + 1 + tmin
 
     def test_spike_chain_has_undecided_states(self):
         # the chain the test above draws from needs a solve for some
@@ -614,6 +650,18 @@ class TestTraceSemantics:
                 assert (got_m.numerator, got_m.denominator) == want_m
             except EmptyWindowError:
                 assert want_m[1] == 0
+
+    def test_replicate_shorter_than_the_window(self):
+        # replicates of 1 and 2 ticks hold no full window of [1, 2]; they
+        # add nothing beside the 6-tick one
+        marks = ({"c": [0]}, {"c": [0, 1], "e": [1]},
+                 {"c": [0, 3], "e": [2]})
+        data = TraceSet(tuple(trace_from_marks(("c", "e"), n, m)
+                              for n, m in zip((1, 2, 6), marks)))
+        est = trace_leads_to(data, Atom("c"), Atom("e"), 1, 2)
+        assert (est.numerator, est.denominator) == (1, 2) == \
+            oracles.count_leads_to([t.column("c") for t in data],
+                                   [t.column("e") for t in data], 1, 2)
 
     def test_windows_do_not_cross_traces(self):
         t1 = traceset_from_marks(("c", "e"), 4, {"c": [3]}).traces[0]

@@ -679,7 +679,13 @@ class TestCli:
          "trans 0 2 1e-10\ntrans 1 1 1.0\ntrans 2 2 1.0\n",
          "a ~>{>=1,<=1}{>=1} b",
          "probability: 1 (weighted 1/1)\nbound >= 1.0: fails\n"),
-    ], ids=["underflow", "near-one"])
+        # a row that sums to 1 + 5e-10 reads 1.0000000005, and {>1} never
+        # holds
+        ("state 1: {b}\nstate 2: {b}\ntrans 0 1 0.50000000025\n"
+         "trans 0 2 0.50000000025\ntrans 1 1 1.0\ntrans 2 2 1.0\n",
+         "a ~>{>=1,<=1}{>1} b",
+         "probability: 1 (weighted 1/1)\nbound > 1.0: fails\n"),
+    ], ids=["underflow", "near-one", "above-one"])
     def test_check_model_qualitative_verdict_reads_the_graph(
             self, tmp_path, capsys, body, formula, printed):
         listing = tmp_path / "model.txt"
