@@ -17,8 +17,8 @@ from .errors import (CheckError, DataError, EmptyWindowError, FitError,
 from .fdr import (MixtureDensity, NullModel, ZScores, classify, fit_mixture,
                   fit_null, local_fdr, z_scores)
 from .pctl import (INFINITY, And, Atom, Formula, Implies, LeadsTo, Not, Or,
-                   PathFormula, ProbBound, StateFormula, TimeBound, Unless,
-                   Until, parse, print_formula)
+                   PathFormula, ProbBound, StateFormula, TimeBound, Until,
+                   parse, print_formula)
 from .pipeline import PipelineConfig, Report, run_pipeline
 from .synthgen import GenConfig, GroundTruth, StructureSpec, generate, preset
 from .traces import (EventList, Trace, TraceSet, discretize, events_of,

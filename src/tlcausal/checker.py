@@ -31,7 +31,7 @@ import numpy as np
 from .dtmc import Dtmc
 from .errors import CheckError, EmptyWindowError
 from .pctl import (INFINITY, And, Atom, Formula, Implies, LeadsTo, Not, Or,
-                   PathFormula, ProbBound, StateFormula, Unless, Until)
+                   PathFormula, ProbBound, StateFormula, Until)
 from .traces import Trace, TraceSet
 
 __all__ = [
@@ -115,10 +115,10 @@ def _probbound_mask(model: Dtmc, f: ProbBound) -> np.ndarray:
         reach = _meets(f, lambda dual: _window_possible(*window, dual),
                        lambda: _window_reach_vector(*window))
         return ~_reach(model, left & ~reach, np.ones(model.n_states, bool))
-    if isinstance(inner, (Until, Unless)):
+    if isinstance(inner, Until):
         f1m = _state_mask(model, inner.left)
         f2m = _state_mask(model, inner.right)
-        weak = isinstance(inner, Unless)
+        weak = inner.weak
         return _meets(f, lambda dual: _possible(
             model, f1m, f2m, inner.tmax, weak, dual), lambda: (
             unless_prob if weak else until_prob)(model, f1m, f2m, inner.tmax))
@@ -310,7 +310,7 @@ def _trace_leaf(trace: Trace, f: Formula) -> np.ndarray:
     if isinstance(f, LeadsTo):
         raise CheckError("leads-to has no per-tick truth value on traces; "
                          "use trace_leads_to")
-    if not isinstance(f, (Until, Unless)):
+    if not isinstance(f, Until):
         raise CheckError(f"not a formula node: {f!r}")
     left = eval_on_trace(trace, f.left)
     right = eval_on_trace(trace, f.right)
@@ -322,7 +322,7 @@ def _trace_leaf(trace: Trace, f: Formula) -> np.ndarray:
         np.where(right | ~left, ticks, n)[::-1])[::-1]
     decided = (decider < n) & (decider - ticks <= f.tmax)
     return np.where(decided, right[np.minimum(decider, n - 1)],
-                    isinstance(f, Unless))
+                    f.weak)
 
 
 def window_hits(marks: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -342,8 +342,8 @@ def window_hits(marks: np.ndarray, lo: int, hi: int) -> np.ndarray:
 def _check_window(tmin, tmax):
     if not (isinstance(tmin, int) and tmin >= 1):
         raise CheckError("window requires tmin >= 1")
-    if tmax == INFINITY or not (isinstance(tmax, int) and tmax >= tmin):
-        raise CheckError("trace windows require a finite tmax >= tmin")
+    if not (isinstance(tmax, int) and tmin <= tmax < 2 ** 63):
+        raise CheckError("trace windows require tmin <= tmax < 2^63")
 
 
 def trace_leads_to(data: TraceSet, c: Formula, e: Formula,

@@ -109,12 +109,13 @@ class Dtmc:
         products for a finite float vector with no negative entry and no
         -0.0, which is every vector the checker pushes.
 
-        With the shift split, step ``k``'s vector is ``buf[k:k + n]`` of one
-        buffer of ``n + steps`` floats, so a shift row's value ``v[i + 1]``
-        already sits at place ``i`` of the next step's vector and costs
-        nothing; the other rows are one csr product written over it, each
-        the same row sum as in the full product.  scipy's csr row sum starts
-        from +0.0, and ``0.0 + 1.0 * x`` is ``x`` on such values."""
+        With the shift split, each step's vector is one place on from the
+        last in a buffer of ``n + min(steps, n)`` floats, moved back to its
+        front when full, so a shift row's value ``v[i + 1]`` already sits at
+        place ``i`` of the next step's vector and costs nothing; the other
+        rows are one csr product written over it, each the same row sum as
+        in the full product.  scipy's csr row sum starts from +0.0, and
+        ``0.0 + 1.0 * x`` is ``x`` on such values."""
         split, n = self._shift_split, self.n_states
         if split is None:
             for _ in range(steps):
@@ -123,15 +124,17 @@ class Dtmc:
                     v[stop] = pinned
             return v
         rest, sub = split
-        buf = np.empty(n + steps)
-        buf[:n] = v
-        for k in range(steps):
-            y = sub @ buf[k:k + n]
+        buf = np.empty(n + min(steps, n))
+        buf[:n], k = v, 0
+        for _ in range(steps):
+            if k + n == buf.size:  # one copy of n floats per n steps
+                buf[:n], k = buf[k:], 0
             step = buf[k + 1:k + 1 + n]  # its last place is a rest row's
-            step[rest] = y
+            step[rest] = sub @ buf[k:k + n]
+            k += 1
             if stop is not None:
                 step[stop] = pinned
-        return buf[steps:]
+        return buf[k:k + n]
 
     @cached_property
     def _columns(self) -> dict:

@@ -1,10 +1,11 @@
 """Probabilistic temporal logic formulæ: syntax tree, parser, printer.
 
 State formulæ are atoms, boolean combinations, and probability-bounded path
-formulæ.  Path formulæ are the bounded strong until ``U``, the bounded weak
-until ``W`` (the "unless": the left operand may persist for the whole bound
-without the right ever holding), and the windowed ``~>`` ("leads-to": whenever
-the left side holds, the right side follows within ``[tmin, tmax]`` ticks).
+formulæ.  Path formulæ are the bounded until ``U`` and its weak form ``W``
+(the "unless": the left operand may persist for the whole bound without the
+right ever holding), one node :class:`Until` with ``weak`` set for ``W``, and
+the windowed ``~>`` ("leads-to": whenever the left side holds, the right side
+follows within ``[tmin, tmax]`` ticks).
 
 Concrete grammar (whitespace-insensitive)::
 
@@ -54,7 +55,7 @@ from .errors import FormulaParseError
 __all__ = [
     "Formula", "StateFormula", "PathFormula",
     "Atom", "Not", "And", "Or", "Implies", "ProbBound",
-    "Until", "Unless", "LeadsTo",
+    "Until", "LeadsTo",
     "TimeBound", "INFINITY", "TRUE", "FALSE",
     "parse", "print_formula",
 ]
@@ -131,23 +132,13 @@ class ProbBound(StateFormula):
 
 @dataclass(frozen=True)
 class Until(PathFormula):
-    """``left U{<=tmax} right``: right within tmax ticks, left holding before."""
+    """``left U{<=tmax} right``: right within tmax ticks, left holding before;
+    with ``weak``, ``left W{<=tmax} right``, or left holds the whole bound."""
 
     left: Formula
     right: Formula
     tmax: TimeBound
-
-    def __post_init__(self):
-        _check_time(self.tmax)
-
-
-@dataclass(frozen=True)
-class Unless(PathFormula):
-    """Weak until: as ``Until``, or left persists for the whole bound."""
-
-    left: Formula
-    right: Formula
-    tmax: TimeBound
+    weak: bool = False
 
     def __post_init__(self):
         _check_time(self.tmax)
@@ -157,7 +148,7 @@ class Unless(PathFormula):
 class LeadsTo(PathFormula):
     """``left ~>{>=tmin,<=tmax} right``: whenever left holds, right follows
     after at least ``tmin`` and at most ``tmax`` ticks.  Operands may be state
-    formulæ or bare until/unless path formulæ."""
+    formulæ or bare until path formulæ, strong or weak."""
 
     left: Formula
     right: Formula
@@ -339,8 +330,7 @@ class _Parser:
             op = self.advance().text
             tmax = self.parse_tbound()
             right = self.parse_binary()
-            cls = Until if op == "U" else Unless
-            return cls(left, right, tmax)
+            return Until(left, right, tmax, op == "W")
         return left
 
     def parse_binary(self, level=0):
@@ -412,7 +402,7 @@ class _Parser:
             bound = self.parse_pbound()
         operand = self.parse_unary()
         path = (Until(TRUE, operand, tmax) if q == "F"
-                else Unless(operand, FALSE, tmax))
+                else Until(operand, FALSE, tmax, True))
         return ProbBound(path, *(bound or (">=", 1.0)))
 
 
@@ -461,9 +451,9 @@ def _fmt_state(f, min_prec):
 
 def _fmt_operand(f):
     """An operand of U / W / ~> or the inside of brackets: bare path text
-    for nested until/unless (legal only under a leads-to), state text with
+    for a nested until (legal only under a leads-to), state text with
     parens around embedded leads-to bounds."""
-    if isinstance(f, (Until, Unless)):
+    if isinstance(f, Until):
         return print_formula(f)
     return _fmt_state(f, 0)
 
@@ -495,9 +485,9 @@ def print_formula(f):
         if isinstance(f.path, LeadsTo):
             return _fmt_leads_to(f.path, bound)
         return "[%s]%s" % (_fmt_operand(f.path), bound)
-    if isinstance(f, (Until, Unless)):
+    if isinstance(f, Until):
         return "%s %s{<=%s} %s" % (
-            _fmt_operand(f.left), "U" if isinstance(f, Until) else "W",
+            _fmt_operand(f.left), "W" if f.weak else "U",
             _fmt_time(f.tmax), _fmt_operand(f.right))
     if isinstance(f, LeadsTo):
         # a bare leads-to has no probability bound; printable for debugging

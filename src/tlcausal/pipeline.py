@@ -68,8 +68,8 @@ class PipelineConfig:
             raise UsageError("no input path given")
         if len(set(self.paths)) != len(self.paths):
             raise UsageError("input paths must be distinct")
-        if self.tmin < 1 or self.tmax < self.tmin:
-            raise UsageError("window requires 1 <= tmin <= tmax")
+        if not 1 <= self.tmin <= self.tmax < 2 ** 63:
+            raise UsageError("window requires 1 <= tmin <= tmax < 2^63")
         if self.divisor not in ("defined", "strict"):
             raise UsageError("divisor must be 'defined' or 'strict'")
         if self.min_support < 1:

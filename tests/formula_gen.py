@@ -8,7 +8,7 @@ operator letters (A, E, F, G, U, W) to stress the parser's disambiguation.
 import random
 
 from tlcausal.pctl import (INFINITY, And, Atom, Implies, LeadsTo, Not, Or,
-                           ProbBound, Unless, Until)
+                           ProbBound, Until)
 
 ATOM_POOL = ("a", "b", "c", "d", "a_up", "b_down", "x1", "y_2",
              "A", "E", "F", "G", "U", "W", "true", "false")
@@ -50,9 +50,9 @@ def random_state(rng, depth):
 
 def random_path_or_state(rng, depth):
     if depth > 0 and rng.random() < 0.35:
-        cls = Until if rng.random() < 0.5 else Unless
-        return cls(random_state(rng, depth - 1),
-                   random_state(rng, depth - 1), random_time(rng))
+        weak = rng.random() >= 0.5
+        return Until(random_state(rng, depth - 1),
+                     random_state(rng, depth - 1), random_time(rng), weak)
     return random_state(rng, depth)
 
 

@@ -53,7 +53,7 @@ from tlcausal.checker import (FrequencyEstimate, eval_on_trace,
 from tlcausal.dtmc import Dtmc, encode_labels
 from tlcausal.errors import CheckError, DataError, EmptyWindowError
 from tlcausal.pctl import (INFINITY, And, Atom, Formula, Implies, Not, Or,
-                           ProbBound, Unless, print_formula)
+                           ProbBound, print_formula)
 from tlcausal.pipeline import TSV_COLUMNS, HypothesisTable
 from tlcausal.synthgen import GenConfig, GroundTruth
 from tlcausal.traces import EventList, TraceSet, _open_lines
@@ -178,8 +178,8 @@ def leads_to_sat_full(model, reach, cmask):
 # ---------------------------------------------------------------------------
 # Unbounded until and unless on a chain, exactly: each row normalized as
 # Fractions, the probability-0 states by graph search, the rest by Gaussian
-# elimination.  Unless is until towards f2 or a state from which every path
-# stays in ``f1 & ~f2``, so it does not lean on the until/unless duality.
+# elimination.  The weak until is until towards f2 or a state from which
+# every path stays in ``f1 & ~f2``, so it does not lean on the duality.
 # A finite bound is its recurrence in Fractions, step by step.
 
 def _exact_rows(model):
@@ -357,7 +357,7 @@ def path_on_trace(trace, f):
     running off the end falsifies U and satisfies W."""
     left = trace_sat(trace, f.left)
     right = trace_sat(trace, f.right)
-    weak = isinstance(f, Unless)
+    weak = f.weak
     n = trace.length
     if f.tmax == INFINITY:
         out = np.empty(n, dtype=bool)

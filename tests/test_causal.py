@@ -46,6 +46,13 @@ class TestEnumerate:
         assert len(family) == len(want)
         assert oracles.family_hypotheses(family) == want
 
+    def test_window_beyond_int64(self):
+        # hypotheses.tsv stores tmax as an int64
+        with pytest.raises(CheckError, match="2\\^63"):
+            enumerate_pairwise(["a", "b"], 1, 2 ** 63)
+        assert enumerate_pairwise(["a", "b"], 1, 2 ** 63 - 1).tmax == \
+            2 ** 63 - 1
+
     def test_duplicate_atoms(self):
         with pytest.raises(CheckError, match="duplicate"):
             enumerate_pairwise(["a", "b", "a"], 1, 1)

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from fractions import Fraction
 from functools import cache
 from unittest import mock
@@ -21,7 +22,7 @@ from tlcausal.checker import (_state_mask, _window_reach_vector,
 from tlcausal.dtmc import Dtmc, build_dtmc
 from tlcausal.errors import CheckError, DataError, EmptyWindowError
 from tlcausal.pctl import (INFINITY, And, Atom, LeadsTo, Not, ProbBound,
-                           Unless, Until, parse)
+                           Until, parse)
 from tlcausal.synthgen import GenConfig, generate, preset
 from tlcausal.traces import TraceSet
 
@@ -49,6 +50,17 @@ class TestSatSet:
     def test_builtins(self, dtmc_a):
         assert sat_set(dtmc_a, Atom("true")) == {0, 1, 2}
         assert sat_set(dtmc_a, Atom("false")) == frozenset()
+
+    def test_implies(self, dtmc_a):
+        assert sat_set(dtmc_a, parse("a -> b")) == {1, 2}
+        assert sat_set(dtmc_a, parse("!a | b")) == {1, 2}
+
+    def test_bound_over_a_state_formula(self, dtmc_a):
+        # a zero-length path: probability 1 where a holds, 0 elsewhere
+        for text in ("A a", "E a", "[a]{>=0.5}", "[a]{>0.5}"):
+            assert sat_set(dtmc_a, parse(text)) == {0}, text
+        assert sat_set(dtmc_a, parse("[a]{>1}")) == frozenset()
+        assert sat_set(dtmc_a, parse("[a]{>=0}")) == {0, 1, 2}
 
 
 class TestUntilUnless:
@@ -353,14 +365,16 @@ class TestShiftRowPush:
     def test_walk_on_split_chains(self, model, data):
         """The sliding walk, with stop states on shift rows among them,
         and the until, unless and window reach that take it, from 0 and 1
-        steps up."""
+        steps up, and past ``2n`` steps, where the buffer has been moved
+        back to its front."""
         n = model.n_states
         booleans = st.lists(st.booleans(), min_size=n, max_size=n).map(
             lambda m: np.array(m, dtype=bool))
         values = st.lists(st.sampled_from([0.0, 1.0, 0.25, 0.7, 3.5, 5e-324]),
                           min_size=n, max_size=n).map(np.array)
         steps = data.draw(st.one_of(st.sampled_from([0, 1]),
-                                    st.integers(0, 12)))
+                                    st.integers(0, 12),
+                                    st.integers(2 * n + 1, 3 * n + 2)))
         v, fixed, stopm = data.draw(values), data.draw(values), \
             data.draw(booleans)
         shift = np.setdiff1d(np.arange(n), model._shift_split[0])
@@ -384,6 +398,23 @@ class TestShiftRowPush:
         assert np.array_equal(
             _bits(_window_reach_vector(model, f2m, steps, hi)),
             _bits(oracles.window_reach_full(model, f2m, steps, hi)))
+
+    def test_walk_memory_does_not_grow_with_the_bound(self):
+        # the sliding buffer holds n + min(steps, n) floats
+        model = _spike_chain()
+        assert model._shift_split is not None
+        ones, b = np.ones(model.n_states, bool), model.states_with("B")
+        until_prob(model, ones, b, 3)
+
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                until_prob(model, ones, b, steps)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(20_000) <= peak(2_000) + 4096
 
     def test_split_only_when_shift_rows_are_half(self):
         # rows 0 and 1 are shift rows; row 2 loops back to 0
@@ -475,14 +506,14 @@ class TestUnboundedExact:
                             st.just(Atom("false")))
         left, right = data.draw(operand), data.draw(operand)
         f1m, f2m = _state_mask(model, left), _state_mask(model, right)
-        for cls, prob, exact in ((Until, until_prob, oracles.exact_until),
-                                 (Unless, unless_prob, oracles.exact_unless)):
+        for weak, prob, exact in ((False, until_prob, oracles.exact_until),
+                                  (True, unless_prob, oracles.exact_unless)):
             want = exact(model, f1m, f2m)
             got = prob(model, f1m, f2m, INFINITY)
             assert np.abs(got - np.array(want, float)).max() <= 1e-12
             for cmp, p in _BOUNDS:
                 assert _verdicts_agree(sat_set(model, ProbBound(
-                    cls(left, right, INFINITY), cmp, p)), want, cmp, p)
+                    Until(left, right, INFINITY, weak), cmp, p)), want, cmp, p)
         # leads-to with an infinite window: tmin pushes of the exact reach
         tmin = data.draw(st.integers(1, 4))
         c, e = (data.draw(st.sampled_from(model.atoms)) for _ in range(2))
@@ -534,21 +565,20 @@ class TestQualitative:
         est = (leads_to_prob(model, lead.left, lead.right, lead.tmin,
                              lead.tmax) if weighed.any() else None)
         if tmax == INFINITY:
-            exact = {Until: oracles.exact_until(model, f1m, f2m),
-                     Unless: oracles.exact_unless(model, f1m, f2m)}
+            exact = {False: oracles.exact_until(model, f1m, f2m),
+                     True: oracles.exact_unless(model, f1m, f2m)}
         else:
-            exact = {cls: oracles.exact_bounded(model, f1m, f2m, tmax,
-                                                weak=cls is Unless)
-                     for cls in (Until, Unless)}
+            exact = {weak: oracles.exact_bounded(model, f1m, f2m, tmax, weak)
+                     for weak in (False, True)}
         reach = oracles.exact_window_reach(model, emask, tmin, lead.tmax)
         with mock.patch("scipy.sparse.linalg.spsolve",
                         side_effect=AssertionError("spsolve called")), \
                 mock.patch.object(Dtmc, "_walk",
                                   side_effect=AssertionError("walk called")):
             for cmp, p in _QUALITATIVE:
-                for cls, want in exact.items():
+                for weak, want in exact.items():
                     assert sat_set(model, ProbBound(
-                        cls(left, right, tmax), cmp, p)) == \
+                        Until(left, right, tmax, weak), cmp, p)) == \
                         set(np.flatnonzero(_passes(want, cmp, p)).tolist())
                 meets = _passes(reach, cmp, p)
                 assert sat_set(model, ProbBound(lead, cmp, p)) == \
@@ -680,6 +710,12 @@ class TestEvalOnTrace:
         got = eval_on_trace(trace, parse("[a U{<=2} b]{>=1}"))
         assert got.tolist() == [False, True, True, True, False, False]
 
+    def test_implies(self):
+        trace = trace_from_marks(("a", "b"), 4, {"a": [0, 1], "b": [1, 3]})
+        want = [False, True, True, True]
+        assert eval_on_trace(trace, parse("a -> b")).tolist() == want
+        assert eval_on_trace(trace, parse("!a | b")).tolist() == want
+
     def test_unbounded_unless_truncation(self):
         data = traceset_from_marks(("a", "b"), 4, {"a": [2, 3]})
         trace = data.traces[0]
@@ -746,8 +782,7 @@ _TBOUNDS = st.one_of(st.integers(0, 10), st.just(INFINITY))
 
 
 def _path(operand):
-    return st.one_of(*(st.builds(cls, operand, operand, _TBOUNDS)
-                       for cls in (Until, Unless)))
+    return st.builds(Until, operand, operand, _TBOUNDS, st.booleans())
 
 
 def _trace_formulas(operand):

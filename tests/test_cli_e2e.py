@@ -145,6 +145,23 @@ def test_bad_config_value_is_a_usage_error_and_makes_no_outdir(run, capsys):
     assert not Path("bad").exists()
 
 
+def test_window_beyond_int64_is_a_usage_error_and_makes_no_outdir(run,
+                                                                  capsys):
+    # a tmax cell is an int64, so a table at 2^63 could not be read back
+    assert cli.main(["infer", "--config", "run.cfg", "--tmax", str(2 ** 63),
+                     "--outdir", "wide"]) == 1
+    assert "tmin <= tmax < 2^63" in capsys.readouterr().err
+    assert not Path("wide").exists()
+    # no tick has a full window, so no score reaches the fit
+    assert cli.main(["infer", "--config", "run.cfg", "--tmax",
+                     str(2 ** 63 - 1), "--outdir", "widest"]) == 0
+    assert cli.main(["report", "--hypotheses", "widest/hypotheses.tsv",
+                     "--outdir", "again"]) == 0
+    table = Path("again/hypotheses.tsv").read_text()
+    assert table == Path("widest/hypotheses.tsv").read_text()
+    assert "\t9223372036854775807\t" in table
+
+
 def test_check_counts_give_infers_p_cond(run, capsys):
     # check on the traces and infer's p_cond take the same window hits
     capsys.readouterr()

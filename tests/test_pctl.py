@@ -5,7 +5,7 @@ import pytest
 from formula_gen import random_formula
 from tlcausal.errors import FormulaParseError
 from tlcausal.pctl import (INFINITY, And, Atom, Implies, LeadsTo, Not, Or,
-                           ProbBound, Unless, Until, parse, print_formula)
+                           ProbBound, Until, parse, print_formula)
 
 
 class TestParse:
@@ -43,7 +43,8 @@ class TestParse:
 
     def test_unless(self):
         f = parse("[a W{<=3} b]{>0.1}")
-        assert f == ProbBound(Unless(Atom("a"), Atom("b"), 3), ">", 0.1)
+        assert f == ProbBound(Until(Atom("a"), Atom("b"), 3, True), ">", 0.1)
+        assert print_formula(f) == "[a W{<=3} b]{>0.1}"
 
     def test_leads_to_window(self):
         f = parse("a ~>{>=20,<=40}{>=0.5} b")
@@ -99,7 +100,7 @@ class TestSugar:
         assert parse("A F x") == ProbBound(
             Until(Atom("true"), Atom("x"), INFINITY), ">=", 1.0)
         assert parse("E G{<=5} x") == ProbBound(
-            Unless(Atom("x"), Atom("false"), 5), ">", 0.0)
+            Until(Atom("x"), Atom("false"), 5, True), ">", 0.0)
         assert parse("F{<=7}{>=0.3} x") == ProbBound(
             Until(Atom("true"), Atom("x"), 7), ">=", 0.3)
 
@@ -181,12 +182,12 @@ class TestValidate:
     def test_negative_time_bound(self):
         for t in (-1, 1.5, True, float("nan"), "3", None):
             for make in (lambda t: Until(Atom("a"), Atom("b"), t),
-                         lambda t: Unless(Atom("a"), Atom("b"), t),
+                         lambda t: Until(Atom("a"), Atom("b"), t, True),
                          lambda t: LeadsTo(Atom("a"), Atom("b"), 1, t)):
                 with pytest.raises(FormulaParseError, match="time bound"):
                     make(t)
         assert Until(Atom("a"), Atom("b"), 0).tmax == 0
-        assert Unless(Atom("a"), Atom("b"), INFINITY).tmax == INFINITY
+        assert Until(Atom("a"), Atom("b"), INFINITY, True).tmax == INFINITY
 
     def test_refusal_names_the_value(self):
         # the inner node refuses, so the conjunction is never built
