@@ -10,7 +10,7 @@ control.
 from .causal import (HypothesisFamily, ScoreTable, enumerate_pairwise,
                      score_hypotheses)
 from .checker import (FrequencyEstimate, eval_on_trace, leads_to_prob,
-                      sat_set, trace_leads_to, unless_prob, until_prob)
+                      sat_set, trace_leads_to, until_prob)
 from .dtmc import Dtmc, build_dtmc, encode_labels
 from .errors import (CheckError, DataError, EmptyWindowError, FitError,
                      FormulaParseError, TlcausalError, UsageError)

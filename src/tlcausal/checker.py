@@ -1,12 +1,13 @@
 """Satisfaction sets and path probabilities, exact on a chain or by counting
 on traces.
 
-On a :class:`~tlcausal.dtmc.Dtmc`, bounded until/unless probabilities follow
-the standard per-state recurrence (value iteration); infinite bounds are
-exact, by graph search and one linear solve.  ``{>0}`` and ``{>=1}`` are
-the positivity of the path and of its negation, one set of states each,
-read off the chain's edges to its fixed point at every time bound; ``{>1}``
-never holds, and every other bound compares floats.  Probability-bounded
+On a :class:`~tlcausal.dtmc.Dtmc`, :func:`until_prob` gives the strong and
+the weak until: by value iteration, which stops at a bit-identical fixed
+point, or for an infinite bound exactly, by graph search and one solve.
+``{>0}`` and ``{>=1}`` are the positivity of the path and of its negation,
+one set of states each, read off the chain's edges by one boolean step
+loop to its fixed point at every time bound; ``{>1}`` never holds, and
+every other bound compares floats.  Probability-bounded
 leads-to is checked per state through the always-globally reading: no
 path may reach an antecedent state whose window misses the bound.
 
@@ -35,9 +36,8 @@ from .pctl import (INFINITY, And, Atom, Formula, Implies, LeadsTo, Not, Or,
 from .traces import Trace, TraceSet
 
 __all__ = [
-    "FrequencyEstimate", "sat_set", "until_prob", "unless_prob",
-    "leads_to_prob", "leads_to_meets", "trace_leads_to", "eval_on_trace",
-    "window_hits",
+    "FrequencyEstimate", "sat_set", "until_prob", "leads_to_prob",
+    "leads_to_meets", "trace_leads_to", "eval_on_trace", "window_hits",
 ]
 
 
@@ -116,12 +116,10 @@ def _probbound_mask(model: Dtmc, f: ProbBound) -> np.ndarray:
                        lambda: _window_reach_vector(*window))
         return ~_reach(model, left & ~reach, np.ones(model.n_states, bool))
     if isinstance(inner, Until):
-        f1m = _state_mask(model, inner.left)
-        f2m = _state_mask(model, inner.right)
-        weak = inner.weak
-        return _meets(f, lambda dual: _possible(
-            model, f1m, f2m, inner.tmax, weak, dual), lambda: (
-            unless_prob if weak else until_prob)(model, f1m, f2m, inner.tmax))
+        until = (model, _state_mask(model, inner.left),
+                 _state_mask(model, inner.right), inner.tmax, inner.weak)
+        return _meets(f, lambda dual: _possible(*until, dual),
+                      lambda: until_prob(*until))
     # degenerate zero-length path: indicator of the state formula
     mask = _state_mask(model, inner)
     return _meets(f, lambda dual: mask ^ dual, lambda: mask)
@@ -136,18 +134,15 @@ def _lead_masks(model, c, e):
 
 
 def _window_reach_vector(model, target_mask, tmin, tmax):
-    v = until_prob(model, np.ones(model.n_states, bool), target_mask,
-                   tmax - tmin)
-    return model._walk(v, int(tmin))
+    return model._walk(until_prob(model, np.ones(model.n_states, bool),
+                                  target_mask, tmax - tmin), int(tmin))
 
 
 def _window_possible(model, target_mask, tmin, tmax, dual):
     """Where the window's reach (its miss, if ``dual``) is possible."""
-    x = _possible(model, np.ones(model.n_states, bool), target_mask,
-                  tmax - tmin, False, dual)
-    for _ in range(int(tmin)):
-        x = _some_edge_into(model, x)
-    return x
+    return _steps(model, _possible(model, np.ones(model.n_states, bool),
+                                   target_mask, tmax - tmin, False, dual),
+                  tmin)
 
 
 def sat_set(model: Dtmc, f: Formula) -> frozenset:
@@ -155,37 +150,23 @@ def sat_set(model: Dtmc, f: Formula) -> frozenset:
     return frozenset(int(i) for i in np.flatnonzero(_state_mask(model, f)))
 
 
-def until_prob(model: Dtmc, f1m: np.ndarray, f2m: np.ndarray,
-               tmax) -> np.ndarray:
-    """Per-state probability of ``f1 U{<=tmax} f2``, where ``f1m`` and
-    ``f2m`` are boolean state masks.
+def until_prob(model: Dtmc, f1m: np.ndarray, f2m: np.ndarray, tmax,
+               weak=False) -> np.ndarray:
+    """Per-state probability of ``f1 U{<=tmax} f2``, or of ``f1 W{<=tmax}
+    f2`` when ``weak``, where ``f1m`` and ``f2m`` are boolean state masks.
 
-    Recurrence: P_0 = [s in f2]; P_k = 1 on f2, else T @ P_{k-1} on f1,
-    else 0.  An infinite bound is exact: graph search for 0.0 and 1.0,
-    one solve, rows read as normalized, for the rest.  These are floats:
-    ``{>0}`` and ``{>=1}`` read the chain's edges instead, at every bound.
+    Recurrence: P_0 = [s in f2], or [s in f1 | f2] if ``weak``; P_k = 1 on
+    f2, else T @ P_{k-1} on f1, else 0.  An infinite bound is exact: graph
+    search for 0.0 and 1.0, one solve, rows read as normalized, for the
+    rest; weak, it is until's dual ``1 - P((f1 & ~f2) U (~f1 & ~f2))``.
+    These are floats: ``{>0}`` and ``{>=1}`` read the chain's edges instead.
     """
     if tmax == INFINITY:
-        return _until_unbounded(model, f1m, f2m)
-    return _iterate(model, f2m.astype(float), f1m, f2m, tmax)
-
-
-def unless_prob(model: Dtmc, f1m: np.ndarray, f2m: np.ndarray,
-                tmax) -> np.ndarray:
-    """Per-state probability of the weak until ``f1 W{<=tmax} f2``, where
-    ``f1m`` and ``f2m`` are boolean state masks: as until, except f1 may
-    persist through the whole bound.  An infinite bound is until's dual,
-    ``1 - P((f1 & ~f2) U (~f1 & ~f2))``."""
-    if tmax == INFINITY:
-        return 1.0 - _until_unbounded(model, f1m & ~f2m, ~f1m & ~f2m)
-    return _iterate(model, (f1m | f2m).astype(float), f1m, f2m, tmax)
-
-
-def _iterate(model, current, f1m, f2m, steps):
-    # Each step is f2v + cont * (T @ current) set by index: where cont =
-    # f1 & ~f2 holds, f2v is 0.0 and the sum is T @ current; else f2v.
+        return (1.0 - _until_unbounded(model, f1m & ~f2m, ~f1m & ~f2m)
+                if weak else _until_unbounded(model, f1m, f2m))
     stop = np.flatnonzero(~f1m | f2m)
-    return model._walk(current, int(steps), stop, f2m[stop].astype(float))
+    return model._walk((f1m | f2m if weak else f2m).astype(float),
+                       int(tmax), stop, f2m[stop].astype(float))
 
 
 def _reach(model, target, through):
@@ -216,9 +197,14 @@ def _possible(model, f1m, f2m, steps, weak, dual=False):
     if steps == INFINITY:  # weak: through cont into a state that cannot fail
         return _reach(model, ~_reach(model, ~f1m & ~f2m, cont) if weak
                       else f2m, cont)
-    x = f1m | f2m if weak else f2m
+    return _steps(model, f1m | f2m if weak else f2m, steps, f2m, cont)
+
+
+def _steps(model, x, steps, keep=False, cont=True):
+    """``x`` after ``steps`` boolean steps ``x = keep | (cont & edge into
+    x)``, stopping at the first step that changes nothing."""
     for _ in range(int(steps)):
-        x, last = f2m | (cont & _some_edge_into(model, x)), x
+        x, last = keep | (cont & _some_edge_into(model, x)), x
         if np.array_equal(x, last):
             break
     return x

@@ -27,6 +27,7 @@ if TYPE_CHECKING:
     from scipy import sparse
 
 ROW_SUM_TOL = 1e-9
+_SETTLE = 64  # walk steps between fixed-point checks
 
 
 @dataclass(frozen=True)
@@ -109,6 +110,10 @@ class Dtmc:
         products for a finite float vector with no negative entry and no
         -0.0, which is every vector the checker pushes.
 
+        Every ``_SETTLE`` steps the walk ends if that step left the vector
+        bit for bit as it was (compared as int64, as ``0.0 == -0.0`` in
+        floats): a step is a fixed map, so every later one would too.
+
         With the shift split, each step's vector is one place on from the
         last in a buffer of ``n + min(steps, n)`` floats, moved back to its
         front when full, so a shift row's value ``v[i + 1]`` already sits at
@@ -118,15 +123,17 @@ class Dtmc:
         ``0.0 + 1.0 * x`` is ``x`` on such values."""
         split, n = self._shift_split, self.n_states
         if split is None:
-            for _ in range(steps):
-                v = self.transitions @ v
+            for i in range(1, steps + 1):
+                last, v = v, self.transitions @ v
                 if stop is not None:
                     v[stop] = pinned
+                if i % _SETTLE == 0 and _same(v, last):
+                    break
             return v
         rest, sub = split
         buf = np.empty(n + min(steps, n))
         buf[:n], k = v, 0
-        for _ in range(steps):
+        for i in range(1, steps + 1):
             if k + n == buf.size:  # one copy of n floats per n steps
                 buf[:n], k = buf[k:], 0
             step = buf[k + 1:k + 1 + n]  # its last place is a rest row's
@@ -134,6 +141,8 @@ class Dtmc:
             k += 1
             if stop is not None:
                 step[stop] = pinned
+            if i % _SETTLE == 0 and _same(step, buf[k - 1:k - 1 + n]):
+                break
         return buf[k:k + n]
 
     @cached_property
@@ -151,6 +160,10 @@ class Dtmc:
     def row_sum_deviation(self) -> float:
         rows = np.asarray(self.transitions.sum(axis=1)).ravel()
         return float(np.abs(rows - 1.0).max())
+
+
+def _same(a, b) -> bool:  # bit for bit
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def _csr(*args, **kwargs):

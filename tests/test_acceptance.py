@@ -18,7 +18,7 @@ from oracles import epsilon_avg, epsilon_x, marginal_window_prob
 from conftest import random_dtmc, random_traceset
 from formula_gen import random_formula
 from tlcausal import cli
-from tlcausal.checker import trace_leads_to, unless_prob, until_prob
+from tlcausal.checker import trace_leads_to, until_prob
 from tlcausal.dtmc import build_dtmc
 from tlcausal.errors import EmptyWindowError
 from tlcausal.fdr import classify, fit_mixture, fit_null, local_fdr, z_scores
@@ -120,7 +120,7 @@ class TestCriterion3ModelCheckingOracle:
             for i in f2:
                 f2m[i] = True
             got_u = until_prob(model, f1m, f2m, tmax)
-            got_w = unless_prob(model, f1m, f2m, tmax)
+            got_w = until_prob(model, f1m, f2m, tmax, weak=True)
             for s in range(n):
                 worst_u = max(worst_u, abs(
                     got_u[s] - oracles.enum_until(T, f1, f2, tmax, s)))

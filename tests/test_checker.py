@@ -1,7 +1,10 @@
 import re
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -17,8 +20,8 @@ from scipy import sparse
 from tlcausal import checker
 from tlcausal.checker import (_state_mask, _window_reach_vector,
                               eval_on_trace, leads_to_meets, leads_to_prob,
-                              sat_set, trace_leads_to, unless_prob,
-                              until_prob, window_hits)
+                              sat_set, trace_leads_to, until_prob,
+                              window_hits)
 from tlcausal.dtmc import Dtmc, build_dtmc
 from tlcausal.errors import CheckError, DataError, EmptyWindowError
 from tlcausal.pctl import (INFINITY, And, Atom, LeadsTo, Not, ProbBound,
@@ -87,17 +90,17 @@ class TestUntilUnless:
         model = random_dtmc(rng, 1, atoms=("a", "b"))
         f1 = np.array([True])
         f2 = np.array([False])
-        vec = unless_prob(model, f1, f2, 3)
+        vec = until_prob(model, f1, f2, 3, weak=True)
         assert vec[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_unless_worked_example_a(self, dtmc_a):
-        vec = unless_prob(dtmc_a, dtmc_a.states_with("a"),
-                          dtmc_a.states_with("b"), 2)
+        vec = until_prob(dtmc_a, dtmc_a.states_with("a"),
+                         dtmc_a.states_with("b"), 2, weak=True)
         assert vec[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_unless_zero_horizon(self, dtmc_a):
-        vec = unless_prob(dtmc_a, dtmc_a.states_with("a"),
-                          dtmc_a.states_with("b"), 0)
+        vec = until_prob(dtmc_a, dtmc_a.states_with("a"),
+                         dtmc_a.states_with("b"), 0, weak=True)
         assert vec[0] == 1.0  # in f1 only
 
     def test_oracle_agreement_small_models(self):
@@ -118,7 +121,7 @@ class TestUntilUnless:
             for i in f2:
                 f2m[i] = True
             got_u = until_prob(model, f1m, f2m, tmax)
-            got_w = unless_prob(model, f1m, f2m, tmax)
+            got_w = until_prob(model, f1m, f2m, tmax, weak=True)
             for s in range(n):
                 assert got_u[s] == pytest.approx(
                     oracles.enum_until(T, f1, f2, tmax, s), abs=1e-10)
@@ -144,7 +147,7 @@ class TestUntilUnless:
             f2 = model.states_with("b")
             t = int(rng.integers(0, 6))
             u = until_prob(model, f1, f2, t)
-            w = unless_prob(model, f1, f2, t)
+            w = until_prob(model, f1, f2, t, weak=True)
             assert (w >= u - 1e-12).all()
 
     def test_infinite_until_fixed_point(self, dtmc_b):
@@ -160,7 +163,8 @@ class TestUntilUnless:
                     T, 0, np.array([1.0, 1.0]))
         a, b = slow.states_with("a"), slow.states_with("b")
         assert until_prob(slow, a, b, INFINITY).tolist() == [1.0, 1.0]
-        assert unless_prob(slow, a, ~a & ~b, INFINITY).tolist() == [0.0, 0.0]
+        assert until_prob(slow, a, ~a & ~b, INFINITY,
+                          weak=True).tolist() == [0.0, 0.0]
         assert sat_set(slow, parse("G a")) == frozenset()
 
     def test_tiny_exit_keeps_its_verdicts(self):
@@ -332,9 +336,10 @@ class TestShiftRowPush:
             lambda m: np.array(m, dtype=bool))
         f1m, f2m = data.draw(masks), data.draw(masks)
         tmax = data.draw(st.integers(0, 12))
-        for got, want in ((until_prob, oracles.until_full),
-                          (unless_prob, oracles.unless_full)):
-            assert np.array_equal(_bits(got(model, f1m, f2m, tmax)),
+        for weak, want in ((False, oracles.until_full),
+                           (True, oracles.unless_full)):
+            got = until_prob(model, f1m, f2m, tmax, weak)
+            assert np.array_equal(_bits(got),
                                   _bits(want(model, f1m, f2m, tmax)))
         tmin = data.draw(st.integers(1, 6))
         hi = data.draw(st.integers(tmin, tmin + 10))
@@ -390,14 +395,56 @@ class TestShiftRowPush:
             _bits(oracles.window_reach_full(model, None, steps, None, v)))
         assert np.array_equal(_bits(v), _bits(given_v))  # v is not written
         f1m, f2m = data.draw(booleans), data.draw(booleans)
-        for got, want in ((until_prob, oracles.until_full),
-                          (unless_prob, oracles.unless_full)):
-            assert np.array_equal(_bits(got(model, f1m, f2m, steps)),
+        for weak, want in ((False, oracles.until_full),
+                           (True, oracles.unless_full)):
+            got = until_prob(model, f1m, f2m, steps, weak)
+            assert np.array_equal(_bits(got),
                                   _bits(want(model, f1m, f2m, steps)))
         hi = steps + data.draw(st.sampled_from([0, 1, 5]))
         assert np.array_equal(
             _bits(_window_reach_vector(model, f2m, steps, hi)),
             _bits(oracles.window_reach_full(model, f2m, steps, hi)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(model=st.one_of(_built_chains(), _hand_chains()), data=st.data())
+    def test_walk_past_its_fixed_point_checks(self, model, data):
+        """Bounds of 64 steps and more, where the walk looks for a
+        bit-identical fixed point, on both of its branches: the strong and
+        the weak until, and a bare walk without pins."""
+        n = model.n_states
+        booleans = st.lists(st.booleans(), min_size=n, max_size=n).map(
+            lambda m: np.array(m, dtype=bool))
+        steps = data.draw(st.one_of(st.sampled_from([64, 65, 128]),
+                                    st.integers(64, 400)))
+        f1m, f2m = data.draw(booleans), data.draw(booleans)
+        for weak, want in ((False, oracles.until_full),
+                           (True, oracles.unless_full)):
+            got = until_prob(model, f1m, f2m, steps, weak)
+            assert np.array_equal(_bits(got),
+                                  _bits(want(model, f1m, f2m, steps)))
+        v = data.draw(st.lists(st.sampled_from([0.0, 1.0, 0.25, 0.7, 3.5]),
+                               min_size=n, max_size=n).map(np.array))
+        assert np.array_equal(
+            _bits(model._walk(v, steps)),
+            _bits(oracles.iterate_full(model, v, np.zeros(n),
+                                       np.ones(n, bool), steps)))
+
+    @pytest.mark.parametrize("formula", [
+        "[a U{<=100000000000000000000} b]{>=0.5}",
+        "[a W{<=100000000000000000000} b]{>=0.5}",
+        "a ~>{>=100000000000000000000,<=100000000000000000000}{>0} b"])
+    def test_huge_bound_stops_at_its_fixed_point(self, tmp_path, formula):
+        # 0 -> 1 -> 2 -> 3 {b} or back to 0, all three {a}; 3 loops.  The
+        # float walks settle within 200 steps, the boolean push within 4
+        listing = tmp_path / "chain.txt"
+        listing.write_text(
+            "atoms a b\n" + "".join(f"state {i}: {{a}}\n" for i in range(3))
+            + "state 3: {b}\ntrans 0 1 1.0\ntrans 1 2 1.0\n"
+            "trans 2 3 0.5\ntrans 2 0 0.5\ntrans 3 3 1.0\n")
+        src = Path(checker.__file__).parents[1]
+        subprocess.run([sys.executable, "-m", "tlcausal.cli", "check",
+                        "--model", str(listing), "--formula", formula],
+                       cwd=src, check=True, capture_output=True, timeout=30)
 
     def test_walk_memory_does_not_grow_with_the_bound(self):
         # the sliding buffer holds n + min(steps, n) floats
@@ -506,10 +553,10 @@ class TestUnboundedExact:
                             st.just(Atom("false")))
         left, right = data.draw(operand), data.draw(operand)
         f1m, f2m = _state_mask(model, left), _state_mask(model, right)
-        for weak, prob, exact in ((False, until_prob, oracles.exact_until),
-                                  (True, unless_prob, oracles.exact_unless)):
+        for weak, exact in ((False, oracles.exact_until),
+                            (True, oracles.exact_unless)):
             want = exact(model, f1m, f2m)
-            got = prob(model, f1m, f2m, INFINITY)
+            got = until_prob(model, f1m, f2m, INFINITY, weak)
             assert np.abs(got - np.array(want, float)).max() <= 1e-12
             for cmp, p in _BOUNDS:
                 assert _verdicts_agree(sat_set(model, ProbBound(
