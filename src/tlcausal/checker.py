@@ -134,8 +134,9 @@ def _lead_masks(model, c, e):
 
 
 def _window_reach_vector(model, target_mask, tmin, tmax):
-    return model._walk(until_prob(model, np.ones(model.n_states, bool),
-                                  target_mask, tmax - tmin), int(tmin))
+    v = until_prob(model, np.ones(model.n_states, bool), target_mask,
+                   tmax - tmin)
+    return model._walk(v, int(tmin))
 
 
 def _window_possible(model, target_mask, tmin, tmax, dual):

@@ -102,17 +102,18 @@ class Dtmc:
         rest = np.flatnonzero(~shift)
         return rest, trans[rest]
 
-    def _walk(self, v: np.ndarray, steps: int, stop=None,
-              pinned=None) -> np.ndarray:
+    def _walk(self, v: np.ndarray, steps: int, stop=slice(0),
+              pinned=0.0) -> np.ndarray:
         """``v`` after ``steps`` pushes ``v = transitions @ v``, each
-        followed by ``v[stop] = pinned`` when ``stop`` (state indices) is
-        given; ``v`` itself is not written.  The bits are those of full
-        products for a finite float vector with no negative entry and no
-        -0.0, which is every vector the checker pushes.
+        followed by ``v[stop] = pinned`` (state indices; by default none);
+        ``v`` itself is not written.  The bits are those of full products
+        for a finite float vector with no negative entry and no -0.0,
+        which is every vector the checker pushes.
 
         Every ``_SETTLE`` steps the walk ends if that step left the vector
         bit for bit as it was (compared as int64, as ``0.0 == -0.0`` in
-        floats): a step is a fixed map, so every later one would too.
+        floats, with a copy taken before the step, as a split step writes
+        over its input): a step is a fixed map, so every later one would too.
 
         With the shift split, each step's vector is one place on from the
         last in a buffer of ``n + min(steps, n)`` floats, moved back to its
@@ -125,8 +126,7 @@ class Dtmc:
         if split is None:
             for i in range(1, steps + 1):
                 last, v = v, self.transitions @ v
-                if stop is not None:
-                    v[stop] = pinned
+                v[stop] = pinned
                 if i % _SETTLE == 0 and _same(v, last):
                     break
             return v
@@ -136,12 +136,12 @@ class Dtmc:
         for i in range(1, steps + 1):
             if k + n == buf.size:  # one copy of n floats per n steps
                 buf[:n], k = buf[k:], 0
+            last = buf[k:k + n].copy() if i % _SETTLE == 0 else None
             step = buf[k + 1:k + 1 + n]  # its last place is a rest row's
             step[rest] = sub @ buf[k:k + n]
+            step[stop] = pinned
             k += 1
-            if stop is not None:
-                step[stop] = pinned
-            if i % _SETTLE == 0 and _same(step, buf[k - 1:k - 1 + n]):
+            if last is not None and _same(step, last):
                 break
         return buf[k:k + n]
 

@@ -431,6 +431,7 @@ class TestShiftRowPush:
 
     @pytest.mark.parametrize("formula", [
         "[a U{<=100000000000000000000} b]{>=0.5}",
+        "[b U{<=100000000000000000000} a]{>=0.5}",  # settles at [1, 1, 1, 0]
         "[a W{<=100000000000000000000} b]{>=0.5}",
         "a ~>{>=100000000000000000000,<=100000000000000000000}{>0} b"])
     def test_huge_bound_stops_at_its_fixed_point(self, tmp_path, formula):
