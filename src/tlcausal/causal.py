@@ -107,17 +107,17 @@ class ScoreTable:
 # ---------------------------------------------------------------------------
 # Batched scoring over a whole hypothesis family
 #
-# The pipeline evaluates every ordered pair at once.  Counts come from 0/1
-# matrix products over the qualifying ticks of all traces, in float32 over
-# chunks of at most _CHUNK ticks: a partial sum is an integer no larger than
-# the chunk length, and float32 holds every integer up to 2**24 exactly, in
-# any summation order.  Chunk results add up in int64, so the counts match
-# the per-pair definitions exactly at any trace length, and the float32
-# copy stays at 16 KiB per column however long the traces are.
+# Counts come from 0/1 matrix products over the qualifying ticks of all traces,
+# in float32 over chunks of at most _CHUNK ticks: a partial sum is an integer
+# no larger than the chunk length, and float32 holds every integer up to 2**24
+# exactly, in any summation order.  Chunk results add up in int64, so the
+# counts match the per-pair definitions exactly at any trace length, and the
+# float32 copy stays at 16 KiB per column however long the traces are.
 #
 # The rival counts of a cause's passers (ticks where it and a rival hold
 # and the effect hits) take one product over the ticks where that cause
-# holds, which are few next to the ticks where an effect hits.  Each
+# holds, which are few next to the ticks where an effect hits; the matrix
+# is tick-major so that those ticks are gathered as contiguous rows.  Each
 # passer's terms form one row, padded to the largest rival set with the
 # sentinel cause: a padding term is never defined (the sentinel never
 # holds), so it adds +0.0, which leaves the left-to-right sum unchanged

@@ -264,10 +264,9 @@ def _exact(value) -> str:
 
 
 def load_text(source) -> Dtmc:
-    """Parse a listing produced by :func:`export_text`.  A repeated
-    ``atoms`` or ``initial`` line, or a ``state``, ``freq`` or ``trans``
-    record repeated for the same state or pair, is refused, naming both
-    lines."""
+    """Parse a listing produced by :func:`export_text`.  A repeated ``atoms``
+    or ``initial`` line, or a ``state``, ``freq`` or ``trans`` record
+    repeated for the same state or pair, is refused, naming both lines."""
     lines = _open_lines(source)
     atoms, initial, states, freqs, trans = {}, {}, {}, {}, {}
     # each record's key -> (line number, value); atoms and initial: key ()
@@ -281,9 +280,11 @@ def load_text(source) -> Dtmc:
             elif head == "initial":
                 table, key, value = initial, (), _uint(rest.strip())
             elif head == "state":
-                sid, _, labpart = rest.partition(":")
-                table, key = states, (_uint(sid.strip()),)
-                value = set(labpart.strip()[1:-1].split(",")) - {""}
+                sid, _, label = map(str.strip, rest.partition(":"))
+                table, key = states, (_uint(sid),)
+                if not (label.startswith("{") and label.endswith("}")):
+                    raise ValueError(label)
+                value = {a.strip() for a in label[1:-1].split(",")} - {""}
             elif head == "freq":
                 sid, value = rest.split()
                 table, key, value = freqs, (_uint(sid),), float(value)

@@ -238,7 +238,8 @@ def _write_text(sink, text) -> None:
 
 
 def _uint(text: str) -> int:
-    """``int(text)`` for ASCII digits alone, else a ``ValueError``."""
+    """``int(text)`` for ASCII digits alone, else a ``ValueError``: ``int``
+    also reads a sign, ``_``, spaces and digits such as ``١``."""
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"not ASCII digits: {text!r}")
     return int(text)

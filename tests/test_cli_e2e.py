@@ -133,6 +133,10 @@ def test_outdir_that_is_a_file_is_a_data_error(run, capsys):
                      "--outdir", "run/events.csv"]) == 2
     assert "cannot write run/events.csv: run/events.csv is not a writable " \
         "directory" in capsys.readouterr().err
+    assert cli.main(["infer", "--config", "run.cfg",
+                     "--outdir", "run/events.csv/out"]) == 2
+    assert "cannot write run/events.csv/out: run/events.csv is not a " \
+        "writable directory" in capsys.readouterr().err
     assert (run / "events.csv").read_bytes() == events
 
 

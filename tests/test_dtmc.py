@@ -274,6 +274,17 @@ class TestExport:
         with pytest.raises(DataError, match="malformed model line 6"):
             load_text(io.StringIO(text))
 
+    # the label was read as its text less the first and last characters
+    @pytest.mark.parametrize("label", ["a", "{a", "(a,b)"])
+    def test_label_outside_braces_is_refused(self, label):
+        text = f"atoms a b\nstate 0: {label}\ntrans 0 0 1.0\n"
+        with pytest.raises(DataError, match="malformed model line 2"):
+            load_text(io.StringIO(text))
+
+    def test_label_names_are_stripped(self):
+        text = "atoms a b\nstate 0: {a, b}\ntrans 0 0 1.0\n"
+        assert load_text(io.StringIO(text)).labels == ({"a", "b"},)
+
     def test_ids_may_have_spaces_around_them(self):
         text = ("atoms a\ninitial  1\nstate 0 : {a}\nstate  1: {}\n"
                 "trans 0 1 1.0\ntrans 1 1 1.0\n")

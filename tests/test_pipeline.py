@@ -935,7 +935,8 @@ class TestCli:
             assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [
-        ("--bins", "5"), ("--degree", "1"), ("--min-support", "0")])
+        ("--bins", "5"), ("--degree", "1"), ("--min-support", "0"),
+        ("--threshold", "0"), ("--tmin", "0")])
     def test_bad_infer_setting_stops_before_work(self, tmp_path, capsys,
                                                  flag, value):
         out = tmp_path / "out"
@@ -970,15 +971,26 @@ class TestCli:
                              "--format", "bogus"]) == 1
             assert "unknown trace format 'bogus'" in capsys.readouterr().err
 
+    def test_check_infinite_trace_window_is_a_usage_error(self, tmp_path,
+                                                         capsys):
+        ev = tmp_path / "ev.csv"
+        ev.write_text("0,a\n1,b\n")
+        assert cli.main(["check", "--formula", "a ~>{>=1,<=inf}{>=0.5} b",
+                         "--path", str(ev)]) == 1
+        assert "trace checking needs a finite window" in \
+            capsys.readouterr().err
+
     def test_bad_fdr_setting_stops_before_work(self, tmp_path, capsys):
         out = tmp_path / "t"
         assert cli.main(_tiny_infer_args(tmp_path, out)) == 3
         table = str(out / "hypotheses.tsv")
         redo = tmp_path / "redo"
-        assert cli.main(["fdr", "--hypotheses", table, "--degree", "1",
-                         "--outdir", str(redo)]) == 1
-        assert "usage error" in capsys.readouterr().err
-        assert not redo.exists()
+        for flag, value in (("--degree", "1"), ("--bins", "5"),
+                            ("--threshold", "0"), ("--threshold", "1.5")):
+            assert cli.main(["fdr", "--hypotheses", table, flag, value,
+                             "--outdir", str(redo)]) == 1
+            assert "usage error" in capsys.readouterr().err
+            assert not redo.exists()
         with pytest.raises(UsageError):
             rerun_fdr(read_hypotheses_tsv(table), redo, bins=5)
         assert not redo.exists()
