@@ -44,7 +44,7 @@ print(f"empirical null: N({nm.delta0:.3f}, {nm.sigma0:.3f})")
 print(f"wall time: {report.wall_time:.1f}s")
 
 found = set(report.significant)
-true_edges = set(truth.edges)
+true_edges = set(truth)
 tp = found & true_edges
 print(f"\ndiscovered {len(found)} edges; "
       f"{len(tp)} true, {len(found - true_edges)} spurious, "

@@ -20,7 +20,7 @@ from .pctl import (INFINITY, And, Atom, Formula, Implies, LeadsTo, Not, Or,
                    PathFormula, ProbBound, StateFormula, TimeBound, Until,
                    parse, print_formula)
 from .pipeline import PipelineConfig, Report, run_pipeline
-from .synthgen import GenConfig, GroundTruth, StructureSpec, generate, preset
+from .synthgen import GenConfig, StructureSpec, generate, preset
 from .traces import (EventList, Trace, TraceSet, discretize, events_of,
                      load_events, write_events)
 

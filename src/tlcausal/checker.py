@@ -111,9 +111,7 @@ def _probbound_mask(model: Dtmc, f: ProbBound) -> np.ndarray:
     if isinstance(inner, LeadsTo):
         # AG[left -> (window-reach right with this bound)]
         left, right = _lead_masks(model, inner.left, inner.right)
-        window = (model, right, inner.tmin, inner.tmax)
-        reach = _meets(f, lambda dual: _window_possible(*window, dual),
-                       lambda: _window_reach_vector(*window))
+        reach = _meets(f, *_window(model, right, inner.tmin, inner.tmax))
         return ~_reach(model, left & ~reach, np.ones(model.n_states, bool))
     if isinstance(inner, Until):
         until = (model, _state_mask(model, inner.left),
@@ -133,17 +131,13 @@ def _lead_masks(model, c, e):
     return _state_mask(model, c), _state_mask(model, e)
 
 
-def _window_reach_vector(model, target_mask, tmin, tmax):
-    v = until_prob(model, np.ones(model.n_states, bool), target_mask,
-                   tmax - tmin)
-    return model._walk(v, int(tmin))
-
-
-def _window_possible(model, target_mask, tmin, tmax, dual):
-    """Where the window's reach (its miss, if ``dual``) is possible."""
-    return _steps(model, _possible(model, np.ones(model.n_states, bool),
-                                   target_mask, tmax - tmin, False, dual),
-                  tmin)
+def _window(model, target, tmin, tmax):
+    """The leads-to window as the ``(possible, vec)`` pair of
+    :func:`_meets`: the until ``true U{<=tmax-tmin} target``, pushed
+    ``tmin`` steps."""
+    until = (model, np.ones(model.n_states, bool), target, tmax - tmin)
+    return (lambda dual: _steps(model, _possible(*until, False, dual), tmin),
+            lambda: model._walk(until_prob(*until), int(tmin)))
 
 
 def sat_set(model: Dtmc, f: Formula) -> frozenset:
@@ -159,12 +153,12 @@ def until_prob(model: Dtmc, f1m: np.ndarray, f2m: np.ndarray, tmax,
     Recurrence: P_0 = [s in f2], or [s in f1 | f2] if ``weak``; P_k = 1 on
     f2, else T @ P_{k-1} on f1, else 0.  An infinite bound is exact: graph
     search for 0.0 and 1.0, one solve, rows read as normalized, for the
-    rest; weak, it is until's dual ``1 - P((f1 & ~f2) U (~f1 & ~f2))``.
-    These are floats: ``{>0}`` and ``{>=1}`` read the chain's edges instead.
+    rest, its values clipped to [0, 1]; weak, it is the strong until into
+    the wider target of :func:`_target`.  These are floats: ``{>0}`` and
+    ``{>=1}`` read the chain's edges instead.
     """
     if tmax == INFINITY:
-        return (1.0 - _until_unbounded(model, f1m & ~f2m, ~f1m & ~f2m)
-                if weak else _until_unbounded(model, f1m, f2m))
+        return _until_unbounded(model, f1m, _target(model, f1m, f2m, weak))
     stop = np.flatnonzero(~f1m | f2m)
     return model._walk((f1m | f2m if weak else f2m).astype(float),
                        int(tmax), stop, f2m[stop].astype(float))
@@ -195,10 +189,17 @@ def _possible(model, f1m, f2m, steps, weak, dual=False):
     if dual:
         f1m, f2m, weak = f1m & ~f2m, ~f1m & ~f2m, not weak
     cont = f1m & ~f2m
-    if steps == INFINITY:  # weak: through cont into a state that cannot fail
-        return _reach(model, ~_reach(model, ~f1m & ~f2m, cont) if weak
-                      else f2m, cont)
+    if steps == INFINITY:
+        return _reach(model, _target(model, f1m, f2m, weak), cont)
     return _steps(model, f1m | f2m if weak else f2m, steps, f2m, cont)
+
+
+def _target(model, f1m, f2m, weak):
+    """The target of the unbounded strong until that ``f1 U f2`` is, or
+    ``f1 W f2`` if ``weak``: ``f2``, then also each state from which no path
+    leaves ``f1 & !f2``; almost every path that stays in it ends there."""
+    cont = f1m & ~f2m
+    return f2m | ~_reach(model, ~cont, cont) if weak else f2m
 
 
 def _steps(model, x, steps, keep=False, cont=True):
@@ -229,8 +230,7 @@ def _until_unbounded(model, f1m, f2m):
         trans = model.transitions
         off = (trans - diags(trans.diagonal()))[rest]
         a = diags(np.asarray(off.sum(axis=1)).ravel()) - off[:, rest]
-        vec[rest] = np.clip(spsolve(a.tocsc(), off @ vec), 2.0 ** -53,
-                            1.0 - 2.0 ** -53)
+        vec[rest] = np.clip(spsolve(a.tocsc(), off @ vec), 0.0, 1.0)
     return vec
 
 
@@ -254,7 +254,7 @@ def leads_to_prob(model: Dtmc, c: Formula, e: Formula,
     if not cmask.any():
         raise CheckError("antecedent holds in no state "
                          "(occurrence condition violated)")
-    u = _window_reach_vector(model, emask, tmin, tmax)
+    u = _window(model, emask, tmin, tmax)[1]()
     weights = model.frequency[cmask]
     denom = float(weights.sum())
     if denom <= 0:
@@ -270,9 +270,9 @@ def leads_to_meets(model: Dtmc, f: ProbBound, est: FrequencyEstimate) -> bool:
     lead = f.path
     cmask, emask = _lead_masks(model, lead.left, lead.right)
     weighed = cmask & (model.frequency > 0)
-    return bool(_meets(f, lambda dual: _window_possible(
-        model, emask, lead.tmin, lead.tmax, dual)[weighed].any(),
-        lambda: est.probability))
+    possible, _ = _window(model, emask, lead.tmin, lead.tmax)
+    return bool(_meets(f, lambda dual: possible(dual)[weighed].any(),
+                       lambda: est.probability))
 
 
 # ---------------------------------------------------------------------------

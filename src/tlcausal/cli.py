@@ -177,10 +177,10 @@ def _cmd_generate(args):
     events, truth = generate(config)
     write_events(events, out / "events.csv")
     _write_text(out / "truth.csv", "".join(
-        [f"{cause},{effect}\n" for cause, effect in truth.edges]))
+        [f"{cause},{effect}\n" for cause, effect in truth]))
     print(f"generated {len(events)} firings over {events.horizon} "
           f"ticks ({len(structure.neurons)} neurons, "
-          f"{len(truth.edges)} true edges) -> {out}")
+          f"{len(truth)} true edges) -> {out}")
     return 0
 
 

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DataError
-from .traces import (TraceSet, _first_seen, _open_lines, _reject_reserved,
+from .traces import (TraceSet, _check_names, _first_seen, _open_lines,
                      _uint, _write_text)
 
 __all__ = ["Dtmc", "build_dtmc", "encode_labels", "export_text", "load_text"]
@@ -48,7 +48,7 @@ class Dtmc:
 
     def __post_init__(self):
         object.__setattr__(self, "atoms", tuple(self.atoms))
-        _reject_reserved(self.atoms)
+        _check_names(self.atoms)
         marks = np.asfortranarray(self.label_matrix, dtype=bool).view()
         if marks.ndim != 2 or marks.shape[1] != len(self.atoms):
             raise DataError("label matrix shape does not match atoms")
@@ -145,17 +145,12 @@ class Dtmc:
                 break
         return buf[k:k + n]
 
-    @cached_property
-    def _columns(self) -> dict:
-        """Each atom's column of ``label_matrix``, the first if repeated."""
-        return {a: i for i, a in reversed(tuple(enumerate(self.atoms)))}
-
     def states_with(self, atom: str) -> np.ndarray:
         """Read-only boolean mask of states labeled with ``atom``: a
         contiguous view of ``label_matrix`` for a declared atom."""
-        col = self._columns.get(atom)
-        return (np.zeros(self.n_states, bool) if col is None
-                else self.label_matrix[:, col])
+        if atom not in self.atoms:
+            return np.zeros(self.n_states, bool)
+        return self.label_matrix[:, self.atoms.index(atom)]
 
     def row_sum_deviation(self) -> float:
         rows = np.asarray(self.transitions.sum(axis=1)).ravel()
@@ -214,8 +209,8 @@ def _states(data: TraceSet, ends) -> tuple:
     A tick's label is keyed as little-endian bits in zero-padded uint64
     words, ``atoms // 64 + 1`` of them, so a zero-atom label still has
     one; the keys are grouped by :func:`~tlcausal.traces._first_seen`.
-    Each state's bits are unpacked byte-row by bit into an atom x state
-    matrix, whose transpose is the label matrix."""
+    Each state's bytes are shifted by all eight bit places at once into a
+    byte x bit x state array, whose rows, flattened, are the atoms."""
     atoms = len(data.variables)
     packed = np.zeros((ends[-1], atoms // 64 + 1), "<u8")
     rows = packed.view(np.uint8)  # tick x byte
@@ -225,10 +220,9 @@ def _states(data: TraceSet, ends) -> tuple:
             block[:, a >> 3] |= values.view(np.uint8) << (a & 7)
     ids, first, sizes = _first_seen(packed)
     cols = rows[first, :(atoms + 7) // 8].T.copy()  # byte x state
-    marks = np.empty((8 * len(cols), len(first)), np.uint8)
-    for bit in range(8):  # atom 8 * b + bit is bit ``bit`` of byte b
-        np.bitwise_and(cols >> bit, 1, out=marks[bit::8])
-    return ids, marks[:atoms].view(bool).T, sizes
+    marks = cols[:, None] >> np.arange(8, dtype=np.uint8)[:, None]
+    marks &= 1  # in place: a new array would cost more than the shifts
+    return ids, marks.reshape(-1, len(first))[:atoms].view(bool).T, sizes
 
 
 # ---------------------------------------------------------------------------

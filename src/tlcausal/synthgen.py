@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DataError, UsageError
 from .traces import EventList
 
-__all__ = ["StructureSpec", "GenConfig", "GroundTruth", "preset", "generate"]
+__all__ = ["StructureSpec", "GenConfig", "preset", "generate"]
 
 
 @dataclass(frozen=True)
@@ -60,17 +60,6 @@ class StructureSpec:
                 raise DataError(f"trigger probability out of range: {q}")
         object.__setattr__(self, "neurons", neurons)
         object.__setattr__(self, "edges", edges)
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    """The embedded edge set as ordered (cause, effect) pairs."""
-
-    edges: tuple
-
-    @staticmethod
-    def of(structure: StructureSpec) -> "GroundTruth":
-        return GroundTruth(tuple((p, c) for p, c, _ in structure.edges))
 
 
 @dataclass(frozen=True)
@@ -241,7 +230,8 @@ class _Replay:
 
 
 def generate(config: GenConfig) -> tuple:
-    """Run the simulation; returns ``(EventList, GroundTruth)``.
+    """Run the simulation; returns the events and the embedded edges as
+    ordered ``(cause, effect)`` pairs.
 
     Deterministic given the seed.
     """
@@ -289,4 +279,4 @@ def generate(config: GenConfig) -> tuple:
         t += 1
 
     return (EventList.from_arrays(times, fired_idx, names, t),
-            GroundTruth.of(structure))
+            tuple((p, c) for p, c, _ in structure.edges))

@@ -134,9 +134,7 @@ class Trace:
             raise DataError("trace matrix must be (variables x ticks)")
         if values.shape[1] < 1:
             raise DataError("trace must contain at least one tick")
-        if len(set(self.variables)) != len(self.variables):
-            raise DataError("duplicate variable names in trace")
-        _reject_reserved(self.variables)
+        _check_names(self.variables)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_index",
                            {v: i for i, v in enumerate(self.variables)})
@@ -152,13 +150,17 @@ class Trace:
             raise DataError(f"unknown atom: {variable!r}") from None
 
 
-def _reject_reserved(names):
-    """Refuse ``true`` and ``false`` as variable names: formulas read them
-    as the constant atoms."""
+def _check_names(names):
+    """Refuse a repeated variable name, and ``true`` and ``false``: formulas
+    read them as the constant atoms."""
+    seen = set()
     for v in names:
         if v in (TRUE.name, FALSE.name):
             raise DataError(f"variable {v!r} is a reserved name: formulas "
                             f"read it as the constant atom")
+        if v in seen:
+            raise DataError(f"duplicate variable name {v!r}")
+        seen.add(v)
 
 
 @dataclass(frozen=True)
@@ -447,7 +449,13 @@ _EVENTS = 1 << 12  # lines of event-csv text joined into one chunk
 
 def write_events(events: EventList, sink) -> None:
     """Serialize as event-csv (sorted records, LF line endings), written
-    ``_EVENTS`` lines at a time so only one block's text is held."""
+    ``_EVENTS`` lines at a time so only one block's text is held.  A name
+    that would not read back as it is (empty, holding a comma or a control
+    character, or with whitespace at either end) is refused before anything
+    is written."""
+    for v in events.names:
+        if not v or v != v.strip() or "," in v or not _CONTROL.isdisjoint(v):
+            raise DataError(f"variable {v!r} cannot be written as event-csv")
     rows = [f",{v}\n" for v in events.names]
     times, ids = events.times, events.ids
     _write_text(sink, ("".join([f"{t}{rows[i]}" for t, i in zip(

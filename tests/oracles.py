@@ -55,7 +55,7 @@ from tlcausal.errors import CheckError, DataError, EmptyWindowError
 from tlcausal.pctl import (INFINITY, And, Atom, Formula, Implies, Not, Or,
                            ProbBound, print_formula)
 from tlcausal.pipeline import TSV_COLUMNS, HypothesisTable
-from tlcausal.synthgen import GenConfig, GroundTruth
+from tlcausal.synthgen import GenConfig
 from tlcausal.traces import EventList, TraceSet, _open_lines
 
 
@@ -542,7 +542,8 @@ def generate(config: GenConfig) -> tuple:
 
     horizon = t
     records = [(tick, names[i]) for tick, i in zip(times, fired_idx)]
-    return events_from_records(records, horizon), GroundTruth.of(structure)
+    return (events_from_records(records, horizon),
+            tuple((p, c) for p, c, _ in structure.edges))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import io
 import re
 import subprocess
 import sys
@@ -18,11 +19,10 @@ from conftest import (random_dtmc, random_traceset, trace_from_marks,
 from oracles import marginal_window_prob
 from scipy import sparse
 from tlcausal import checker
-from tlcausal.checker import (_state_mask, _window_reach_vector,
-                              eval_on_trace, leads_to_meets, leads_to_prob,
-                              sat_set, trace_leads_to, until_prob,
-                              window_hits)
-from tlcausal.dtmc import Dtmc, build_dtmc
+from tlcausal.checker import (_state_mask, _window, eval_on_trace,
+                              leads_to_meets, leads_to_prob, sat_set,
+                              trace_leads_to, until_prob, window_hits)
+from tlcausal.dtmc import Dtmc, build_dtmc, load_text
 from tlcausal.errors import CheckError, DataError, EmptyWindowError
 from tlcausal.pctl import (INFINITY, And, Atom, LeadsTo, Not, ProbBound,
                            Until, parse)
@@ -176,6 +176,33 @@ class TestUntilUnless:
                                           [False, False]]), T, 0, np.ones(3))
         assert sat_set(tiny, parse("F b")) == {1}
         assert sat_set(tiny, parse("E G !b")) == {0, 2}
+
+    TINY_REACH = ("atoms a b\nstate 0: {a}\nstate 1: {b}\nstate 2: {}\n"
+                  "trans 0 1 1e-20\ntrans 0 2 1.0\ntrans 1 1 1.0\n"
+                  "trans 2 2 1.0\n")
+
+    @pytest.mark.parametrize("op", ["U", "W"])
+    def test_tiny_reach_keeps_its_value(self, op):
+        # from state 0, b follows with 1e-20 and no path stays on a & !b,
+        # so both untils are 1e-20 there: before, the solve's values were
+        # clipped up to 2^-53 and the weak until read 1 - (1 - 2^-53)
+        model = load_text(io.StringIO(self.TINY_REACH))
+        a, b = model.states_with("a"), model.states_with("b")
+        got = until_prob(model, a, b, INFINITY, weak=op == "W")[0]
+        assert abs(got - 1e-20) <= 1e-30
+        for bound in ("inf", "5"):
+            assert sat_set(model, parse(
+                f"[a {op}{{<={bound}}} b]{{>=1e-17}}")) == {1}
+
+    def test_weak_until_that_never_leaves_its_left_side(self):
+        # state 3 {a} loops on itself: its one path never reaches b and
+        # never leaves a
+        model = load_text(io.StringIO(
+            self.TINY_REACH + "state 3: {a}\ntrans 3 3 1.0\n"))
+        a, b = model.states_with("a"), model.states_with("b")
+        assert until_prob(model, a, b, INFINITY, weak=True)[3] == 1.0
+        assert until_prob(model, a, b, INFINITY)[3] == 0.0
+        assert 3 in sat_set(model, parse("[a W{<=inf} b]{>=1}"))
 
     @pytest.mark.parametrize("rows, labels, formulas, want", [
         # state 0 reaches b in one step with 0.9999999999, not 1: before,
@@ -345,7 +372,7 @@ class TestShiftRowPush:
         hi = data.draw(st.integers(tmin, tmin + 10))
         reach = oracles.window_reach_full(model, f2m, tmin, hi)
         assert np.array_equal(
-            _bits(_window_reach_vector(model, f2m, tmin, hi)), _bits(reach))
+            _bits(_window(model, f2m, tmin, hi)[1]()), _bits(reach))
         c, e = (data.draw(st.sampled_from(model.atoms)) for _ in range(2))
         cmask, emask = model.states_with(c), model.states_with(e)
         if model.frequency[cmask].sum() > 0:
@@ -402,7 +429,7 @@ class TestShiftRowPush:
                                   _bits(want(model, f1m, f2m, steps)))
         hi = steps + data.draw(st.sampled_from([0, 1, 5]))
         assert np.array_equal(
-            _bits(_window_reach_vector(model, f2m, steps, hi)),
+            _bits(_window(model, f2m, steps, hi)[1]()),
             _bits(oracles.window_reach_full(model, f2m, steps, hi)))
 
     @settings(max_examples=200, deadline=None)
@@ -569,7 +596,7 @@ class TestUnboundedExact:
         start = np.array(oracles.exact_until(model, np.ones(n, bool), emask),
                          float)
         reach = oracles.window_reach_full(model, emask, tmin, INFINITY, start)
-        assert np.abs(_window_reach_vector(model, emask, tmin, INFINITY)
+        assert np.abs(_window(model, emask, tmin, INFINITY)[1]()
                       - reach).max() <= 1e-12
         if model.frequency[cmask].sum() > 0:
             est = leads_to_prob(model, Atom(c), Atom(e), tmin, INFINITY)

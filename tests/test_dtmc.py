@@ -221,6 +221,17 @@ class TestExport:
             export_text(build_dtmc(data), sink)
         assert not sink.exists()
 
+    def test_repeated_atom_is_refused(self):
+        # a listing loaded one before, as a two-column chain whose
+        # states_with read the first column, while a trace was refused
+        message = re.escape("duplicate variable name 'a'")
+        with pytest.raises(DataError, match=message):
+            load_text(io.StringIO("atoms a a\nstate 0: {a}\ntrans 0 0 1.0\n"))
+        with pytest.raises(DataError, match=message):
+            Dtmc(("a", "a"), np.ones((1, 2), bool), np.eye(1), 0, [1.0])
+        with pytest.raises(DataError, match=message):
+            Trace(("a", "b", "a"), np.ones((3, 1), bool))
+
     def test_frequencies_read_back_exactly(self):
         # six significant digits would write 1.23457e+06 and 0.123457
         freq = [1234567.0, 0.1234567, 3.0, 2.0**60, 0.0]

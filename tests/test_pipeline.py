@@ -29,7 +29,7 @@ def _generate_inputs(tmp_path, seed=1, target=20_000, spont=1 / 30):
     write_events(events, path)
     truth_path = tmp_path / f"truth_{seed}.csv"
     with open(truth_path, "w") as fh:
-        for p, c in truth.edges:
+        for p, c in truth:
             fh.write(f"{p},{c}\n")
     return path, truth, events.horizon
 
@@ -95,7 +95,7 @@ class TestRunPipeline:
         report = run_pipeline(_config(path, tmp_path / "out",
                                       horizon=horizon))
         found = set(report.significant)
-        assert found == set(truth.edges)
+        assert found == set(truth)
         assert report.counts["enumerated"] == 210
         assert report.counts["prima_facie"] >= report.counts["scored"]
         assert report.counts["scored"] >= report.counts["significant"]
@@ -606,9 +606,12 @@ class TestCli:
         # a formula's numbers are ASCII digits, as an event time is
         ("atoms a\ninitial 0\nstate 0: {a}\nstate 1: {}\n"
          "trans 0 0 0.9999999999999\ntrans 0 1 1e-13\ntrans 1 1 1.0\n",
-         "[a U{<=\u0663} a]{>=0.5}", "unexpected character '\u0663'")],
+         "[a U{<=\u0663} a]{>=0.5}", "unexpected character '\u0663'"),
+        # a trace with these names is refused too
+        ("atoms a a\nstate 0: {a}\ntrans 0 0 1.0\n", "a",
+         "duplicate variable name 'a'")],
         ids=["repeated-state", "repeated-initial", "underscore-id",
-             "arabic-indic-bound"])
+             "arabic-indic-bound", "repeated-atom"])
     def test_check_model_refuses_a_bad_listing_or_formula(
             self, tmp_path, capsys, listing, formula, message):
         path = tmp_path / "model.txt"
@@ -1066,7 +1069,7 @@ outdir = {tmp_path / 'cfgout'}
                                       horizon=horizon, p0=True))
         assert report.null_model.p0 is not None
         assert 0.0 < report.null_model.p0 <= 1.0
-        assert set(report.significant) == set(truth.edges)
+        assert set(report.significant) == set(truth)
 
     def test_negations_flag(self, tmp_path):
         path, _, horizon = _generate_inputs(tmp_path, seed=3, target=5000)
@@ -1103,7 +1106,7 @@ def test_multiple_replicate_inputs(tmp_path):
         paths=tuple(paths), format="event-csv", horizon=None,
         tmin=20, tmax=40, outdir=None))
     assert report.counts["enumerated"] == 210
-    assert set(report.significant) == set(truth.edges)
+    assert set(report.significant) == set(truth)
 
 
 def test_boolean_config_keys(tmp_path):

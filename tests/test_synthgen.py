@@ -101,7 +101,7 @@ class TestGenerate:
         structure = preset("tree", 3, 0.8)
         _, truth = generate(GenConfig(structure, 0.05, target_firings=100,
                                       seed=2))
-        assert truth.edges == tuple((p, c) for p, c, _ in structure.edges)
+        assert truth == tuple((p, c) for p, c, _ in structure.edges)
 
     def test_deterministic_chain_triggering(self):
         # A is the only spontaneous source; B fires only when triggered.

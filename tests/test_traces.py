@@ -33,6 +33,12 @@ class TestWideCsv:
         with pytest.raises(DataError, match="line 3"):
             load_data([io.StringIO("time,a\n0,1\n1,2\n")], "wide-csv", None)
 
+    def test_repeated_header_name(self):
+        with pytest.raises(DataError, match=re.escape(
+                "duplicate variable name 'a'")):
+            load_data([io.StringIO("time,a,b,a\n0,1,0,1\n")], "wide-csv",
+                      None)
+
     def test_tick_order_enforced(self):
         with pytest.raises(DataError, match="expected tick"):
             load_data([io.StringIO("time,a\n0,1\n2,1\n")], "wide-csv", None)
@@ -469,6 +475,18 @@ class TestWriters:
         blocker.write_text("")
         with pytest.raises(DataError, match=re.escape(f"cannot write {blocker}")):
             write(blocker / "out.txt")
+
+
+    @pytest.mark.parametrize("name", ["a,b", "x\n", " y", ""])
+    def test_name_event_csv_cannot_hold_is_refused(self, tmp_path, name):
+        # "a,b" and "" would be refused on read, "x\n" and " y" read back
+        # as x and y
+        events = EventList.from_arrays([0, 1], [0, 1], ("a", name), 2)
+        sink = tmp_path / "events.csv"
+        with pytest.raises(DataError, match=re.escape(
+                f"variable {name!r} cannot be written as event-csv")):
+            write_events(events, sink)
+        assert not sink.exists()
 
 
 class TestChunkedWriting:
