@@ -382,11 +382,15 @@ def _name_ids(block, commas, lengths, index) -> np.ndarray:
 
 
 def _first_seen(keys) -> tuple:
-    """Each row's group id, each group's first row and each group's size,
-    for the equal rows of an ``(n, w)`` uint64 matrix, numbered by first
-    appearance: a stable sort keeps each group's rows in row order, so
-    each run of equal keys starts at its group's first row."""
-    order = np.lexsort(keys.T)
+    """Each row's group id, first row and size, for the equal rows of a
+    C-contiguous ``(n, w)`` uint64 matrix, numbered by first appearance.
+    A stable ``argsort`` per 16-bit digit (a linear radix sort) sorts the
+    rows, each group's in row order; a digit equal in every row can
+    neither split nor reorder a group, so it gets no pass."""
+    order = np.arange(len(keys))
+    for digit in keys.view(np.uint16).T:
+        if (digit[1:] != digit[:1]).any():
+            order = order[np.argsort(digit[order], kind="stable")]
     starts = np.zeros(len(order), bool)
     starts[:1] = True
     for word in keys.T:

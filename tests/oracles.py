@@ -14,7 +14,7 @@ and one regular expression states the clean-text rule that
 ``tlcausal.traces._parse_clean`` checks as it parses.  One dict over the
 rows numbers equal rows by first appearance: the reference for
 ``tlcausal.traces._first_seen``, which groups chain states and event
-names.
+names by stable radix passes over their 16-bit digits.
 The per-pair scoring functions at the end evaluate one hypothesis or one
 rival at a time through the package's trace counting (itself checked
 against the rational counter); they are the reference for the batched

@@ -354,15 +354,22 @@ class TestLoaderParity:
         assert _outcome(_load, text, horizon) == message
 
 
-# uint64 values at the edges of a word, so that rows of 0-60 draws repeat
-_WORDS = st.sampled_from([0, 1, 2, 2 ** 63, 2 ** 64 - 1])
+# uint64 values at the edges of a word and of its 16-bit digits, so that
+# rows of 0-60 draws repeat and a middle digit varies on its own
+_WORDS = st.sampled_from([0, 1, 2, 2 ** 16, 2 ** 40, 2 ** 63, 2 ** 64 - 1])
+_KEYS = st.integers(1, 3).flatmap(lambda width: st.tuples(
+    st.just(width), st.lists(st.lists(_WORDS, min_size=width,
+                                      max_size=width), max_size=60)))
+# more rows than a digit has values, cycling over three two-word keys that
+# differ in three of their eight digits
+_CYCLE = [[0, 1], [2 ** 40, 1], [0, 2 ** 16]]
 
 
 @settings(max_examples=300, deadline=None)
-@given(width=st.integers(1, 3), data=st.data())
-def test_first_seen_matches_dict_oracle(width, data):
-    rows = data.draw(st.lists(st.lists(_WORDS, min_size=width,
-                                       max_size=width), max_size=60))
+@given(case=_KEYS)
+@example(case=(2, [_CYCLE[k % 3] for k in range(70_000)]))
+def test_first_seen_matches_dict_oracle(case):
+    width, rows = case
     keys = np.array(rows, np.uint64).reshape(len(rows), width)
     got = traces._first_seen(keys)
     assert [part.tolist() for part in got] == oracles.first_seen(rows)
